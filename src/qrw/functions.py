@@ -57,15 +57,6 @@ class TestFunction:
         value = np.atleast_1d(np.asarray(value, dtype=complex))
         return cls(np.array([start, end]), np.vstack([value, value]))
 
-    @classmethod
-    def bump(cls, height: float, start: float, end: float, channels: int = 1,
-             channel: int = 0) -> "TestFunction":
-        """Single-channel triangle: zero at the endpoints, ``height`` at the middle."""
-        mid = 0.5 * (start + end)
-        vals = np.zeros((3, channels), dtype=complex)
-        vals[1, channel] = height
-        return cls(np.array([start, mid, end]), vals)
-
     # -- evaluation ---------------------------------------------------------
     def __call__(self, t) -> np.ndarray:
         """Evaluate at scalar or array times; shape (..., channels)."""
@@ -86,23 +77,30 @@ class TestFunction:
         inner = self.breakpoints[(self.breakpoints > t0) & (self.breakpoints < t1)]
         return np.unique(np.concatenate([[t0], inner, [t1]]))
 
+    def antiderivative(self, t) -> np.ndarray:
+        """Exact integral of f from -inf to t, shape (..., channels): the cumulative
+        trapezoid up to the breakpoint t_k below t plus the quadratic in t - t_k."""
+        bp, vals = self.breakpoints, self.values
+        t = np.clip(np.asarray(t, dtype=float), bp[0], bp[-1])
+        seg = 0.5 * np.diff(bp)[:, None] * (vals[:-1] + vals[1:])
+        cum = np.concatenate([np.zeros((1, self.channels), dtype=complex),
+                              np.cumsum(seg[:-1], axis=0)])
+        idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(bp) - 2)
+        s = (t - bp[idx])[..., None]
+        slope = (vals[idx + 1] - vals[idx]) / (bp[idx + 1] - bp[idx])[..., None]
+        return cum[idx] + s * vals[idx] + 0.5 * s**2 * slope
+
     def integrate(self, t0: float, t1: float) -> np.ndarray:
-        """Exact per-channel integral over [t0, t1] (trapezoid on the PL grid)."""
+        """Exact per-channel integral over [t0, t1]."""
         if t1 < t0:
             raise ValueError("need t1 >= t0")
-        nodes = self._grid_on(t0, t1)
-        vals = self(nodes)
-        return np.sum(
-            0.5 * np.diff(nodes)[:, None] * (vals[:-1] + vals[1:]), axis=0
-        )
+        a0, a1 = self.antiderivative([t0, t1])
+        return a1 - a0
 
     def cell_averages(self, t0: float, t1: float, cells: int) -> np.ndarray:
         """Exact averages over ``cells`` equal subintervals of [t0, t1]; (cells, channels)."""
         edges = np.linspace(t0, t1, cells + 1)
-        width = (t1 - t0) / cells
-        return np.stack(
-            [self.integrate(edges[c], edges[c + 1]) / width for c in range(cells)]
-        )
+        return np.diff(self.antiderivative(edges), axis=0) / ((t1 - t0) / cells)
 
     def l2_norm_sq(self, t0: float, t1: float) -> float:
         """Exact integral of the squared channel norm (Simpson per PL segment)."""
@@ -160,14 +158,15 @@ class SlotAverages:
     n: int
     F: np.ndarray  # (n, channels) complex
 
-    def hatted(self, k: int) -> np.ndarray:
-        """The slot-k coefficient vector (1, F[k][0], ..., F[k][m-1])."""
-        return np.concatenate([[1.0 + 0j], self.F[k]])
+    def hatted(self, k) -> np.ndarray:
+        """The slot-k coefficient vector (1, F[k]); one row per slot for a slice k."""
+        F = self.F[k]
+        return np.concatenate([np.ones(F.shape[:-1] + (1,), dtype=complex), F], axis=-1)
 
 
 def slot_averages(f: TestFunction, h: float, n: int) -> SlotAverages:
     """Exact slot averages of ``f`` over n consecutive intervals of length h."""
     if h <= 0 or n < 1:
         raise ValueError("need h > 0 and n >= 1")
-    F = np.stack([f.integrate(k * h, (k + 1) * h) / np.sqrt(h) for k in range(n)])
+    F = np.diff(f.antiderivative(h * np.arange(n + 1)), axis=0) / np.sqrt(h)
     return SlotAverages(h=h, n=n, F=F)

@@ -23,6 +23,7 @@ __all__ = [
     "kron",
     "op_norm",
     "psd_trig",
+    "sandwich",
 ]
 
 # Largest dimension a kron result may have before we refuse to allocate.
@@ -126,6 +127,14 @@ def expm(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expm needs a square matrix, got {a.shape}")
     return scipy.linalg.expm(a)
+
+
+def sandwich(left: np.ndarray, y: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_j L_j y R_j in two matmul calls: the slot and rate kernel of walk and oracle.
+
+    ``left`` holds the L_j side by side, (d, J d); ``right`` stacks the R_j, (J, d, d).
+    """
+    return left @ (y @ right).reshape(-1, y.shape[-1])
 
 
 def op_norm(a) -> float:

@@ -50,7 +50,6 @@ __all__ = [
 # Scaling exponents of the four block parts: vacuum, annihilation row,
 # creation column, conservation interior.
 BLOCK_EXPONENTS = (1.0, 0.5, 0.5, 0.0)
-BLOCK_NAMES = ("vacuum", "annihilation", "creation", "conservation")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +99,6 @@ class BlockOperator:
         n = self.d * (1 + self.m)
         return self.blocks.transpose(2, 0, 3, 1).reshape(n, n)
 
-    def block(self, j: int, jp: int) -> np.ndarray:
-        return self.blocks[j, jp]
-
     # -- map-form accessors -------------------------------------------------
     @property
     def vacuum_part(self) -> np.ndarray:
@@ -130,12 +126,6 @@ class BlockOperator:
             self.creation_part,
             self.conservation_part,
         )
-
-    def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.d, self.m, self.blocks - other.blocks)
-
-    def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.d, self.m, self.blocks + other.blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,16 +339,6 @@ def beta_blocks(kernel: StepKernel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def identity_blocks(d: int, m: int, xs: np.ndarray) -> np.ndarray:
-    """Batched b(xs) = xs (x) 1 as a block array (diagonal blocks all xs)."""
-    xs = np.asarray(xs, dtype=complex)
-    batch = xs.shape[:-2]
-    out = np.zeros(batch + (1 + m, 1 + m, d, d), dtype=complex)
-    for j in range(1 + m):
-        out[..., j, j, :, :] = xs
-    return out
-
-
 def u_h(model: GkslModel, h: float) -> BlockOperator:
     """The step unitary U(h) in block form."""
     return StepKernel.build(model, h).unitary()
@@ -374,7 +354,7 @@ def beta(model: GkslModel, x, h: float) -> BlockOperator:
 def ampliation(model: GkslModel, x) -> BlockOperator:
     """b(x) = x (x) 1 on system (x) (C + noise)."""
     x = model.check_x(x)
-    return BlockOperator(model.d, model.m, identity_blocks(model.d, model.m, x))
+    return BlockOperator(model.d, model.m, np.multiply.outer(np.eye(1 + model.m), x))
 
 
 def trig_estimates(model: GkslModel, h: float) -> dict[str, tuple[float, float]]:
@@ -426,10 +406,6 @@ class DefectReport:
     def passed(self) -> bool:
         return all(r <= b + 1e-13 for r, b in zip(self.raw, self.bounds))
 
-    def lines(self):
-        for name, r, b in zip(BLOCK_NAMES, self.raw, self.bounds):
-            yield name, r, b
-
 
 def defect(model: GkslModel, x, h: float) -> tuple[BlockOperator, DefectReport]:
     """E(h, x): blocks h^-(1+eps) (beta - b - h^eps Theta), plus a bound report."""
@@ -468,10 +444,6 @@ def defect(model: GkslModel, x, h: float) -> tuple[BlockOperator, DefectReport]:
 # ---------------------------------------------------------------------------
 
 
-def _vec(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=complex).reshape(-1)
-
-
 @dataclass(frozen=True, eq=False)
 class SemigroupOracle:
     """The generator L as a d^2 x d^2 superoperator on row-major vec(x)."""
@@ -482,19 +454,19 @@ class SemigroupOracle:
     def evolve(self, x, t: float) -> np.ndarray:
         if t < 0:
             raise ValueError("semigroup needs t >= 0")
-        out = expm(t * self.superoperator) @ _vec(x)
+        out = expm(t * self.superoperator) @ np.asarray(x, dtype=complex).reshape(-1)
         return out.reshape(self.d, self.d)
 
 
 def lindblad_superoperator(model: GkslModel) -> np.ndarray:
-    """Matrix of x -> L(x) on row-major vec(x): vec(AxB) = (A (x) B^T) vec(x)."""
+    """Matrix of x -> L(x) on row-major vec(x): column c is vec(L(E_c)).
+
+    E_c runs over the d^2 matrix units, so the matrix is derived from
+    ``lindblad`` itself rather than written out a second time.
+    """
     d = model.d
-    eye = np.eye(d, dtype=complex)
-    RdR = model.RdR
-    out = -0.5 * (np.kron(RdR, eye) + np.kron(eye, RdR.T))
-    for Ri in model.channels:
-        out += np.kron(dagger(Ri), Ri.T)
-    return out
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return np.stack([lindblad(model, e).reshape(-1) for e in units], axis=1)
 
 
 def semigroup_oracle(model: GkslModel) -> SemigroupOracle:

@@ -7,11 +7,14 @@ satisfies the finite-dimensional ODE
     d m_t(x) / dt = m_t( L(x) + <g(t), delta(x)> + delta_dag(x) f(t) )
                     + <g(t), f(t)> m_t(x),
 
-with m_0(x) = <v, x u>.  This module integrates that dual evolution with a
-classical 4th-order scheme (breakpoints of f and g forced onto the grid) and
-cross-validates it two ways: at f = g = 0 it must reduce to the exact
-semigroup, and it must agree with the walk itself evaluated at a far finer
-step than the one under study.
+with m_0(x) = <v, x u>.  This module integrates it backward in the
+Heisenberg picture: Y = x at time t, dY/dtau = G_{t-tau}(Y) down to time 0,
+and m_t(x) = <v, Y u>, with G_s the bracket plus <g(s), f(s)>.  G_s(Y) is a
+sum of d x d sandwiches, the walk's slot kernel, so an RK4 step (breakpoints
+of f and g forced onto the grid) costs O((2+m) d^3).  It is cross-validated
+two ways: at f = g = 0 it must reduce to the exact semigroup, and it must
+agree with the walk itself evaluated at a far finer step than the one under
+study.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import TestFunction
-from .model import GkslModel, lindblad_superoperator, semigroup
-from .walk import walk_matrix_element
+from .linalg import sandwich
+from .model import GkslModel, semigroup
+from .walk import CHUNK, walk_matrix_element
 
 __all__ = [
     "OracleRefinementError",
@@ -62,13 +66,29 @@ class WeakFunctional:
         v = np.asarray(v, dtype=complex).reshape(-1)
         return cls(W=v[:, None] * np.conj(u)[None, :])
 
-    @property
-    def row(self) -> np.ndarray:
-        """Row-vector form acting on row-major vec(x)."""
-        return np.conj(self.W).reshape(-1)
-
     def value(self, x) -> complex:
-        return complex(self.row @ np.asarray(x, dtype=complex).reshape(-1))
+        return complex(np.vdot(self.W, np.asarray(x, dtype=complex)))
+
+
+def _generator_factors(model: GkslModel, gvals, fvals, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Sandwich factors of Y -> weak_generator(Y) + shift Y, one set per row.
+
+    For gvals, fvals of shape (P, m) and shift of shape (P,), left (P, d, (2+m)d)
+    holds [K, 1, R_1*, ..., R_m*] side by side and right (P, 2+m, d, d) stacks
+    [1, K', R_1, ..., R_m], so that sum_j L_j Y R_j = K Y + Y K' + sum_i R_i* Y R_i
+    with K = -R*R/2 + drift + shift, K' = -R*R/2 - drift and
+    drift = sum_i f_i R_i* - conj(g_i) R_i.
+    """
+    chans = model.channels  # (m, d, d)
+    dags = chans.conj().transpose(0, 2, 1)
+    drift = np.tensordot(fvals, dags, axes=1) - np.tensordot(np.conj(gvals), chans, axes=1)
+    K0 = -0.5 * model.RdR
+    eye = np.eye(model.d)
+    tile = lambda ops: [np.broadcast_to(op, drift.shape) for op in ops]  # noqa: E731
+    K = K0 + drift + np.multiply.outer(shift, eye)
+    left = np.concatenate([K, *tile([eye, *dags])], axis=-1)
+    right = np.stack([*tile([eye]), K0 - drift, *tile(chans)], axis=1)
+    return left, right
 
 
 def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
@@ -83,26 +103,8 @@ def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
     fval = np.asarray(fval, dtype=complex).reshape(-1)
     if len(gval) != model.m or len(fval) != model.m:
         raise ValueError(f"channel vectors must have length m={model.m}")
-    from .model import lindblad
-
-    out = lindblad(model, x)
-    for i, Ri in enumerate(model.channels):
-        out = out + np.conj(gval[i]) * (x @ Ri - Ri @ x)
-        out = out + fval[i] * (Ri.conj().T @ x - x @ Ri.conj().T)
-    return out
-
-
-def _weak_superoperator_parts(model: GkslModel):
-    """Static pieces of the g/f-dressed generator on row-major vec(x)."""
-    d = model.d
-    eye = np.eye(d, dtype=complex)
-    base = lindblad_superoperator(model)
-    drift = []  # multiplies conj(g_i)
-    lift = []  # multiplies f_i
-    for Ri in model.channels:
-        drift.append(np.kron(eye, Ri.T) - np.kron(Ri, eye))
-        lift.append(np.kron(Ri.conj().T, eye) - np.kron(eye, Ri.conj()))
-    return base, drift, lift
+    left, right = _generator_factors(model, gval[None], fval[None], [0.0])
+    return sandwich(left[0], x, right[0])
 
 
 def _integration_grid(f: TestFunction, g: TestFunction, t: float, steps: int) -> np.ndarray:
@@ -120,54 +122,69 @@ def _integration_grid(f: TestFunction, g: TestFunction, t: float, steps: int) ->
 
 def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
                               g: TestFunction, t: float, steps: int) -> complex:
-    """One integrator pass with a fixed step budget (no refinement)."""
+    """One backward RK4 pass with a fixed step budget (no refinement).
+
+    Starts from Y = x at time t and steps the Heisenberg picture
+    dY/dtau = G_{t-tau}(Y) down to time 0; the result is <v, Y u>.  f and g
+    are evaluated once on the grid nodes and midpoints, and the generator's
+    factors are built CHUNK steps at a time.
+    """
     x = model.check_x(x)
-    base, drift, lift = _weak_superoperator_parts(model)
+    grid = _integration_grid(f, g, t, steps)[::-1]
+    # Nodes interleaved with midpoints, latest first: step i uses points
+    # 2i (its start), 2i + 1 (midpoint) and 2i + 2 (its end).
+    times = np.empty(2 * len(grid) - 1)
+    times[0::2] = grid
+    times[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    fv, gv = f(times), g(times)
+    pairing = np.sum(np.conj(gv) * fv, axis=-1)
+    Y = x
+    for start in range(0, len(grid) - 1, CHUNK):
+        stop = min(start + CHUNK, len(grid) - 1)
+        pts = slice(2 * start, 2 * stop + 1)
+        left, right = _generator_factors(model, gv[pts], fv[pts], pairing[pts])
 
-    def rate(time: float, row: np.ndarray) -> np.ndarray:
-        gv = g(time)
-        fv = f(time)
-        gen = base.copy()
-        for i in range(model.m):
-            gen += np.conj(gv[i]) * drift[i] + fv[i] * lift[i]
-        return row @ gen + complex(np.vdot(gv, fv)) * row
+        def rate(p, Y):
+            return sandwich(left[p], Y, right[p])
 
-    row = WeakFunctional.initial(u, v).row
-    grid = _integration_grid(f, g, t, steps)
-    for a, b in zip(grid[:-1], grid[1:]):
-        dt = b - a
-        k1 = rate(a, row)
-        k2 = rate(a + dt / 2, row + dt / 2 * k1)
-        k3 = rate(a + dt / 2, row + dt / 2 * k2)
-        k4 = rate(b, row + dt * k3)
-        row = row + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return complex(row @ x.reshape(-1))
+        for i in range(stop - start):
+            dt = grid[start + i] - grid[start + i + 1]
+            k1 = rate(2 * i, Y)
+            k2 = rate(2 * i + 1, Y + dt / 2 * k1)
+            k3 = rate(2 * i + 1, Y + dt / 2 * k2)
+            k4 = rate(2 * i + 2, Y + dt * k3)
+            Y = Y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return WeakFunctional.initial(u, v).value(Y)
 
 
 def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
                         t: float, steps: int = 256) -> complex:
     """m_t(x) with automatic step refinement.
 
-    Doubles the step budget until two consecutive passes agree below 1e-8
-    (absolute); a stall raises OracleRefinementError with the residual.
+    Doubles the step budget, up to MAX_STEPS, until two consecutive passes
+    agree to REFINEMENT_TOL relative to max(1, |m_t|); a stall, or a
+    starting budget above MAX_STEPS, raises OracleRefinementError with the
+    last residual.
     """
     if t < 0:
         raise ValueError("need t >= 0")
     if t == 0:
         return WeakFunctional.initial(u, v).value(model.check_x(x))
     steps = max(64, int(steps))
-    prev = flow_matrix_element_fixed(model, x, u, v, f, g, t, steps)
+    prev, residual = None, float("inf")
     while steps <= MAX_STEPS:
-        steps *= 2
         cur = flow_matrix_element_fixed(model, x, u, v, f, g, t, steps)
-        if abs(cur - prev) < REFINEMENT_TOL:
-            return cur
+        if prev is not None:
+            residual = abs(cur - prev)
+            if residual <= REFINEMENT_TOL * max(1.0, abs(cur)):
+                return cur
         prev = cur
-    raise OracleRefinementError(abs(cur - prev))
+        steps *= 2
+    raise OracleRefinementError(residual)
 
 
 def vacuum_check(model: GkslModel, x, u, v, t: float, h: float) -> tuple[complex, complex, float]:
-    """Walk vs exact semigrooup matrix element on vacuum vectors.
+    """Walk vs exact semigroup matrix element on vacuum vectors.
 
     With f = g = 0 the walk value is the n-fold vacuum-block iteration of x
     and the limit is <v, T_t(x) u>; returns (walk, oracle, |walk - oracle|).

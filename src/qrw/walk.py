@@ -6,11 +6,15 @@ turns a system operator Y into the block family beta(h, Y) acting on the
 system and one fresh slot copy of C + noise.  Two engines evaluate it:
 
 * a dense engine that materializes operators/states on
-  system (x) (C + noise)^(x)n, feasible while d (1+m)^n stays under a cap;
+  system (x) (C + noise)^(x)n from the closed-form blocks of beta,
+  feasible while d (1+m)^n stays under a cap;
 * a streaming engine that contracts each slot against the hatted slot
   vectors (1, F_k) of the test functions immediately after its step.
   Slots are never revisited (the walk is adapted), so the immediate
-  contraction is exact, and the cost is linear in n.
+  contraction is exact.  It steps with the dilation form U(h)* (Y (x) 1) U(h),
+  two matmul calls on d x d blocks per slot: O(n (1+m) d^3) time and a
+  working set independent of n.  Agreement of the engines thus checks the
+  closed form of beta against the conjugation form.
 
 Matrix elements pair against per-slot projections of exponential vectors,
 i.e. the unnormalized product of (1, F_k); tail overlaps beyond t = n h are
@@ -26,11 +30,10 @@ import numpy as np
 
 from .fock import IntervalSpace, basic_operator_flat, exp_tail_bound, exp_vector, project_Ph
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import dagger, op_norm
-from .model import GkslModel, StepKernel, beta_blocks, identity_blocks
+from .linalg import dagger, op_norm, sandwich
+from .model import GkslModel, StepKernel, beta_blocks
 
 __all__ = [
-    "ContractionState",
     "DenseCapError",
     "FTermResult",
     "ToyState",
@@ -45,6 +48,9 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 4096
+# Slots (walk) or RK4 steps (oracle) whose sandwich factors are built at
+# once, so the working set is O(CHUNK (2+m) d^2) whatever n or the step count.
+CHUNK = 64
 
 
 class DenseCapError(ValueError):
@@ -73,19 +79,6 @@ class ToyState:
     def legs(self) -> np.ndarray:
         """data reshaped to (d, 1+m, ..., 1+m) with one axis per slot."""
         return self.data.reshape((self.d,) + (1 + self.m,) * self.n)
-
-
-@dataclass(frozen=True)
-class ContractionState:
-    """Streaming engine state after contracting the slots behind it.
-
-    ``Y`` starts as the observable x and ends as the fully reduced d x d
-    operator; ``tail_factor`` carries a scalar for excluded tail overlaps
-    and stays 1 for the quantities evaluated here.
-    """
-
-    Y: np.ndarray
-    tail_factor: complex = 1.0 + 0.0j
 
 
 def _check_cap(d: int, m: int, n: int, cap: int) -> None:
@@ -135,17 +128,6 @@ def walk_dense_operator(model: GkslModel, x, h: float, n: int,
     return np.ascontiguousarray(T.transpose(2, 0, 3, 1).reshape(d * M, d * M))
 
 
-def _leg_step(kernel: StepKernel, ops: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """One leg-keeping step: (M, d, d) operator batch -> ((1+m) M, d, d).
-
-    The fresh slot leg is kept (and is slower than the existing legs);
-    the step's input side is contracted against the hatted slot vector.
-    """
-    B = beta_blocks(kernel, ops)  # (M, 1+m, 1+m, d, d)
-    out = np.einsum("Mjkab,k->jMab", B, fhat)
-    return out.reshape(-1, ops.shape[-2], ops.shape[-1])
-
-
 def step_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
     """beta blocks contracted against a hatted slot vector on the input side.
 
@@ -157,9 +139,8 @@ def step_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np
 
 def defect_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
     """Same as step_leg_outputs with beta - b (the one-step defect family)."""
-    model = kernel.model
-    diff = beta_blocks(kernel, ys) - identity_blocks(model.d, model.m, ys)
-    return np.einsum("...jkab,k->...jab", diff, fhat)
+    ys = np.asarray(ys, dtype=complex)
+    return step_leg_outputs(kernel, ys, fhat) - fhat[:, None, None] * ys[..., None, :, :]
 
 
 def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
@@ -174,7 +155,9 @@ def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     avgs = slot_averages(f, h, n)
     ops = x[None, :, :]
     for k in range(n - 1, -1, -1):
-        ops = _leg_step(kernel, ops, avgs.hatted(k))
+        # Keep the fresh slot leg, slower than the existing ones: (M, d, d) -> ((1+m) M, d, d).
+        legs = step_leg_outputs(kernel, ops, avgs.hatted(k))
+        ops = np.moveaxis(legs, 1, 0).reshape(-1, model.d, model.d)
     return ToyState(d=model.d, m=model.m, n=n, data=np.einsum("Jab,b->aJ", ops, u))
 
 
@@ -194,40 +177,57 @@ def walk_dense_state_via_operator(model: GkslModel, x, u, f: TestFunction, h: fl
 # ---------------------------------------------------------------------------
 
 
-def walk_stream_states(model: GkslModel, x, favgs: SlotAverages,
-                       gavgs: SlotAverages) -> list[ContractionState]:
-    """All streaming states [Y_n = x, Y_{n-1}, ..., Y_0].
+def _sweep(model: GkslModel, x, favgs: SlotAverages, gavgs: SlotAverages):
+    """Yield the streaming states Y_{n-1}, ..., Y_0 that follow Y_n = x.
 
-    Y_{k-1} = sum_{j j'} conj(ghat_k[j]) fhat_k[j'] beta^{(j,j')}(h, Y_k):
+    Y_{k-1} = sum_{j j'} conj(ghat_k[j]) fhat_k[j'] beta^{(j,j')}(h, Y_k)
+            = sum_l Vg_l* Y_k Vf_l,
+    where V_l is the block of V = U(h)(1 (x) hat_k) on slot direction l:
     slot k is contracted between the hatted vectors of g (output side) and
     f (input side) immediately after its step, which is exact because later
-    steps never touch slot k again.
+    steps never touch slot k again.  A nonzero ``model.beta_corruption`` c
+    adds c Y_k, as it adds c x to the vacuum block of beta.
     """
     x = model.check_x(x)
     if favgs.n != gavgs.n or favgs.h != gavgs.h:
         raise ValueError("slot averages of f and g must share (h, n)")
-    kernel = StepKernel.build(model, favgs.h)
-    states = [ContractionState(Y=x)]
+    d, m = model.d, model.m
+    U = StepKernel.build(model, favgs.h).unitary().blocks  # [l, j, a, b]
+    # Per input direction j: the blocks U^{(l,j)} stacked over l, and the
+    # blocks U^{(l,j)}* side by side, so V_l and [Vg_0* | ... | Vg_m*] are
+    # linear in the hatted vectors.
+    cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
+    rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
+    c = model.beta_corruption
     Y = x
-    for k in range(favgs.n - 1, -1, -1):
-        B = beta_blocks(kernel, Y)
-        Y = np.einsum("j,k,jkab->ab", np.conj(gavgs.hatted(k)), favgs.hatted(k), B)
-        states.append(ContractionState(Y=Y))
-    return states
+    for stop in range(favgs.n, 0, -CHUNK):
+        start = max(0, stop - CHUNK)
+        right = (favgs.hatted(slice(start, stop)) @ cols).reshape(-1, 1 + m, d, d)
+        left = (gavgs.hatted(slice(start, stop)).conj() @ rows).reshape(-1, d, (1 + m) * d)
+        for k in range(stop - start - 1, -1, -1):
+            step = sandwich(left[k], Y, right[k])
+            Y = step + c * Y if c else step
+            yield Y
+
+
+def walk_stream_states(model: GkslModel, x, favgs: SlotAverages,
+                       gavgs: SlotAverages) -> np.ndarray:
+    """All streaming states [Y_n = x, Y_{n-1}, ..., Y_0], shape (n+1, d, d)."""
+    return np.stack([model.check_x(x), *_sweep(model, x, favgs, gavgs)])
 
 
 def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
                         h: float, n: int) -> complex:
     """<v (x) projected e(g), p_{nh}(x) u (x) projected e(f)> by streaming.
 
-    Cost O(n (1+m)^2 d^3); agrees with the dense engine pairing whenever the
+    Cost O(n (1+m) d^3); agrees with the dense engine pairing whenever the
     dense cap allows.
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    states = walk_stream_states(model, x, slot_averages(f, h, n), slot_averages(g, h, n))
-    last = states[-1]
-    return complex(last.tail_factor * np.vdot(v, last.Y @ u))
+    for Y in _sweep(model, x, slot_averages(f, h, n), slot_averages(g, h, n)):
+        pass
+    return complex(np.vdot(v, Y @ u))
 
 
 def walk_norm_sq(model: GkslModel, x, u, f: TestFunction, h: float, n: int) -> float:

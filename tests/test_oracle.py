@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrw import oracle
 from qrw.functions import TestFunction
-from qrw.linalg import dagger, op_norm
-from qrw.model import amplitude_damping, lindblad, random_model, semigroup
+from qrw.linalg import dagger, op_norm, sandwich
+from qrw.model import amplitude_damping, delta, delta_dag, lindblad, random_model, semigroup
 from qrw.oracle import (
+    OracleRefinementError,
     WeakFunctional,
+    _generator_factors,
     fine_walk_reference,
     flow_matrix_element,
     flow_matrix_element_fixed,
@@ -65,6 +70,26 @@ class TestWeakGenerator:
         gen = weak_generator(model, P1, np.array([c]), np.array([c]))
         want = complex(np.vdot(v, gen @ u)) + c * c * m_0
         assert abs(fd - want) <= 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_oracle_rate_property(self, d, m, seed):
+        # The rate a pass integrates is weak_generator(Y) + <g, f> Y, and
+        # weak_generator is L + <g, delta> + delta_dag f from the structure maps.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
+        Y = _rand_x(rng, d)
+        gv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        fv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        pair = np.vdot(gv, fv)
+        left, right = _generator_factors(model, gv[None], fv[None], [pair])
+        gen = weak_generator(model, Y, gv, fv)
+        scale = max(1.0, op_norm(gen))
+        assert op_norm(sandwich(left[0], Y, right[0]) - gen - pair * Y) <= 1e-12 * scale
+        from_maps = (lindblad(model, Y)
+                     + np.einsum("i,aib->ab", np.conj(gv), delta(model, Y).reshape(d, m, d))
+                     + np.einsum("abi,i->ab", delta_dag(model, Y).reshape(d, d, m), fv))
+        assert op_norm(gen - from_maps) <= 1e-12 * scale
 
 
 class TestFlowMatrixElement:
@@ -144,6 +169,44 @@ class TestFlowMatrixElement:
         errs = [abs(flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, s) - ref) for s in steps]
         slope = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope >= 3.8, (slope, errs)
+
+
+class TestRefinement:
+    def _record(self, monkeypatch, value_of_steps):
+        calls = []
+
+        def fake(model, x, u, v, f, g, t, steps):
+            calls.append(steps)
+            return value_of_steps(steps)
+
+        monkeypatch.setattr(oracle, "flow_matrix_element_fixed", fake)
+        return calls
+
+    def _flow(self, steps=256):
+        zero = TestFunction.zero(1)
+        return flow_matrix_element(amplitude_damping(), P1, [1, 0], [1, 0], zero, zero,
+                                   1.0, steps=steps)
+
+    def test_start_above_cap_raises(self, monkeypatch):
+        calls = self._record(monkeypatch, float)
+        with pytest.raises(OracleRefinementError):
+            self._flow(steps=2**17)
+        assert calls == []
+
+    def test_last_pass_capped(self, monkeypatch):
+        calls = self._record(monkeypatch, float)  # never converges
+        with pytest.raises(OracleRefinementError) as err:
+            self._flow()
+        assert max(calls) == oracle.MAX_STEPS
+        assert calls == [256 * 2**k for k in range(len(calls))]
+        assert err.value.residual == oracle.MAX_STEPS / 2
+
+    def test_tolerance_relative_to_value(self, monkeypatch):
+        # The two passes differ by 0.5: far above REFINEMENT_TOL in absolute
+        # terms, but 5e-13 relative to the value.
+        calls = self._record(monkeypatch, lambda steps: 1e12 + 256.0 / steps)
+        assert self._flow() == 1e12 + 0.5
+        assert calls == [256, 512]
 
 
 class TestWeakFunctional:

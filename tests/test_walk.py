@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrw import functions
@@ -28,6 +30,16 @@ P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 def _rand_x(rng, d):
     return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+
+
+def _quad(f, a, b):
+    """Integral of f over [a, b] by 2-point Gauss-Legendre on each piece between
+    the kinks inside [a, b], which is exact for a piecewise-linear f."""
+    kinks = f.breakpoints[(f.breakpoints > a) & (f.breakpoints < b)]
+    nodes = np.concatenate([[a], kinks, [b]])
+    mid, half = 0.5 * (nodes[:-1] + nodes[1:]), 0.5 * np.diff(nodes)
+    offset = half / np.sqrt(3.0)
+    return np.sum(half[:, None] * (f(mid - offset) + f(mid + offset)), axis=0)
 
 
 def _rand_tf(rng, channels, t_end, height=0.6, points=4):
@@ -83,6 +95,33 @@ class TestSlotAverages:
         avgs = functions.slot_averages(f, 0.5, 2)
         assert avgs.F[0, 0] == pytest.approx(0.17677669529663687, abs=1e-10)
         assert avgs.F[1, 0] == pytest.approx(0.5303300858899106, abs=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # breakpoints as fractions of the slot range [0, nh]: support ends and
+        # kinks fall inside slots, before 0 and beyond nh
+        fractions=st.lists(st.floats(-0.3, 1.4), min_size=2, max_size=7, unique=True),
+        n=st.integers(1, 12),
+        h=st.floats(0.01, 0.5),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_matches_quadrature(self, fractions, n, h, channels, seed):
+        bp = np.sort(np.asarray(fractions)) * n * h
+        assume(np.all(np.diff(bp) > 1e-9))
+        rng = np.random.default_rng(seed)
+        f = TF(bp, rng.uniform(-1, 1, (len(bp), channels))
+               + 1j * rng.uniform(-1, 1, (len(bp), channels)))
+        got = functions.slot_averages(f, h, n).F
+        want = np.stack([_quad(f, k * h, (k + 1) * h) for k in range(n)]) / np.sqrt(h)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        t0, t1 = sorted(rng.uniform(-0.3, 1.4, 2) * n * h)
+        cells = int(rng.integers(1, 9))
+        if t1 - t0 > 1e-3:
+            edges = np.linspace(t0, t1, cells + 1)
+            want = np.stack([_quad(f, a, b) for a, b in zip(edges[:-1], edges[1:])])
+            assert_allclose(f.cell_averages(t0, t1, cells),
+                            want / ((t1 - t0) / cells), rtol=0, atol=1e-10)
 
     def test_bounded_by_sup(self):
         rng = np.random.default_rng(0)
@@ -249,6 +288,44 @@ class TestStreamingEngine:
             dense = complex(np.vdot(np.einsum("a,J->aJ", v, embed.data[0]), state.data))
             assert abs(stream - dense) <= 1e-10 * max(1.0, abs(dense)), trial
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        m=st.integers(1, 3),
+        n=st.integers(1, 5),
+        h=st.floats(0.01, 1.0),
+        corruption=st.sampled_from([0.0, 1e-3, -0.4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_engine_equivalence_property(self, d, m, n, h, corruption, seed):
+        # The dense engine contracts the closed-form beta blocks, the stream
+        # engine the dilation form U(h)* (Y (x) 1) U(h); a nonzero corruption
+        # enters each through its own code.
+        rng = np.random.default_rng(seed)
+        R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
+        model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
+        f, g = _rand_tf(rng, m, n * h), _rand_tf(rng, m, n * h)
+        x = _rand_x(rng, d)
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        stream = walk_matrix_element(model, x, u, v, f, g, h, n)
+        state = walk_dense_state(model, x, u, f, h, n)
+        embed = toy_exp_embed(functions.slot_averages(g, h, n))
+        dense = complex(np.vdot(np.einsum("a,J->aJ", v, embed.data[0]), state.data))
+        assert abs(stream - dense) <= 1e-10 * max(1.0, abs(dense))
+
+    def test_corruption_shifts_one_vacuum_slot_by_c_x(self):
+        # The benchmark's negative control relies on this hook.
+        rng = np.random.default_rng(31)
+        base = random_model(rng, 3, 2, 1.0)
+        c = 1e-3
+        bad = GkslModel(d=3, m=2, R=base.R, beta_corruption=c)
+        x = _rand_x(rng, 3)
+        zero = functions.slot_averages(TF.zero(2), 0.1, 1)
+        shift = (walk_stream_states(bad, x, zero, zero)[-1]
+                 - walk_stream_states(base, x, zero, zero)[-1])
+        assert_allclose(shift, c * x, rtol=0, atol=1e-15)
+
     def test_isometry_identity_observable(self):
         model = amplitude_damping(1.0)
         states = walk_stream_states(
@@ -257,8 +334,9 @@ class TestStreamingEngine:
             functions.slot_averages(TF.zero(1), 0.25, 4),
             functions.slot_averages(TF.zero(1), 0.25, 4),
         )
-        for st in states:
-            assert_allclose(st.Y, np.eye(2), atol=1e-12)
+        assert states.shape == (5, 2, 2)
+        for Y in states:
+            assert_allclose(Y, np.eye(2), atol=1e-12)
 
     def test_norm_sq_consistency(self):
         rng = np.random.default_rng(17)
@@ -299,7 +377,7 @@ class TestStreamingEngine:
             functions.SlotAverages(h=h, n=n, F=Fmod),
             functions.SlotAverages(h=h, n=n, F=Gmod),
         )
-        assert np.array_equal(states[n - j].Y, mod_states[n - j].Y)
+        assert np.array_equal(states[n - j], mod_states[n - j])
         # adaptedness of the value itself: changing f beyond nh does nothing
         f_ext = TF(
             np.concatenate([f.breakpoints, [n * h + 0.5, n * h + 1.0]]),
