@@ -90,26 +90,14 @@ class TestFunction:
         slope = (vals[idx + 1] - vals[idx]) / (bp[idx + 1] - bp[idx])[..., None]
         return cum[idx] + s * vals[idx] + 0.5 * s**2 * slope
 
-    def integrate(self, t0: float, t1: float) -> np.ndarray:
-        """Exact per-channel integral over [t0, t1]."""
-        if t1 < t0:
-            raise ValueError("need t1 >= t0")
-        a0, a1 = self.antiderivative([t0, t1])
-        return a1 - a0
-
     def cell_averages(self, t0: float, t1: float, cells: int) -> np.ndarray:
         """Exact averages over ``cells`` equal subintervals of [t0, t1]; (cells, channels)."""
         edges = np.linspace(t0, t1, cells + 1)
         return np.diff(self.antiderivative(edges), axis=0) / ((t1 - t0) / cells)
 
     def l2_norm_sq(self, t0: float, t1: float) -> float:
-        """Exact integral of the squared channel norm (Simpson per PL segment)."""
-        nodes = self._grid_on(t0, t1)
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        sq = lambda t: np.sum(np.abs(self(t)) ** 2, axis=-1)  # noqa: E731
-        return float(
-            np.sum(np.diff(nodes) / 6.0 * (sq(nodes[:-1]) + 4 * sq(mids) + sq(nodes[1:])))
-        )
+        """Exact integral of the squared channel norm over [t0, t1]."""
+        return self.pair_overlap_integral(self, t0, t1).real
 
     # -- derived constants ----------------------------------------------------
     def sup_norm(self, t0: float | None = None, t1: float | None = None) -> float:

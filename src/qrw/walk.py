@@ -334,23 +334,22 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
         lhs = np.einsum("aj,jp->ap", toy, emb)
         term0 = np.einsum("a,p->ap", xu, e_vecs[0])
         d1 = defect_leg_outputs(kernel, x, avgs.hatted(0))
-        mid = np.einsum("jab,b,jp->ap", d1, u, emb)
+        mid = np.einsum("jab,b,jp->ap", d1, u, emb, optimize=True)
         Fterm = -np.einsum("a,p->ap", xu, q_vecs[0])
     else:
         toy = walk_dense_state(model, x, u, f, h, 2).data.reshape(
             model.d, 1 + model.m, 1 + model.m
         )
-        lhs = np.einsum("ajk,jp,kq->apq", toy, emb, emb)
-        term0 = np.einsum("a,p,q->apq", xu, e_vecs[0], e_vecs[1])
+        lhs = np.einsum("ajk,jp,kq->apq", toy, emb, emb, optimize=True)
+        term0 = np.einsum("a,p,q->apq", xu, e_vecs[0], e_vecs[1], optimize=True)
         d1 = defect_leg_outputs(kernel, x, avgs.hatted(0))
-        mid = np.einsum("jab,b,jp,q->apq", d1, u, emb, e_vecs[1])
+        mid = np.einsum("jab,b,jp,q->apq", d1, u, emb, e_vecs[1], optimize=True)
         d2 = defect_leg_outputs(kernel, x, avgs.hatted(1))  # (1+m, d, d), leg = slot 2
         s21 = step_leg_outputs(kernel, d2, avgs.hatted(0))  # (1+m 2-leg, 1+m 1-leg, d, d)
-        mid = mid + np.einsum("kjab,b,jp,kq->apq", s21, u, emb, emb)
+        mid += np.einsum("kjab,b,jp,kq->apq", s21, u, emb, emb, optimize=True)
         s1 = step_leg_outputs(kernel, x, avgs.hatted(0))
-        Fterm = -np.einsum("a,p,q->apq", xu, q_vecs[0], e_vecs[1]) - np.einsum(
-            "jab,b,jp,q->apq", s1, u, emb, q_vecs[1]
-        )
+        Fterm = -np.einsum("a,p,q->apq", xu, q_vecs[0], e_vecs[1], optimize=True)
+        Fterm -= np.einsum("jab,b,jp,q->apq", s1, u, emb, q_vecs[1], optimize=True)
 
     residual = float(np.linalg.norm(lhs - term0 - mid - Fterm))
     value_sq = float(np.sum(np.abs(Fterm) ** 2))

@@ -1,9 +1,13 @@
 """Tests for the truncated interval Fock space and the basic-operator estimates."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrw.fock import (
@@ -20,6 +24,7 @@ from qrw.fock import (
     projection_deficiency,
     space_for,
 )
+from qrw.fock import _channel_ops, _sector_basis
 from qrw.functions import TestFunction, slot_averages
 from qrw.linalg import dagger, op_norm
 
@@ -69,9 +74,141 @@ class TestExpVector:
         assert exp_tail_bound(space, cells) == pytest.approx(want, rel=1e-12)
 
     def test_space_for_escalates(self):
-        f = TestFunction.constant([2.2], 0.0, 1.0)
+        # Tail 4.3e-8 at N=6 is above TAIL_LIMIT, 5.0e-11 at N=8 below it.
+        f = TestFunction.constant([1.2], 0.0, 1.0)
         space = space_for(f, 0.2, m=1, G=8, N=6)
         assert space.N == 8
+
+    def test_space_for_raises_when_escalation_is_not_enough(self):
+        # Tail 5.4e-6 even at the escalated cutoff N=8.
+        f = TestFunction.constant([2.2], 0.0, 1.0)
+        with pytest.raises(TruncationError):
+            space_for(f, 0.2, m=1, G=8, N=6)
+
+    def test_recursive_matches_product_formula(self):
+        # prod_alpha c_alpha^{n_alpha} / sqrt(n_alpha!) on each multiset row.
+        rng = np.random.default_rng(3)
+        space = IntervalSpace(m=2, G=3, N=5, h=0.3)
+        cells = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        c = np.sqrt(0.3 / 3) * cells.reshape(-1)
+        want = [
+            np.prod(c[list(row)])
+            / math.sqrt(math.prod(math.factorial(row.count(a)) for a in set(row)))
+            for n in range(space.N + 1)
+            for row in itertools.combinations_with_replacement(range(space.n_modes), n)
+        ]
+        assert_allclose(exp_vector(space, cells).data[0], want, rtol=1e-14, atol=0)
+
+
+def _reference_channel_ops(m, G, cutoff):
+    """Per-state builder of the chi-creation and hop operators, with dict lookups."""
+    n_modes = G * m
+    states = [
+        list(itertools.combinations_with_replacement(range(n_modes), n)) for n in range(cutoff + 1)
+    ]
+    index = [{row: k for k, row in enumerate(rows)} for rows in states]
+    offsets = np.concatenate([[0], np.cumsum([len(rows) for rows in states])])
+    dim = int(offsets[-1])
+    weight = 1.0 / np.sqrt(G)
+
+    def csr(rows, cols, vals):
+        return scipy.sparse.csr_matrix(
+            (np.array(vals, dtype=float), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+            shape=(dim, dim), dtype=complex,
+        )
+
+    create = []
+    for i in range(m):
+        rows, cols, vals = [], [], []
+        for n in range(cutoff):
+            for s, state in enumerate(states[n]):
+                for c in range(G):
+                    alpha = c * m + i
+                    new = tuple(sorted(state + (alpha,)))
+                    rows.append(offsets[n + 1] + index[n + 1][new])
+                    cols.append(offsets[n] + s)
+                    vals.append(weight * np.sqrt(new.count(alpha)))
+        create.append(csr(rows, cols, vals))
+
+    hop = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            rows, cols, vals = [], [], []
+            for n in range(1, cutoff + 1):
+                for s, state in enumerate(states[n]):
+                    for beta in set(state):
+                        if beta % m != j:
+                            continue
+                        occ = state.count(beta)
+                        if i == j:
+                            rows.append(offsets[n] + s)
+                            cols.append(offsets[n] + s)
+                            vals.append(float(occ))
+                        else:
+                            alpha = (beta // m) * m + i
+                            lst = list(state)
+                            lst.remove(beta)
+                            new = tuple(sorted(lst + [alpha]))
+                            rows.append(offsets[n] + index[n][new])
+                            cols.append(offsets[n] + s)
+                            vals.append(np.sqrt(occ) * np.sqrt(new.count(alpha)))
+            hop[i][j] = csr(rows, cols, vals)
+    return create, hop
+
+
+def _same_csr(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and a.data.tobytes() == b.data.tobytes()
+    )
+
+
+class TestRanking:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5))
+    def test_ops_match_reference(self, m, G, N):
+        basis = _sector_basis(G * m, N)
+        for n, rows in enumerate(basis.states):
+            want = list(itertools.combinations_with_replacement(range(G * m), n))
+            assert [tuple(r) for r in rows.tolist()] == want
+        create, hop = _channel_ops(m, G, N)
+        ref_create, ref_hop = _reference_channel_ops(m, G, N)
+        for i in range(m):
+            assert _same_csr(create[i], ref_create[i])
+            for j in range(m):
+                assert _same_csr(hop[i][j], ref_hop[i][j])
+
+    @pytest.mark.parametrize("m, G, N", [(1, 3, 5), (2, 3, 4), (3, 2, 3)])
+    def test_canonical_commutation(self, m, G, N):
+        # [a(chi_i), a_dag(chi_j)] = delta_ij on every sector below the cutoff.
+        space = IntervalSpace(m=m, G=G, N=N, h=0.1)
+        create, _ = space.ops
+        below = space.sector(N).start
+        for i in range(m):
+            for j in range(m):
+                a_i = create[i].conj().T
+                comm = (a_i @ create[j] - create[j] @ a_i).toarray()[:, :below]
+                assert_allclose(comm, float(i == j) * np.eye(space.dim)[:, :below], atol=1e-14)
+
+    def test_hop_diagonal_is_channel_number(self):
+        m, G, N = 2, 3, 4
+        space = IntervalSpace(m=m, G=G, N=N, h=0.1)
+        _, hop = space.ops
+        rows = [
+            row for n in range(N + 1)
+            for row in itertools.combinations_with_replacement(range(G * m), n)
+        ]
+        for j in range(m):
+            number = [sum(a % m == j for a in row) for row in rows]
+            diag = hop[j][j]
+            assert diag.nnz == np.count_nonzero(number)
+            assert np.array_equal(diag.diagonal(), number)
+
+    def test_key_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflow"):
+            _sector_basis(2**16, 4)
 
 
 class TestProjection:
