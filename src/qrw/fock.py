@@ -36,7 +36,8 @@ import numpy as np
 import scipy.sparse
 
 from .functions import TestFunction
-from .linalg import as_matrix, op_norm
+from .linalg import as_matrix, dagger, op_norm
+from .model import BlockOperator
 
 __all__ = [
     "IntervalSpace",
@@ -367,6 +368,14 @@ def _checked_tail(space: IntervalSpace, cells) -> float:
     return tail
 
 
+def _slot_exp_vector(space: IntervalSpace, f: TestFunction,
+                     start: float) -> tuple[IntervalVector, float]:
+    """e(f restricted to [start, start + h]) on the space's grid, and its checked tail."""
+    cells = f.cell_averages(start, start + space.h, space.G)
+    tail = _checked_tail(space, cells)
+    return exp_vector(space, cells), tail
+
+
 def space_for(f: TestFunction, h: float, m: int, G: int, start: float = 0.0,
               N: int = DEFAULT_CUTOFF) -> IntervalSpace:
     """Build an interval space for f, escalating the cutoff if the tail is large.
@@ -387,14 +396,23 @@ def space_for(f: TestFunction, h: float, m: int, G: int, start: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
+def _slot_coordinates(space: IntervalSpace, v: IntervalVector) -> np.ndarray:
+    """(d, 1+m) components of v along the vacuum and the chi vectors."""
+    chi = space.chi_coefficients()
+    return np.column_stack([v.data[:, 0], v.data[:, space.sector(1)] @ chi.conj().T])
+
+
+def _slot_embed(space: IntervalSpace, coords: np.ndarray) -> IntervalVector:
+    """The vector with (d, 1+m) slot-space coordinates ``coords``, zero elsewhere."""
+    out = np.zeros((coords.shape[0], space.dim), dtype=complex)
+    out[:, 0] = coords[:, 0]
+    out[:, space.sector(1)] = coords[:, 1:] @ space.chi_coefficients()
+    return IntervalVector(space, out)
+
+
 def project_Ph(space: IntervalSpace, v: IntervalVector) -> IntervalVector:
     """Orthogonal projection onto vacuum + the constant one-particle vectors."""
-    chi = space.chi_coefficients()
-    out = np.zeros_like(v.data)
-    out[:, 0] = v.data[:, 0]
-    amps = v.data[:, space.sector(1)] @ chi.conj().T  # (d, m)
-    out[:, space.sector(1)] = amps @ chi
-    return IntervalVector(space, out)
+    return _slot_embed(space, _slot_coordinates(space, v))
 
 
 def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
@@ -410,7 +428,7 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     full, proj = 1.0, 1.0
     for k in range(n):
         space = space_for(f, h, m, G, start=k * h, N=N)
-        e = exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G))
+        e, _ = _slot_exp_vector(space, f, k * h)
         full *= e.norm_sq()
         proj *= project_Ph(space, e).norm_sq()
     return float(np.sqrt(max(full - proj, 0.0)))
@@ -470,67 +488,31 @@ def fundamental_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) ->
 def basic_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) -> IntervalVector:
     """Apply one basic operator N^l: the projected/scaled fundamental process.
 
-    On the slot basis (vacuum, chi^1..chi^m) these are exactly the block
-    matrix units: N^1_S = S (x) |O><O|, N^2_R = sum_i R_i* (x) |O><chi^i|,
-    N^3_R = sum_i R_i (x) |chi^i><O|, N^4_T = sum_ij T_ij (x) |chi^i><chi^j|,
-    and they annihilate the orthogonal complement of the slot space.
+    N^l acts on the slot-space coordinates of v by ``basic_operator_flat``
+    and annihilates the orthogonal complement of the slot space.
     """
-    d, m = v.d, space.m
-    coeff = _check_coeff(l, coeff, d, m)
-    chi = space.chi_coefficients()
-    sector1 = space.sector(1)
-    out = np.zeros_like(v.data)
-    if l == 1:
-        out[:, 0] = coeff @ v.data[:, 0]
-    elif l == 2:
-        amps = v.data[:, sector1] @ chi.conj().T  # (d, m)
-        for i, Ri in enumerate(_coeff_channels(coeff, d, m)):
-            out[:, 0] += Ri.conj().T @ amps[:, i]
-    elif l == 3:
-        for i, Ri in enumerate(_coeff_channels(coeff, d, m)):
-            out[:, sector1] += np.outer(Ri @ v.data[:, 0], chi[i])
-    elif l == 4:
-        amps = v.data[:, sector1] @ chi.conj().T
-        T4 = coeff.reshape(d, m, d, m)
-        for i in range(m):
-            for j in range(m):
-                out[:, sector1] += np.outer(T4[:, i, :, j] @ amps[:, j], chi[i])
-    else:
-        raise ValueError(f"kind must be 1..4, got {l}")
-    return IntervalVector(space, out)
+    d = v.d
+    flat = basic_operator_flat(l, coeff, d, space.m)
+    coords = flat @ _slot_coordinates(space, v).reshape(-1)
+    return _slot_embed(space, coords.reshape(d, 1 + space.m))
 
 
 def basic_operator_flat(l: int, coeff, d: int, m: int) -> np.ndarray:
     """The basic operator N^l restricted to system (x) slot space as a flat matrix.
 
-    Uses the global left-factor-major flattening on C^d (x) C^(1+m); this is
-    the whole operator, since N^l vanishes on the slot-space complement.
+    On the slot basis (vacuum, chi^1..chi^m) these are the block matrix units
+    N^1_S = S (x) |O><O|, N^2_R = sum_i R_i* (x) |O><chi^i|,
+    N^3_R = sum_i R_i (x) |chi^i><O|, N^4_T = sum_ij T_ij (x) |chi^i><chi^j|:
+    the coefficient fills one part of a ``BlockOperator`` (its adjoint for
+    kind 2), the others are zero.  This is the whole operator, since N^l
+    vanishes on the slot-space complement.
     """
     coeff = _check_coeff(l, coeff, d, m)
-    unit = np.zeros((1 + m, 1 + m))
-    out = np.zeros((d * (1 + m), d * (1 + m)), dtype=complex)
-    if l == 1:
-        unit[0, 0] = 1.0
-        return np.kron(coeff, unit)
-    if l == 2:
-        for i, Ri in enumerate(_coeff_channels(coeff, d, m)):
-            unit = np.zeros((1 + m, 1 + m))
-            unit[0, 1 + i] = 1.0
-            out += np.kron(Ri.conj().T, unit)
-        return out
-    if l == 3:
-        for i, Ri in enumerate(_coeff_channels(coeff, d, m)):
-            unit = np.zeros((1 + m, 1 + m))
-            unit[1 + i, 0] = 1.0
-            out += np.kron(Ri, unit)
-        return out
-    T4 = coeff.reshape(d, m, d, m)
-    for i in range(m):
-        for j in range(m):
-            unit = np.zeros((1 + m, 1 + m))
-            unit[1 + i, 1 + j] = 1.0
-            out += np.kron(T4[:, i, :, j], unit)
-    return out
+    dm = d * m
+    # In the order of from_parts: vacuum, creation, annihilation, conservation.
+    parts = [np.zeros((d, d)), np.zeros((dm, d)), np.zeros((d, dm)), np.zeros((dm, dm))]
+    parts[{1: 0, 2: 2, 3: 1, 4: 3}[l]] = dagger(coeff) if l == 2 else coeff
+    return BlockOperator.from_parts(*parts).flat
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +547,7 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
     """
     if abs(h - space.h) > 1e-12:
         raise ValueError("h must match the space's interval length")
-    cells = f.cell_averages(start, start + h, space.G)
-    tail = _checked_tail(space, cells)
-    e = exp_vector(space, cells)
+    e, tail = _slot_exp_vector(space, f, start)
     en = e.norm()
     lhs = float(np.sqrt(max(e.norm_sq() - project_Ph(space, e).norm_sq(), 0.0)))
     c_f = f.slope_constant(start, start + h)
@@ -628,9 +608,7 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     d = len(u)
     coeff = _check_coeff(l, coeff, d, space.m)
     h = space.h
-    cells_f = f.cell_averages(start, start + h, space.G)
-    tail = _checked_tail(space, cells_f)
-    ef = exp_vector(space, cells_f)
+    ef, tail = _slot_exp_vector(space, f, start)
     ef_norm = ef.norm()
     uef = ef.with_system(u)
     scale = {1: h, 2: np.sqrt(h), 3: np.sqrt(h), 4: 1.0}[l]
@@ -644,9 +622,7 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     if mode == "a":
         lhs = diff.norm()
     else:
-        cells_g = g.cell_averages(start, start + h, space.G)
-        tail_g = _checked_tail(space, cells_g)
-        eg = exp_vector(space, cells_g)
+        eg, tail_g = _slot_exp_vector(space, g, start)
         eg_norm = eg.norm()
         veg = eg.with_system(np.asarray(v, dtype=complex).reshape(-1))
         lhs = abs(veg.inner(diff))

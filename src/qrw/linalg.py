@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "HermEigen",
     "as_matrix",
     "dagger",
-    "expm",
     "herm_eigen",
     "kron",
     "op_norm",
@@ -113,20 +111,16 @@ def psd_trig(p, h: float) -> tuple[np.ndarray, np.ndarray]:
     lo = eig.eigenvalues.min(initial=0.0)
     if lo < -1e-10 * max(1.0, abs(eig.eigenvalues).max(initial=0.0)):
         raise ValueError(f"psd_trig input has negative eigenvalue {lo}")
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    arg = np.sqrt(h) * np.sqrt(lam)
-    cos_part = (eig.vectors * np.cos(arg)) @ eig.vectors.conj().T
-    sinc_vals = np.where(arg < _SINC_THRESHOLD, 1.0, np.sin(np.maximum(arg, _SINC_THRESHOLD)) / np.maximum(arg, _SINC_THRESHOLD))
-    sinc_part = (eig.vectors * sinc_vals) @ eig.vectors.conj().T
-    return cos_part, sinc_part
 
+    def arg(lam):
+        return np.sqrt(h) * np.sqrt(np.clip(lam, 0.0, None))
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade); expm(0) = identity."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expm needs a square matrix, got {a.shape}")
-    return scipy.linalg.expm(a)
+    def sinc(lam):
+        x = arg(lam)
+        safe = np.maximum(x, _SINC_THRESHOLD)
+        return np.where(x < _SINC_THRESHOLD, 1.0, np.sin(safe) / safe)
+
+    return eig.apply(lambda lam: np.cos(arg(lam))), eig.apply(sinc)
 
 
 def sandwich(left: np.ndarray, y: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -25,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import as_matrix, dagger, expm, kron, op_norm, psd_trig
+from .linalg import as_matrix, dagger, kron, op_norm, psd_trig
 
 __all__ = [
     "BlockOperator",
     "DefectReport",
     "GkslModel",
-    "SemigroupOracle",
     "StepKernel",
     "amplitude_damping",
     "beta",
@@ -42,7 +42,6 @@ __all__ = [
     "random_model",
     "semigroup",
     "structure_maps",
-    "theta_h",
     "trig_estimates",
     "u_h",
 ]
@@ -64,14 +63,6 @@ class BlockOperator:
         want = (1 + self.m, 1 + self.m, self.d, self.d)
         if self.blocks.shape != want:
             raise ValueError(f"blocks shape {self.blocks.shape}, expected {want}")
-
-    @classmethod
-    def from_flat(cls, flat, d: int, m: int) -> "BlockOperator":
-        flat = as_matrix(flat)
-        if flat.shape != (d * (1 + m), d * (1 + m)):
-            raise ValueError(f"flat shape {flat.shape} inconsistent with d={d}, m={m}")
-        blocks = flat.reshape(d, 1 + m, d, 1 + m).transpose(1, 3, 0, 2)
-        return cls(d=d, m=m, blocks=np.ascontiguousarray(blocks))
 
     @classmethod
     def from_parts(cls, vacuum, creation, annihilation, conservation) -> "BlockOperator":
@@ -236,21 +227,6 @@ def structure_maps(model: GkslModel, x) -> BlockOperator:
     )
 
 
-def theta_h(model: GkslModel, x, h: float) -> BlockOperator:
-    """Theta(h, x): parts of Theta(x) scaled by h, sqrt(h), sqrt(h), 1."""
-    if h < 0:
-        raise ValueError("theta_h needs h >= 0")
-    th = structure_maps(model, x)
-    rh = np.sqrt(h)
-    dm = model.d * model.m
-    return BlockOperator.from_parts(
-        vacuum=h * th.vacuum_part,
-        creation=rh * th.creation_part,
-        annihilation=rh * th.annihilation_part,
-        conservation=np.zeros((dm, dm), dtype=complex),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Step unitary and step homomorphism
 # ---------------------------------------------------------------------------
@@ -258,18 +234,16 @@ def theta_h(model: GkslModel, x, h: float) -> BlockOperator:
 
 @dataclass(frozen=True, eq=False)
 class StepKernel:
-    """Cached h-dependent factors of U(h) = exp(sqrt(h) [[0, -R*], [R, 0]]).
+    """The step unitary U(h) = exp(sqrt(h) [[0, -R*], [R, 0]]) in block form.
 
-    cos_sys = cos(sqrt(h)|R|), cos_env = cos(sqrt(h)|R*|) and
-    rd = R D(h) with D(h) = sinc(sqrt(h)|R|); D(h) is carried on the
-    |R| side and transported through R f(R*R) = f(RR*) R.
+    With C = cos(sqrt(h)|R|), C' = cos(sqrt(h)|R*|) and D = sinc(sqrt(h)|R|),
+    its parts are vacuum C, creation sqrt(h) R D, annihilation -sqrt(h) D R*
+    and conservation C'.  D is carried on the |R| side and transported
+    through R f(R*R) = f(RR*) R, so two eigendecompositions build U(h).
     """
 
     model: GkslModel
-    h: float
-    cos_sys: np.ndarray
-    cos_env: np.ndarray
-    rd: np.ndarray
+    U: BlockOperator
 
     @classmethod
     def build(cls, model: GkslModel, h: float) -> "StepKernel":
@@ -277,75 +251,34 @@ class StepKernel:
             raise ValueError("step kernel needs h > 0")
         cos_sys, sinc_sys = psd_trig(model.RdR, h)
         cos_env, _ = psd_trig(model.RRd, h)
-        return cls(model=model, h=h, cos_sys=cos_sys, cos_env=cos_env, rd=model.R @ sinc_sys)
-
-    @property
-    def drd(self) -> np.ndarray:
-        """D(h) R* = (R D(h))*, since D(h) is Hermitian."""
-        return dagger(self.rd)
-
-    def unitary(self) -> BlockOperator:
-        rh = np.sqrt(self.h)
-        return BlockOperator.from_parts(
-            vacuum=self.cos_sys,
-            creation=rh * self.rd,
-            annihilation=-rh * self.drd,
-            conservation=self.cos_env,
+        rd = np.sqrt(h) * (model.R @ sinc_sys)
+        U = BlockOperator.from_parts(
+            vacuum=cos_sys, creation=rd, annihilation=-dagger(rd), conservation=cos_env
         )
-
-    def beta_raw(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Closed-form parts of beta(h, .) for a batch xs of shape (..., d, d).
-
-        Returns (vacuum, annihilation, creation, conservation) with batch
-        dims leading.  The conjugation form U(h)* (x (x) 1) U(h) expands to
-        these four products; agreement with the direct conjugation is a
-        tested invariant rather than an implementation path.
-        """
-        d, m = self.model.d, self.model.m
-        xs = np.asarray(xs, dtype=complex)
-        batch = xs.shape[:-2]
-        eye_m = np.eye(m, dtype=complex)
-        # x (x) 1 on the noise factor, batched.
-        xk = (xs[..., :, None, :, None] * eye_m[None, :, None, :]).reshape(
-            batch + (d * m, d * m)
-        )
-        h, rh = self.h, np.sqrt(self.h)
-        cos1, cosE, rd, drd = self.cos_sys, self.cos_env, self.rd, self.drd
-        vac = cos1 @ xs @ cos1 + h * (drd @ xk @ rd)
-        ann = -rh * (cos1 @ xs @ drd) + rh * (drd @ xk @ cosE)
-        cre = -rh * (rd @ xs @ cos1) + rh * (cosE @ xk @ rd)
-        con = h * (rd @ xs @ drd) + cosE @ xk @ cosE
-        if self.model.beta_corruption:
-            vac = vac + self.model.beta_corruption * xs
-        return vac, ann, cre, con
+        return cls(model=model, U=U)
 
 
 def beta_blocks(kernel: StepKernel, xs: np.ndarray) -> np.ndarray:
-    """Batched beta(h, xs) as a block array of shape (..., 1+m, 1+m, d, d)."""
-    d, m = kernel.model.d, kernel.model.m
-    vac, ann, cre, con = kernel.beta_raw(xs)
-    batch = np.asarray(xs).shape[:-2]
-    out = np.zeros(batch + (1 + m, 1 + m, d, d), dtype=complex)
-    out[..., 0, 0, :, :] = vac
-    out[..., 0, 1:, :, :] = np.moveaxis(
-        ann.reshape(batch + (d, d, m)), (-3, -2, -1), (-2, -1, -3)
-    )
-    out[..., 1:, 0, :, :] = np.moveaxis(
-        cre.reshape(batch + (d, m, d)), (-3, -2, -1), (-2, -3, -1)
-    )
-    out[..., 1:, 1:, :, :] = np.moveaxis(
-        con.reshape(batch + (d, m, d, m)), (-4, -3, -2, -1), (-2, -4, -1, -3)
-    )
+    """Batched beta(h, xs) = U(h)* (xs (x) 1) U(h) as blocks of shape (..., 1+m, 1+m, d, d).
+
+    Block (j, j') is sum_l U^(l,j)* xs U^(l,j') over the blocks U^(l,j) of
+    U(h).  A nonzero ``model.beta_corruption`` c adds c xs to block (0, 0).
+    """
+    U = kernel.U.blocks  # [l, j, a, b]
+    xs = np.asarray(xs, dtype=complex)
+    out = np.einsum("ljca,...ce,lkeb->...jkab", U.conj(), xs, U, optimize=True)
+    if kernel.model.beta_corruption:
+        out[..., 0, 0, :, :] += kernel.model.beta_corruption * xs
     return out
 
 
 def u_h(model: GkslModel, h: float) -> BlockOperator:
     """The step unitary U(h) in block form."""
-    return StepKernel.build(model, h).unitary()
+    return StepKernel.build(model, h).U
 
 
 def beta(model: GkslModel, x, h: float) -> BlockOperator:
-    """beta(h, x) = U(h)* (x (x) 1) U(h) via the closed-form blocks."""
+    """beta(h, x) = U(h)* (x (x) 1) U(h) in block form."""
     x = model.check_x(x)
     kernel = StepKernel.build(model, h)
     return BlockOperator(model.d, model.m, beta_blocks(kernel, x))
@@ -444,20 +377,6 @@ def defect(model: GkslModel, x, h: float) -> tuple[BlockOperator, DefectReport]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SemigroupOracle:
-    """The generator L as a d^2 x d^2 superoperator on row-major vec(x)."""
-
-    d: int
-    superoperator: np.ndarray
-
-    def evolve(self, x, t: float) -> np.ndarray:
-        if t < 0:
-            raise ValueError("semigroup needs t >= 0")
-        out = expm(t * self.superoperator) @ np.asarray(x, dtype=complex).reshape(-1)
-        return out.reshape(self.d, self.d)
-
-
 def lindblad_superoperator(model: GkslModel) -> np.ndarray:
     """Matrix of x -> L(x) on row-major vec(x): column c is vec(L(E_c)).
 
@@ -469,11 +388,10 @@ def lindblad_superoperator(model: GkslModel) -> np.ndarray:
     return np.stack([lindblad(model, e).reshape(-1) for e in units], axis=1)
 
 
-def semigroup_oracle(model: GkslModel) -> SemigroupOracle:
-    return SemigroupOracle(d=model.d, superoperator=lindblad_superoperator(model))
-
-
 def semigroup(model: GkslModel, x, t: float) -> np.ndarray:
-    """T_t(x) = exp(tL)(x)."""
+    """T_t(x) = exp(tL)(x), through the superoperator of L on row-major vec(x)."""
     x = model.check_x(x)
-    return semigroup_oracle(model).evolve(x, t)
+    if t < 0:
+        raise ValueError("semigroup needs t >= 0")
+    out = scipy.linalg.expm(t * lindblad_superoperator(model)) @ x.reshape(-1)
+    return out.reshape(model.d, model.d)

@@ -19,8 +19,6 @@ study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .functions import TestFunction
@@ -30,7 +28,6 @@ from .walk import CHUNK, walk_matrix_element
 
 __all__ = [
     "OracleRefinementError",
-    "WeakFunctional",
     "fine_walk_reference",
     "flow_matrix_element",
     "flow_matrix_element_fixed",
@@ -50,24 +47,10 @@ class OracleRefinementError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True, eq=False)
-class WeakFunctional:
-    """Linear functional x -> sum conj(W[a,b]) x[a,b] on d x d observables.
-
-    At t = 0 with boundary vectors (u, v) the kernel is W[a,b] = v_a conj(u_b),
-    so the value is exactly <v, x u>.
-    """
-
-    W: np.ndarray
-
-    @classmethod
-    def initial(cls, u, v) -> "WeakFunctional":
-        u = np.asarray(u, dtype=complex).reshape(-1)
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        return cls(W=v[:, None] * np.conj(u)[None, :])
-
-    def value(self, x) -> complex:
-        return complex(np.vdot(self.W, np.asarray(x, dtype=complex)))
+def _pairing(u, v, Y) -> complex:
+    """<v, Y u>, the weak functional of the flow at time 0."""
+    u = np.asarray(u, dtype=complex).reshape(-1)
+    return complex(np.vdot(np.asarray(v, dtype=complex).reshape(-1), Y @ u))
 
 
 def _generator_factors(model: GkslModel, gvals, fvals, shift) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +137,7 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
             k3 = rate(2 * i + 1, Y + dt / 2 * k2)
             k4 = rate(2 * i + 2, Y + dt * k3)
             Y = Y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return WeakFunctional.initial(u, v).value(Y)
+    return _pairing(u, v, Y)
 
 
 def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
@@ -169,7 +152,7 @@ def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     if t < 0:
         raise ValueError("need t >= 0")
     if t == 0:
-        return WeakFunctional.initial(u, v).value(model.check_x(x))
+        return _pairing(u, v, model.check_x(x))
     steps = max(64, int(steps))
     prev, residual = None, float("inf")
     while steps <= MAX_STEPS:

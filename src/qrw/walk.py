@@ -6,7 +6,7 @@ turns a system operator Y into the block family beta(h, Y) acting on the
 system and one fresh slot copy of C + noise.  Two engines evaluate it:
 
 * a dense engine that materializes operators/states on
-  system (x) (C + noise)^(x)n from the closed-form blocks of beta,
+  system (x) (C + noise)^(x)n from the blocks of beta,
   feasible while d (1+m)^n stays under a cap;
 * a streaming engine that contracts each slot against the hatted slot
   vectors (1, F_k) of the test functions immediately after its step.
@@ -14,7 +14,8 @@ system and one fresh slot copy of C + noise.  Two engines evaluate it:
   contraction is exact.  It steps with the dilation form U(h)* (Y (x) 1) U(h),
   two matmul calls on d x d blocks per slot: O(n (1+m) d^3) time and a
   working set independent of n.  Agreement of the engines thus checks the
-  closed form of beta against the conjugation form.
+  materialized beta blocks against the slot-by-slot contraction with the
+  hatted vectors, including its chunking and its slot order.
 
 Matrix elements pair against per-slot projections of exponential vectors,
 i.e. the unnormalized product of (1, F_k); tail overlaps beyond t = n h are
@@ -192,7 +193,7 @@ def _sweep(model: GkslModel, x, favgs: SlotAverages, gavgs: SlotAverages):
     if favgs.n != gavgs.n or favgs.h != gavgs.h:
         raise ValueError("slot averages of f and g must share (h, n)")
     d, m = model.d, model.m
-    U = StepKernel.build(model, favgs.h).unitary().blocks  # [l, j, a, b]
+    U = StepKernel.build(model, favgs.h).U.blocks  # [l, j, a, b]
     # Per input direction j: the blocks U^{(l,j)} stacked over l, and the
     # blocks U^{(l,j)}* side by side, so V_l and [Vg_0* | ... | Vg_m*] are
     # linear in the hatted vectors.

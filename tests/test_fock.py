@@ -376,6 +376,34 @@ class TestFundamentalProcesses:
         assert_allclose(out.data, self.space.h * (S @ v.data), atol=1e-14)
 
 
+def _reference_basic_flat(l, coeff, d, m):
+    """N^l on system (x) slot space as a sum of kron(coefficient block, matrix unit)."""
+    out = np.zeros((d * (1 + m), d * (1 + m)), dtype=complex)
+    if l == 1:
+        unit = np.zeros((1 + m, 1 + m))
+        unit[0, 0] = 1.0
+        return np.kron(coeff, unit)
+    if l == 2:
+        for i, Ri in enumerate(coeff.reshape(d, m, d).transpose(1, 0, 2)):
+            unit = np.zeros((1 + m, 1 + m))
+            unit[0, 1 + i] = 1.0
+            out += np.kron(Ri.conj().T, unit)
+        return out
+    if l == 3:
+        for i, Ri in enumerate(coeff.reshape(d, m, d).transpose(1, 0, 2)):
+            unit = np.zeros((1 + m, 1 + m))
+            unit[1 + i, 0] = 1.0
+            out += np.kron(Ri, unit)
+        return out
+    T4 = coeff.reshape(d, m, d, m)
+    for i in range(m):
+        for j in range(m):
+            unit = np.zeros((1 + m, 1 + m))
+            unit[1 + i, 1 + j] = 1.0
+            out += np.kron(T4[:, i, :, j], unit)
+    return out
+
+
 class TestBasicOperators:
     def setup_method(self):
         self.rng = np.random.default_rng(13)
@@ -461,6 +489,13 @@ class TestBasicOperators:
         lhs = basic_apply(self.space, 2, R1, basic_apply(self.space, 3, R2, v))
         rhs = basic_apply(self.space, 1, dagger(R1) @ R2, v)
         assert (lhs - rhs).norm() <= 1e-11 * max(v.norm(), 1.0)
+
+    @pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (2, 3), (3, 2), (4, 3)])
+    def test_flat_form_matches_kron_reference(self, d, m):
+        for l in (1, 2, 3, 4):
+            coeff = _rand_coeff(self.rng, l, d, m)
+            assert np.array_equal(basic_operator_flat(l, coeff, d, m),
+                                  _reference_basic_flat(l, coeff, d, m))
 
     def test_flat_form_matches_apply(self):
         # The projected flat matrix reproduces basic_apply through the embedding.

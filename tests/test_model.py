@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
-from qrw.linalg import dagger, expm, kron, op_norm
+from qrw.linalg import dagger, kron, op_norm
 from qrw.model import (
     BlockOperator,
     GkslModel,
@@ -12,14 +15,13 @@ from qrw.model import (
     ampliation,
     amplitude_damping,
     beta,
+    beta_blocks,
     defect,
     lindblad,
     lindblad_superoperator,
     random_model,
     semigroup,
-    semigroup_oracle,
     structure_maps,
-    theta_h,
     trig_estimates,
     u_h,
 )
@@ -52,8 +54,9 @@ class TestBlockOperator:
             (1 + m, 1 + m, d, d)
         )
         op = BlockOperator(d=d, m=m, blocks=blocks)
-        back = BlockOperator.from_flat(op.flat, d, m)
-        assert np.array_equal(back.blocks, blocks)
+        # flat[a(1+m)+j, b(1+m)+j'] = blocks[j, j', a, b]
+        back = op.flat.reshape(d, 1 + m, d, 1 + m).transpose(1, 3, 0, 2)
+        assert np.array_equal(back, blocks)
 
     def test_parts_round_trip_exact(self):
         rng = np.random.default_rng(1)
@@ -138,26 +141,34 @@ class TestStructureMaps:
 
 
 class TestThetaH:
+    # Theta(h, x), the parts of Theta(x) scaled by h, sqrt(h), sqrt(h), 1,
+    # lives inside defect; these tests read it back out of E(h, x).
     def test_h_zero(self):
-        model = amplitude_damping(1.0)
-        assert op_norm(theta_h(model, SIGMA_X, 0.0).flat) == 0.0
+        # E(h, x) carries h^-(1+eps), which is singular at h = 0.
+        with pytest.raises(ValueError):
+            defect(amplitude_damping(1.0), SIGMA_X, 0.0)
 
     def test_h_one_matches_structure_maps(self):
         model = amplitude_damping(1.0)
-        assert_allclose(
-            theta_h(model, SIGMA_X, 1.0).flat, structure_maps(model, SIGMA_X).flat, atol=0
-        )
+        e_op, _ = defect(model, SIGMA_X, 1.0)
+        theta = beta(model, SIGMA_X, 1.0).flat - ampliation(model, SIGMA_X).flat - e_op.flat
+        assert_allclose(theta, structure_maps(model, SIGMA_X).flat, atol=0)
 
     def test_sqrt_scaling(self):
         model = amplitude_damping(1.0)
+        h = 0.04
         th = structure_maps(model, SIGMA_X)
-        th_h = theta_h(model, SIGMA_X, 0.04)
-        assert_allclose(th_h.creation_part, 0.2 * th.creation_part, atol=1e-15)
-        assert_allclose(th_h.vacuum_part, 0.04 * th.vacuum_part, atol=1e-15)
+        e_op, _ = defect(model, SIGMA_X, h)
+        bet, amp = beta(model, SIGMA_X, h), ampliation(model, SIGMA_X)
+        # Undo E's h^-(1+eps): h^2 on the vacuum part, h^(3/2) on the others.
+        creation = bet.creation_part - amp.creation_part - h**1.5 * e_op.creation_part
+        vacuum = bet.vacuum_part - amp.vacuum_part - h**2 * e_op.vacuum_part
+        assert_allclose(creation, 0.2 * th.creation_part, atol=1e-15)
+        assert_allclose(vacuum, 0.04 * th.vacuum_part, atol=1e-15)
 
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
-            theta_h(amplitude_damping(), SIGMA_X, -0.1)
+            defect(amplitude_damping(), SIGMA_X, -0.1)
 
 
 class TestUnitaryStep:
@@ -283,6 +294,45 @@ class TestBeta:
             x = _rand_x(rng, model.d)
             assert op_norm(beta(model, x, 0.3).flat) <= op_norm(x) * (1 + 1e-9)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        m=st.integers(1, 3),
+        h=st.floats(1e-4, 2.0),
+        batch=st.integers(1, 3),
+        corruption=st.sampled_from([1e-3, -0.4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_property(self, d, m, h, batch, corruption, seed):
+        # beta_blocks is the conjugation by U(h), a unital *-homomorphism on
+        # batches, and the corruption hook moves only the vacuum block.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, float(rng.uniform(0.0, 2.0)))
+        kernel = StepKernel.build(model, h)
+        xs = np.stack([_rand_x(rng, d) for _ in range(batch)])
+        ys = np.stack([_rand_x(rng, d) for _ in range(batch)])
+        bx, by = beta_blocks(kernel, xs), beta_blocks(kernel, ys)
+        bxy = beta_blocks(kernel, xs @ ys)
+        bxs = beta_blocks(kernel, xs.conj().transpose(0, 2, 1))
+        U = kernel.U.flat
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            tol = 1e-10 * op_norm(x)
+            direct = dagger(U) @ kron(x, np.eye(1 + m)) @ U
+            assert op_norm(BlockOperator(d, m, bx[i]).flat - direct) <= tol
+            product = np.einsum("jkab,klbc->jlac", bx[i], by[i])
+            assert op_norm(BlockOperator(d, m, bxy[i] - product).flat) <= tol * op_norm(y)
+            adjoint = bx[i].conj().transpose(1, 0, 3, 2)
+            assert op_norm(BlockOperator(d, m, bxs[i] - adjoint).flat) <= tol
+        one = beta_blocks(kernel, np.eye(d))
+        assert op_norm(BlockOperator(d, m, one).flat - np.eye(d * (1 + m))) <= 1e-10
+        bad = GkslModel(d=d, m=m, R=model.R, beta_corruption=corruption)
+        shift = beta_blocks(StepKernel.build(bad, h), xs) - bx
+        moved = np.zeros((1 + m, 1 + m), dtype=bool)
+        moved[0, 0] = True
+        assert not np.any(shift[:, ~moved])
+        for x, s00 in zip(xs, shift[:, 0, 0]):
+            assert op_norm(s00 - corruption * x) <= 1e-10 * op_norm(x)
+
     def test_corruption_hook_breaks_homomorphism(self):
         base = amplitude_damping(1.0)
         bad = GkslModel(d=2, m=1, R=base.R, beta_corruption=1e-6)
@@ -359,9 +409,8 @@ class TestSemigroup:
 
     def test_superoperator_conservative(self):
         for model in _sample_models(count=8):
-            oracle = semigroup_oracle(model)
             vec_eye = np.eye(model.d, dtype=complex).reshape(-1)
-            assert np.linalg.norm(oracle.superoperator @ vec_eye) <= 1e-12
+            assert np.linalg.norm(lindblad_superoperator(model) @ vec_eye) <= 1e-12
 
     def test_superoperator_matches_lindblad(self):
         rng = np.random.default_rng(43)
@@ -377,8 +426,6 @@ class TestStepKernel:
         model = _sample_models(count=1)[0]
         kernel = StepKernel.build(model, 0.2)
         xs = np.stack([_rand_x(rng, model.d) for _ in range(5)])
-        from qrw.model import beta_blocks
-
         batched = beta_blocks(kernel, xs)
         for i in range(5):
             single = beta(model, xs[i], 0.2)

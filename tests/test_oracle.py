@@ -11,7 +11,6 @@ from qrw.linalg import dagger, op_norm, sandwich
 from qrw.model import amplitude_damping, delta, delta_dag, lindblad, random_model, semigroup
 from qrw.oracle import (
     OracleRefinementError,
-    WeakFunctional,
     _generator_factors,
     fine_walk_reference,
     flow_matrix_element,
@@ -211,9 +210,12 @@ class TestRefinement:
 
 class TestWeakFunctional:
     def test_initial_value(self):
+        # At t = 0 the weak functional of the flow is exactly <v, x u>.
         u, v = np.array([1.0, 2.0j]), np.array([0.5, -1.0])
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert WeakFunctional.initial(u, v).value(x) == pytest.approx(np.vdot(v, x @ u))
+        zero = TestFunction.zero(1)
+        got = flow_matrix_element(amplitude_damping(1.0), x, u, v, zero, zero, 0.0)
+        assert got == pytest.approx(np.vdot(v, x @ u))
 
 
 class TestVacuumCheck:
