@@ -21,7 +21,9 @@ The distinguished vectors are the vacuum (index 0) and the normalized
 constant one-particle vector of each channel ("chi"), which span the
 (1+m)-dimensional slot space of the projected walk.  Exponential vectors
 e(f) = sum_n f^(x)n / sqrt(n!) are built from per-cell averages of a test
-function; the truncation tail is controlled by the Poisson bound
+function, one gather-multiply per sector against tables stored with the
+basis (each row's parent index, last mode and 1/sqrt(multiplicity)); the
+truncation tail is controlled by the Poisson bound
 ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.
 """
 
@@ -54,6 +56,7 @@ __all__ = [
     "fundamental_apply",
     "project_Ph",
     "projection_deficiency",
+    "slot_coordinates",
     "space_for",
 ]
 
@@ -77,15 +80,17 @@ class _Basis(NamedTuple):
     ``states[n]`` is an int array (dim_n, n) of sorted mode rows in
     ``itertools.combinations_with_replacement`` order, ``keys[n]`` their
     base-M keys (strictly ascending), ``parent[n]`` the index in sector n-1
-    of each row without its last mode, ``run[n]`` the multiplicity of that
-    last mode, and ``offsets[n]`` the first flat index of sector n.
+    of each row without its last mode, ``last[n]`` that mode (a contiguous
+    copy of the last column), ``weight[n]`` 1/sqrt(multiplicity of that
+    mode in the row), and ``offsets[n]`` the first flat index of sector n.
     """
 
     n_modes: int
     states: list
     keys: list
     parent: list
-    run: list
+    last: list
+    weight: list
     offsets: list
     dim: int
 
@@ -111,6 +116,7 @@ def _sector_basis(n_modes: int, cutoff: int) -> _Basis:
     states = [np.zeros((1, 0), dtype=np.int32)]
     keys = [np.zeros(1, dtype=np.int64)]
     parent = [np.zeros(0, dtype=np.intp)]
+    lasts = [np.zeros(0, dtype=np.int32)]
     run = [np.ones(1, dtype=np.int64)]
     offsets = [0, 1]
     for n in range(cutoff):
@@ -123,9 +129,11 @@ def _sector_basis(n_modes: int, cutoff: int) -> _Basis:
         states.append(np.column_stack([rows[up], last]))
         keys.append(_keys(states[-1], n_modes))
         parent.append(up)
+        lasts.append(last)
         run.append(np.where((last == low[up]) & (n > 0), run[n][up] + 1, 1))
         offsets.append(offsets[-1] + len(up))
-    return _Basis(n_modes, states, keys, parent, run, offsets, offsets[-1])
+    weight = [1.0 / np.sqrt(r) for r in run]
+    return _Basis(n_modes, states, keys, parent, lasts, weight, offsets, offsets[-1])
 
 
 def _flat_index(basis: _Basis, rows: np.ndarray) -> np.ndarray:
@@ -302,7 +310,7 @@ class IntervalVector:
         return IntervalVector(self.space, u[:, None] * self.data[0])
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
+        return float(np.vdot(self.data, self.data).real)
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
@@ -341,16 +349,17 @@ def exp_vector(space: IntervalSpace, cells) -> IntervalVector:
     the coherent coefficients prod_alpha c_alpha^{n_alpha} / sqrt(n_alpha!)
     over the occupation basis, which reproduces f^(x)n / sqrt(n!).  Each
     row's coefficient is its parent's (the row without its last mode) times
-    c_last / sqrt(multiplicity of last), one gather per sector.
+    c_last / sqrt(multiplicity of last), one gather-multiply per sector from
+    the basis tables.
     """
     c = _one_particle_coeffs(space, cells)
     basis = space.basis
+    off = basis.offsets
     data = np.empty(basis.dim, dtype=complex)
     data[0] = 1.0
     for n in range(1, space.N + 1):
-        prev = data[space.sector(n - 1)]
-        last = basis.states[n][:, -1]
-        data[space.sector(n)] = prev[basis.parent[n]] * c[last] / np.sqrt(basis.run[n])
+        prev = data[off[n - 1]:off[n]]
+        data[off[n]:off[n + 1]] = prev[basis.parent[n]] * c[basis.last[n]] * basis.weight[n]
     return IntervalVector(space, data)
 
 
@@ -396,7 +405,7 @@ def space_for(f: TestFunction, h: float, m: int, G: int, start: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-def _slot_coordinates(space: IntervalSpace, v: IntervalVector) -> np.ndarray:
+def slot_coordinates(space: IntervalSpace, v: IntervalVector) -> np.ndarray:
     """(d, 1+m) components of v along the vacuum and the chi vectors."""
     chi = space.chi_coefficients()
     return np.column_stack([v.data[:, 0], v.data[:, space.sector(1)] @ chi.conj().T])
@@ -412,7 +421,13 @@ def _slot_embed(space: IntervalSpace, coords: np.ndarray) -> IntervalVector:
 
 def project_Ph(space: IntervalSpace, v: IntervalVector) -> IntervalVector:
     """Orthogonal projection onto vacuum + the constant one-particle vectors."""
-    return _slot_embed(space, _slot_coordinates(space, v))
+    return _slot_embed(space, slot_coordinates(space, v))
+
+
+def _slot_norm_sq(space: IntervalSpace, v: IntervalVector) -> float:
+    """||P_h v||^2, from the slot coordinates alone."""
+    coords = slot_coordinates(space, v)
+    return float(np.vdot(coords, coords).real)
 
 
 def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
@@ -420,7 +435,8 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     """||(1 - P_h) e(f restricted to [0, t])|| over the whole partition.
 
     Exponential vectors factor over intervals, so the norm falls out of
-    per-interval norms: ||e||^2 - prod_k ||P_h[k] e(f_[k])||^2 style products.
+    per-interval norms: prod_k ||e(f_[k])||^2 - prod_k ||P_h[k] e(f_[k])||^2,
+    the projected norms taken from the (1+m) slot coordinates.
     """
     n = int(round(t / h))
     if abs(n * h - t) > 1e-9 * max(1.0, t):
@@ -430,7 +446,7 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
         space = space_for(f, h, m, G, start=k * h, N=N)
         e, _ = _slot_exp_vector(space, f, k * h)
         full *= e.norm_sq()
-        proj *= project_Ph(space, e).norm_sq()
+        proj *= _slot_norm_sq(space, e)
     return float(np.sqrt(max(full - proj, 0.0)))
 
 
@@ -445,8 +461,11 @@ def _coeff_channels(coeff: np.ndarray, d: int, m: int) -> np.ndarray:
 
 
 def _check_coeff(l: int, coeff, d: int, m: int) -> np.ndarray:
+    shapes = {1: (d, d), 2: (d * m, d), 3: (d * m, d), 4: (d * m, d * m)}
+    if l not in shapes:
+        raise ValueError(f"kind must be 1..4, got {l}")
     coeff = as_matrix(coeff)
-    want = {1: (d, d), 2: (d * m, d), 3: (d * m, d), 4: (d * m, d * m)}[l]
+    want = shapes[l]
     if coeff.shape != want:
         raise ValueError(f"coefficient for kind {l} has shape {coeff.shape}, expected {want}")
     return coeff
@@ -475,14 +494,12 @@ def fundamental_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) ->
         for i, Ri in enumerate(_coeff_channels(coeff, d, m)):
             out += Ri @ (create[i] @ v.data.T).T
         return IntervalVector(space, rh * out)
-    if l == 4:
-        out = np.zeros_like(v.data)
-        T4 = coeff.reshape(d, m, d, m)
-        for i in range(m):
-            for j in range(m):
-                out += T4[:, i, :, j] @ (hop[i][j] @ v.data.T).T
-        return IntervalVector(space, out)
-    raise ValueError(f"kind must be 1..4, got {l}")
+    out = np.zeros_like(v.data)
+    T4 = coeff.reshape(d, m, d, m)
+    for i in range(m):
+        for j in range(m):
+            out += T4[:, i, :, j] @ (hop[i][j] @ v.data.T).T
+    return IntervalVector(space, out)
 
 
 def basic_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) -> IntervalVector:
@@ -493,7 +510,7 @@ def basic_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) -> Inter
     """
     d = v.d
     flat = basic_operator_flat(l, coeff, d, space.m)
-    coords = flat @ _slot_coordinates(space, v).reshape(-1)
+    coords = flat @ slot_coordinates(space, v).reshape(-1)
     return _slot_embed(space, coords.reshape(d, 1 + space.m))
 
 
@@ -549,7 +566,7 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
         raise ValueError("h must match the space's interval length")
     e, tail = _slot_exp_vector(space, f, start)
     en = e.norm()
-    lhs = float(np.sqrt(max(e.norm_sq() - project_Ph(space, e).norm_sq(), 0.0)))
+    lhs = float(np.sqrt(max(e.norm_sq() - _slot_norm_sq(space, e), 0.0)))
     c_f = f.slope_constant(start, start + h)
     sup = f.sup_norm(start, start + h)
     rhs = h * (c_f + sup) * en

@@ -29,7 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import IntervalSpace, basic_operator_flat, exp_tail_bound, exp_vector, project_Ph
+from .fock import (
+    IntervalSpace,
+    basic_operator_flat,
+    exp_tail_bound,
+    exp_vector,
+    project_Ph,
+    slot_coordinates,
+)
 from .functions import SlotAverages, TestFunction, slot_averages
 from .linalg import dagger, op_norm, sandwich
 from .model import GkslModel, StepKernel, beta_blocks
@@ -144,6 +151,21 @@ def defect_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> 
     return step_leg_outputs(kernel, ys, fhat) - fhat[:, None, None] * ys[..., None, :, :]
 
 
+def _prefix_state(kernel: StepKernel, ops: np.ndarray, hats: list, u: np.ndarray) -> np.ndarray:
+    """The walk over the slots of ``hats`` applied to ops (L, d, d), then to u.
+
+    Steps run from the last slot of ``hats`` toward the first, each keeping
+    its fresh slot leg slower than the existing ones, (M, d, d) ->
+    ((1+m) M, d, d); returns (d, (1+m)^len(hats) L) with the first slot
+    slowest and the L legs of ops fastest.
+    """
+    d = ops.shape[-1]
+    for hat in reversed(hats):
+        legs = step_leg_outputs(kernel, ops, hat)
+        ops = np.moveaxis(legs, 1, 0).reshape(-1, d, d)
+    return np.einsum("Jab,b->aJ", ops, u)
+
+
 def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
                      cap: int = DEFAULT_DENSE_CAP) -> ToyState:
     """p_{nh}(x) applied to u (x) projected e(f), by the leg-keeping recursion."""
@@ -154,12 +176,8 @@ def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     _check_cap(model.d, model.m, n, cap)
     kernel = StepKernel.build(model, h)
     avgs = slot_averages(f, h, n)
-    ops = x[None, :, :]
-    for k in range(n - 1, -1, -1):
-        # Keep the fresh slot leg, slower than the existing ones: (M, d, d) -> ((1+m) M, d, d).
-        legs = step_leg_outputs(kernel, ops, avgs.hatted(k))
-        ops = np.moveaxis(legs, 1, 0).reshape(-1, model.d, model.d)
-    return ToyState(d=model.d, m=model.m, n=n, data=np.einsum("Jab,b->aJ", ops, u))
+    hats = [avgs.hatted(k) for k in range(n)]
+    return ToyState(d=model.d, m=model.m, n=n, data=_prefix_state(kernel, x[None], hats, u))
 
 
 def walk_dense_state_via_operator(model: GkslModel, x, u, f: TestFunction, h: float,
@@ -285,7 +303,7 @@ def check_composition_table(rng, d: int = 3, m: int = 2) -> list[tuple[str, floa
 
 
 # ---------------------------------------------------------------------------
-# F term of the walk decomposition, in the hybrid slot spaces
+# F term of the walk decomposition, in per-slot coordinates
 # ---------------------------------------------------------------------------
 
 
@@ -298,62 +316,71 @@ class FTermResult(NamedTuple):
     decomposition_residual: float
 
 
+def _pad_legs(vec: np.ndarray, m: int, k: int) -> np.ndarray:
+    """(d, (1+m)^k) walk legs as (d, (m+2)^k): each leg gains a zero q entry."""
+    legs = vec.reshape((len(vec),) + (1 + m,) * k)
+    return np.pad(legs, [(0, 0)] + [(0, 1)] * k).reshape(len(vec), -1)
+
+
 def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
                 G: int = 8, N: int = 4, safety: float = 4.0) -> FTermResult:
     """The projection-loss term of the walk decomposition, with its bound.
 
-    For n slots (n <= 2 here), the walk state splits as
+    With W_k the walk over slots 1..k (W_0 the identity), D_k the one-step
+    defect beta - b at slot k, e_k = e(f on slot k) and q_k = (1 - P_h[k]) e_k,
+    the sums A_k = W_k(x) u (x) e_{k+1} (x) ... (x) e_n telescope to
 
-        walk = x u e(f) + sum_k [prefix walk](one-step defect at slot k)
-               + F,   F = - sum_k [prefix walk](x (1 - P_h[k]) e(f)),
+        W_n(x) u = x u e_1 ... e_n + sum_k W_{k-1}(D_k x) u e_{k+1..n} + F,
+        F = - sum_k W_{k-1}(x) u q_k e_{k+1..n}.
 
-    evaluated in the hybrid space: full truncated interval Fock space per
-    slot, with the projected walk pieces embedded through (vacuum, chi).
-    Reports ||F||^2 against h c(f,t) ||x||^2 ||u||^2 with
-    c(f,t) = 2 t (c_f + sup|f|) ||e(f)||, plus the residual of the
+    Every term lies in the product over slots of span(vacuum, chi^1..chi^m,
+    q_k), so each is held in that orthonormal per-slot basis: e_k is its
+    slot coordinates with ||q_k|| appended, q_k is (0, ..., 0, ||q_k||), and
+    a walk leg gains a zero last entry.  The terms are (d, (m+2)^n) arrays;
+    only the n exponential vectors live in the interval Fock space (G cells,
+    cutoff N).  The walk pieces cost O(n (1+m)^n d^3) and the sum
+    O(n d (m+2)^n); n is limited by the dense cap on d (1+m)^n
+    (``DenseCapError``).  Reports ||F||^2 against h c(f,t) ||x||^2 ||u||^2
+    with c(f,t) = 2 t (c_f + sup|f|) ||e(f)||, plus the residual of the
     decomposition identity itself.
     """
-    if n not in (1, 2):
-        raise ValueError("the hybrid space check supports n in {1, 2}")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_cap(model.d, model.m, n, DEFAULT_DENSE_CAP)
     x = model.check_x(x)
     u = np.asarray(u, dtype=complex).reshape(-1)
+    m = model.m
     kernel = StepKernel.build(model, h)
     avgs = slot_averages(f, h, n)
-    space = IntervalSpace(m=model.m, G=G, N=N, h=h)
-    emb = space.khat_embedding()  # (1+m, D)
+    hats = [avgs.hatted(k) for k in range(n)]
+    space = IntervalSpace(m=m, G=G, N=N, h=h)
 
-    cells = [f.cell_averages(k * h, (k + 1) * h, G) for k in range(n)]
-    tails = [exp_tail_bound(space, c) for c in cells]
-    es = [exp_vector(space, c) for c in cells]
-    qs = [e - project_Ph(space, e) for e in es]
-    e_vecs = [e.data[0] for e in es]
-    q_vecs = [q.data[0] for q in qs]
+    tails, es, qs = [], [], []
+    for k in range(n):
+        cells = f.cell_averages(k * h, (k + 1) * h, G)
+        tails.append(exp_tail_bound(space, cells))
+        e = exp_vector(space, cells)
+        q_norm = (e - project_Ph(space, e)).norm()
+        es.append(np.append(slot_coordinates(space, e)[0], q_norm))
+        qs.append(np.append(np.zeros(1 + m), q_norm))
+    # rest[k] is the row e_{k+1} (x) ... (x) e_n of the slots after the k-th (0-based).
+    rest = [np.ones((1, 1))]
+    for e in reversed(es):
+        rest.insert(0, np.kron(e, rest[0]))
 
-    xu = x @ u
-    if n == 1:
-        toy = walk_dense_state(model, x, u, f, h, 1).data.reshape(model.d, 1 + model.m)
-        lhs = np.einsum("aj,jp->ap", toy, emb)
-        term0 = np.einsum("a,p->ap", xu, e_vecs[0])
-        d1 = defect_leg_outputs(kernel, x, avgs.hatted(0))
-        mid = np.einsum("jab,b,jp->ap", d1, u, emb, optimize=True)
-        Fterm = -np.einsum("a,p->ap", xu, q_vecs[0])
-    else:
-        toy = walk_dense_state(model, x, u, f, h, 2).data.reshape(
-            model.d, 1 + model.m, 1 + model.m
-        )
-        lhs = np.einsum("ajk,jp,kq->apq", toy, emb, emb, optimize=True)
-        term0 = np.einsum("a,p,q->apq", xu, e_vecs[0], e_vecs[1], optimize=True)
-        d1 = defect_leg_outputs(kernel, x, avgs.hatted(0))
-        mid = np.einsum("jab,b,jp,q->apq", d1, u, emb, e_vecs[1], optimize=True)
-        d2 = defect_leg_outputs(kernel, x, avgs.hatted(1))  # (1+m, d, d), leg = slot 2
-        s21 = step_leg_outputs(kernel, d2, avgs.hatted(0))  # (1+m 2-leg, 1+m 1-leg, d, d)
-        mid += np.einsum("kjab,b,jp,kq->apq", s21, u, emb, emb, optimize=True)
-        s1 = step_leg_outputs(kernel, x, avgs.hatted(0))
-        Fterm = -np.einsum("a,p,q->apq", xu, q_vecs[0], e_vecs[1], optimize=True)
-        Fterm -= np.einsum("jab,b,jp,q->apq", s1, u, emb, q_vecs[1], optimize=True)
+    lhs = _pad_legs(_prefix_state(kernel, x[None], hats, u), m, n)
+    term0 = np.kron((x @ u)[:, None], rest[0])
+    mid = np.zeros_like(lhs)
+    Fterm = np.zeros_like(lhs)
+    for k in range(n):
+        defect = defect_leg_outputs(kernel, x, hats[k])
+        mid += np.kron(_pad_legs(_prefix_state(kernel, defect, hats[:k], u), m, k + 1),
+                       rest[k + 1])
+        prefix = _pad_legs(_prefix_state(kernel, x[None], hats[:k], u), m, k)
+        Fterm -= np.kron(prefix, np.kron(qs[k], rest[k + 1]))
 
     residual = float(np.linalg.norm(lhs - term0 - mid - Fterm))
-    value_sq = float(np.sum(np.abs(Fterm) ** 2))
+    value_sq = float(np.vdot(Fterm, Fterm).real)
 
     t = n * h
     c_f = f.slope_constant()

@@ -510,6 +510,24 @@ class TestBasicOperators:
             assert np.allclose(out.data, toy_out @ emb, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", [0, 5])
+@pytest.mark.parametrize(
+    "entry", ["fundamental_apply", "basic_apply", "basic_operator_flat", "check_N_vs_Lambda"]
+)
+def test_invalid_kind_raises_value_error(entry, kind):
+    space = IntervalSpace(m=1, G=2, N=2, h=0.1)
+    u = np.array([1.0, 0.0])
+    coeff = np.eye(2)
+    calls = {
+        "fundamental_apply": lambda: fundamental_apply(space, kind, coeff, space.vacuum(u)),
+        "basic_apply": lambda: basic_apply(space, kind, coeff, space.vacuum(u)),
+        "basic_operator_flat": lambda: basic_operator_flat(kind, coeff, 2, 1),
+        "check_N_vs_Lambda": lambda: check_N_vs_Lambda(space, kind, coeff, u, TestFunction.zero(1)),
+    }
+    with pytest.raises(ValueError, match=f"kind must be 1..4, got {kind}"):
+        calls[entry]()
+
+
 class TestNvsLambdaChecks:
     def setup_method(self):
         self.rng = np.random.default_rng(17)

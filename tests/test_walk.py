@@ -9,11 +9,13 @@ from numpy.testing import assert_allclose
 from qrw import functions
 from qrw.fock import IntervalSpace, exp_vector, project_Ph
 from qrw.linalg import dagger, kron, op_norm
-from qrw.model import GkslModel, amplitude_damping, random_model, semigroup
+from qrw.model import GkslModel, StepKernel, amplitude_damping, random_model, semigroup
 from qrw.walk import (
     DenseCapError,
     check_composition_table,
+    defect_leg_outputs,
     f_term_norm,
+    step_leg_outputs,
     toy_exp_embed,
     walk_dense_operator,
     walk_dense_state,
@@ -431,3 +433,149 @@ class TestFTerm:
         res = f_term_norm(model, _rand_x(rng, 2), u, f, 0.1, n, G=8, N=4)
         assert res.decomposition_residual <= 1e-9
         assert res.passed
+
+
+def _reference_f_term(model, x, u, f, h, n, G, N):
+    """(value_sq, residual) of the F term in the hybrid space, n in {1, 2}.
+
+    Every term is a full (d, D) or (d, D, D) array over the interval Fock
+    space, with the walk legs embedded through (vacuum, chi).
+    """
+    x = model.check_x(x)
+    u = np.asarray(u, dtype=complex).reshape(-1)
+    kernel = StepKernel.build(model, h)
+    avgs = functions.slot_averages(f, h, n)
+    space = IntervalSpace(m=model.m, G=G, N=N, h=h)
+    emb = space.khat_embedding()
+    es = [exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G)) for k in range(n)]
+    e_vecs = [e.data[0] for e in es]
+    q_vecs = [(e - project_Ph(space, e)).data[0] for e in es]
+
+    xu = x @ u
+    if n == 1:
+        toy = walk_dense_state(model, x, u, f, h, 1).data.reshape(model.d, 1 + model.m)
+        lhs = np.einsum("aj,jp->ap", toy, emb)
+        term0 = np.einsum("a,p->ap", xu, e_vecs[0])
+        d1 = defect_leg_outputs(kernel, x, avgs.hatted(0))
+        mid = np.einsum("jab,b,jp->ap", d1, u, emb, optimize=True)
+        Fterm = -np.einsum("a,p->ap", xu, q_vecs[0])
+    else:
+        toy = walk_dense_state(model, x, u, f, h, 2).data.reshape(
+            model.d, 1 + model.m, 1 + model.m
+        )
+        lhs = np.einsum("ajk,jp,kq->apq", toy, emb, emb, optimize=True)
+        term0 = np.einsum("a,p,q->apq", xu, e_vecs[0], e_vecs[1], optimize=True)
+        d1 = defect_leg_outputs(kernel, x, avgs.hatted(0))
+        mid = np.einsum("jab,b,jp,q->apq", d1, u, emb, e_vecs[1], optimize=True)
+        d2 = defect_leg_outputs(kernel, x, avgs.hatted(1))
+        s21 = step_leg_outputs(kernel, d2, avgs.hatted(0))
+        mid += np.einsum("kjab,b,jp,kq->apq", s21, u, emb, emb, optimize=True)
+        s1 = step_leg_outputs(kernel, x, avgs.hatted(0))
+        Fterm = -np.einsum("a,p,q->apq", xu, q_vecs[0], e_vecs[1], optimize=True)
+        Fterm -= np.einsum("jab,b,jp,q->apq", s1, u, emb, q_vecs[1], optimize=True)
+    residual = float(np.linalg.norm(lhs - term0 - mid - Fterm))
+    return float(np.sum(np.abs(Fterm) ** 2)), residual
+
+
+def _full_space_f_term(model, x, u, f, h, n, G, N):
+    """(value_sq, residual) of the telescoped decomposition for any n, in D^n.
+
+    A_k = W_k(x) u e_{k+1} ... e_n, with the walk legs embedded through
+    ``khat_embedding`` and full exponential vectors on every later slot.
+    """
+    d, m = model.d, model.m
+    u = np.asarray(u, dtype=complex).reshape(-1)
+    kernel = StepKernel.build(model, h)
+    avgs = functions.slot_averages(f, h, n)
+    space = IntervalSpace(m=m, G=G, N=N, h=h)
+    emb = space.khat_embedding()
+    es = [exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G)) for k in range(n)]
+    qs = [(e - project_Ph(space, e)).data[0] for e in es]
+    es = [e.data[0] for e in es]
+
+    def prefix(ops, k):
+        # Slots k, ..., 1 applied to ops (L, d, d), then u: (d, (1+m)^k L).
+        for j in range(k - 1, -1, -1):
+            ops = np.moveaxis(step_leg_outputs(kernel, ops, avgs.hatted(j)), 1, 0)
+            ops = ops.reshape(-1, d, d)
+        return np.einsum("Jab,b->aJ", ops, u)
+
+    def embed(vec, legs):
+        t = vec.reshape((d,) + (1 + m,) * legs)
+        for _ in range(legs):
+            t = np.tensordot(t, emb, axes=([1], [0]))
+        return t.reshape(d, -1)
+
+    def times(a, *vecs):
+        for v in vecs:
+            a = (a[:, :, None] * v).reshape(d, -1)
+        return a
+
+    lhs = embed(walk_dense_state(model, x, u, f, h, n).data, n)
+    term0 = times((x @ u)[:, None], *es)
+    mid = sum(times(embed(prefix(defect_leg_outputs(kernel, x, avgs.hatted(k)), k), k + 1),
+                    *es[k + 1:]) for k in range(n))
+    Fterm = -sum(times(embed(prefix(x[None], k), k), qs[k], *es[k + 1:]) for k in range(n))
+    residual = float(np.linalg.norm(lhs - term0 - mid - Fterm))
+    return float(np.sum(np.abs(Fterm) ** 2)), residual
+
+
+class TestFTermSlotCoordinates:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        m=st.integers(1, 2),
+        h=st.floats(0.02, 0.3),
+        n=st.integers(1, 2),
+        G=st.integers(1, 4),
+        N=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_hybrid_space_reference(self, d, m, h, n, G, N, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, rng.uniform(0.2, 1.5))
+        x = _rand_x(rng, d)
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        f = _rand_tf(rng, m, n * h)
+        res = f_term_norm(model, x, u, f, h, n, G=G, N=N)
+        want, want_residual = _reference_f_term(model, x, u, f, h, n, G, N)
+        assert abs(res.value_sq - want) <= 1e-12 * abs(want) + 1e-18
+        assert res.decomposition_residual <= 1e-12
+        assert want_residual <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_full_space_telescoping(self, n):
+        rng = np.random.default_rng(41 + n)
+        model = random_model(rng, 2, 1, 1.0)
+        h, G, N = 0.1, 2, 3
+        x, u = _rand_x(rng, 2), np.array([0.6, 0.8j])
+        f = _rand_tf(rng, 1, n * h, height=0.5)
+        assert IntervalSpace(m=1, G=G, N=N, h=h).dim == 10
+        res = f_term_norm(model, x, u, f, h, n, G=G, N=N)
+        want, want_residual = _full_space_f_term(model, x, u, f, h, n, G, N)
+        assert want_residual <= 1e-12
+        assert res.value_sq == pytest.approx(want, rel=1e-12)
+        assert res.value_sq > 0
+        assert res.decomposition_residual <= 1e-12
+        assert res.passed
+
+    def test_n_zero_raises(self):
+        with pytest.raises(ValueError):
+            f_term_norm(amplitude_damping(1.0), SIGMA_X, [1.0, 0.0], TF.zero(1), 0.1, 0)
+
+    def test_dense_cap_raises(self):
+        # d (1+m)^n = 2 * 2^12 = 8192 exceeds the default cap of 4096.
+        with pytest.raises(DenseCapError):
+            f_term_norm(amplitude_damping(1.0), SIGMA_X, [1.0, 0.0], TF.zero(1), 0.01, 12)
+
+    def test_lemma_grid_two_slots(self):
+        # m = 2, G = 8, N = 6: D = 74,613, beyond reach of D^2 arrays.
+        rng = np.random.default_rng(53)
+        model = random_model(rng, 3, 2, 1.0)
+        h = 0.25
+        f = _rand_tf(rng, 2, 2 * h, height=0.5)
+        assert IntervalSpace(m=2, G=8, N=6, h=h).dim == 74613
+        res = f_term_norm(model, _rand_x(rng, 3), np.array([0.6, 0.0, 0.8]), f, h, 2,
+                          G=8, N=6)
+        assert res.value_sq > 0
+        assert res.decomposition_residual <= 1e-12
