@@ -25,6 +25,11 @@ function, one gather-multiply per sector against tables stored with the
 basis (each row's parent index, last mode and 1/sqrt(multiplicity)); the
 truncation tail is controlled by the Poisson bound
 ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.
+
+Each fundamental process Lambda^l is written once, as a list of terms
+M_a (x) A_a (a d x d coefficient times a second-quantized one-particle
+operator); ``fundamental_apply`` sums them over (d, dim) vectors, and the
+lemma checks contract them against the scalar e(f) instead.
 """
 
 from __future__ import annotations
@@ -424,30 +429,39 @@ def project_Ph(space: IntervalSpace, v: IntervalVector) -> IntervalVector:
     return _slot_embed(space, slot_coordinates(space, v))
 
 
-def _slot_norm_sq(space: IntervalSpace, v: IntervalVector) -> float:
-    """||P_h v||^2, from the slot coordinates alone."""
-    coords = slot_coordinates(space, v)
-    return float(np.vdot(coords, coords).real)
+def _slot_split(space: IntervalSpace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot coordinates (K, 1+m) of a (K, dim) array, and its complement (1 - P_h) rows.
+
+    The complement overwrites ``rows``: the vacuum entry and the chi part of
+    sector 1 are removed, the sectors >= 2 are untouched.
+    """
+    coords = slot_coordinates(space, IntervalVector(space, rows))
+    rows[:, 0] = 0.0
+    rows[:, space.sector(1)] -= coords[:, 1:] @ space.chi_coefficients()
+    return coords, rows
 
 
 def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
                           N: int = DEFAULT_CUTOFF) -> float:
     """||(1 - P_h) e(f restricted to [0, t])|| over the whole partition.
 
-    Exponential vectors factor over intervals, so the norm falls out of
-    per-interval norms: prod_k ||e(f_[k])||^2 - prod_k ||P_h[k] e(f_[k])||^2,
-    the projected norms taken from the (1+m) slot coordinates.
+    Exponential vectors factor over intervals, so with e_k = e(f_[k]) the
+    squared norm prod_k ||e_k||^2 - prod_k ||P_h e_k||^2 is, free of that
+    subtraction, sum_k (prod_{j<k} ||P_h e_j||^2) ||q_k||^2 (prod_{j>k} ||e_j||^2)
+    with q_k = (1 - P_h) e_k formed explicitly.
     """
     n = int(round(t / h))
     if abs(n * h - t) > 1e-9 * max(1.0, t):
         raise ValueError("t must be an integer multiple of h")
-    full, proj = 1.0, 1.0
+    loss, proj = 0.0, 1.0
     for k in range(n):
         space = space_for(f, h, m, G, start=k * h, N=N)
         e, _ = _slot_exp_vector(space, f, k * h)
-        full *= e.norm_sq()
-        proj *= _slot_norm_sq(space, e)
-    return float(np.sqrt(max(full - proj, 0.0)))
+        full_k = e.norm_sq()
+        coords, q = _slot_split(space, e.data)
+        loss = loss * full_k + proj * np.vdot(q, q).real
+        proj *= np.vdot(coords, coords).real
+    return float(np.sqrt(loss))
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +485,26 @@ def _check_coeff(l: int, coeff, d: int, m: int) -> np.ndarray:
     return coeff
 
 
+def _lambda_terms(space: IntervalSpace, l: int, coeff: np.ndarray, d: int) -> list:
+    """Lambda^l = sum_a M_a (x) A_a as the list of terms (M_a, A_a).
+
+    M_a is h S, sqrt(h) R_i*, sqrt(h) R_i or T_ij; A_a (identity, a(chi^i),
+    a_dag(chi^i) or hop[i][j]) is a callable on (dim,) or (dim, k) arrays.
+    a(chi^i) is create[i].T applied on the conjugate: no adjoint is built.
+    """
+    m, rh = space.m, np.sqrt(space.h)
+    if l == 1:
+        return [(space.h * coeff, lambda x: x)]
+    create, hop = space.ops
+    if l == 2:
+        return [(rh * dagger(R), lambda x, c=c.T: (c @ x.conj()).conj())
+                for R, c in zip(_coeff_channels(coeff, d, m), create)]
+    if l == 3:
+        return [(rh * R, c.__matmul__) for R, c in zip(_coeff_channels(coeff, d, m), create)]
+    T4 = coeff.reshape(d, m, d, m)
+    return [(T4[:, i, :, j], hop[i][j].__matmul__) for i in range(m) for j in range(m)]
+
+
 def fundamental_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) -> IntervalVector:
     """Apply one fundamental process of the interval to a system-valued vector.
 
@@ -478,27 +512,8 @@ def fundamental_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) ->
     4 conservation with kernel T; coefficient shapes d x d, (dm) x d,
     (dm) x d and (dm) x (dm) respectively.
     """
-    d, m = v.d, space.m
-    coeff = _check_coeff(l, coeff, d, m)
-    create, hop = space.ops
-    rh = np.sqrt(space.h)
-    if l == 1:
-        return IntervalVector(space, space.h * (coeff @ v.data))
-    if l == 2:
-        out = np.zeros_like(v.data)
-        for i, Ri in enumerate(_coeff_channels(coeff, d, m)):
-            out += Ri.conj().T @ (create[i].conj().T @ v.data.T).T
-        return IntervalVector(space, rh * out)
-    if l == 3:
-        out = np.zeros_like(v.data)
-        for i, Ri in enumerate(_coeff_channels(coeff, d, m)):
-            out += Ri @ (create[i] @ v.data.T).T
-        return IntervalVector(space, rh * out)
-    out = np.zeros_like(v.data)
-    T4 = coeff.reshape(d, m, d, m)
-    for i in range(m):
-        for j in range(m):
-            out += T4[:, i, :, j] @ (hop[i][j] @ v.data.T).T
+    coeff = _check_coeff(l, coeff, v.d, space.m)
+    out = sum(M @ A(v.data.T).T for M, A in _lambda_terms(space, l, coeff, v.d))
     return IntervalVector(space, out)
 
 
@@ -566,7 +581,8 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
         raise ValueError("h must match the space's interval length")
     e, tail = _slot_exp_vector(space, f, start)
     en = e.norm()
-    lhs = float(np.sqrt(max(e.norm_sq() - _slot_norm_sq(space, e), 0.0)))
+    q = _slot_split(space, e.data)[1]
+    lhs = float(np.sqrt(np.vdot(q, q).real))
     c_f = f.slope_constant(start, start + h)
     sup = f.sup_norm(start, start + h)
     rhs = h * (c_f + sup) * en
@@ -616,6 +632,14 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     bound; mode "b" compares the magnitude of the matrix element against
     v e(g).  ``passed`` applies the safety factor on the right-hand side,
     ``passed_raw`` does not; both include the truncation/grid slack.
+
+    u e(f) is rank one: each term M_a (x) A_a of Lambda^l maps it to
+    (M_a u) (x) W_a, W_a = A_a e(f) (K <= m^2 one-column sparse matvecs).
+    With C = [M_a u], W split into slot coordinates and Q = (1 - P_h) W, and
+    P the slot image of scale N^l u e(f), the difference is the slot part
+    A = P - C slot(W) plus the orthogonal part C Q: mode "a" is
+    sqrt(||A||^2 + Re tr(C*C Q Q*)), mode "b" pairs both parts with v e(g).
+    No (d, dim) array is built; the cost is O(K nnz + K^2 dim).
     """
     if mode not in ("a", "b"):
         raise ValueError("mode must be 'a' or 'b'")
@@ -627,9 +651,12 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     h = space.h
     ef, tail = _slot_exp_vector(space, f, start)
     ef_norm = ef.norm()
-    uef = ef.with_system(u)
     scale = {1: h, 2: np.sqrt(h), 3: np.sqrt(h), 4: 1.0}[l]
-    diff = scale * basic_apply(space, l, coeff, uef) - fundamental_apply(space, l, coeff, uef)
+    terms = _lambda_terms(space, l, coeff, d)
+    C = np.column_stack([M @ u for M, _ in terms])
+    W_slot, Q = _slot_split(space, np.stack([op(ef.data[0]) for _, op in terms]))
+    P = basic_operator_flat(l, coeff, d, space.m) @ np.kron(u, slot_coordinates(space, ef)[0])
+    A = scale * P.reshape(d, 1 + space.m) - C @ W_slot
 
     coeff_scale = max(op_norm(coeff), 1.0) * max(float(np.linalg.norm(u)), 1.0)
     c_f = f.slope_constant(start, start + h)
@@ -637,15 +664,18 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     slack = (tail + h * c_f / space.G + 1e-12) * coeff_scale
     eg_norm = 1.0
     if mode == "a":
-        lhs = diff.norm()
+        gram = (C.conj().T @ C) * (Q @ Q.conj().T).T
+        lhs = np.sqrt(max(np.vdot(A, A).real + np.sum(gram).real, 0.0))
     else:
         eg, tail_g = _slot_exp_vector(space, g, start)
         eg_norm = eg.norm()
-        veg = eg.with_system(np.asarray(v, dtype=complex).reshape(-1))
-        lhs = abs(veg.inner(diff))
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        # Q is orthogonal to the slot space, so <e(g), Q_a> = <(1 - P_h) e(g), Q_a>.
+        slot = np.vdot(np.outer(v, slot_coordinates(space, eg)[0]), A)
+        lhs = abs(slot - (v.conj() @ C) @ (Q @ eg.data[0].conj()))
         c_g = g.slope_constant(start, start + h)
         slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
-            float(np.linalg.norm(np.asarray(v))), 1.0
+            float(np.linalg.norm(v)), 1.0
         )
     rhs = _lemma_rhs(space, l, mode, coeff, u, v, f, g, start, ef_norm, eg_norm)
     return LemmaResult(

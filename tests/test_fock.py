@@ -24,7 +24,15 @@ from qrw.fock import (
     projection_deficiency,
     space_for,
 )
-from qrw.fock import _channel_ops, _sector_basis
+from qrw.fock import (
+    TAIL_LIMIT,
+    LemmaResult,
+    _channel_ops,
+    _coeff_channels,
+    _lemma_rhs,
+    _sector_basis,
+    _slot_exp_vector,
+)
 from qrw.functions import TestFunction, slot_averages
 from qrw.linalg import dagger, op_norm
 
@@ -37,6 +45,13 @@ def _rand_vec(rng, space, d=1):
 def _rand_coeff(rng, l, d, m):
     shape = {1: (d, d), 2: (d * m, d), 3: (d * m, d), 4: (d * m, d * m)}[l]
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def _rand_function(rng, m, end, knots=4, sup=0.5):
+    """Piecewise-linear complex function on [0, end] with the given sup norm."""
+    bp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, end, knots - 2)), [end]])
+    vals = rng.standard_normal((knots, m)) + 1j * rng.standard_normal((knots, m))
+    return TestFunction(bp, sup * vals / np.max(np.linalg.norm(vals, axis=1)))
 
 
 class TestExpVector:
@@ -253,6 +268,24 @@ class TestProjection:
         assert all(a > b for a, b in zip(defs, defs[1:]))
         assert defs[-1] < 0.5 * defs[0]
 
+    def test_deficiency_matches_slot_by_slot_complement(self):
+        # At the lemma grid (dim 74,613), sqrt(||e||^2 - ||P_h e||^2) would lose
+        # ~5e-11 relative to cancellation; the reference sums the telescoped
+        # products with ||q_k|| = ||e_k - P_h e_k|| taken slot by slot.
+        f = _rand_function(np.random.default_rng(1), 2, 1.0)
+        h, m, G, N = 1 / 16, 2, 8, 6
+        loss, proj = 0.0, 1.0
+        for k in range(16):
+            space = space_for(f, h, m, G, start=k * h, N=N)
+            e = exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G))
+            pe = project_Ph(space, e)
+            q_sq = (e - pe).norm_sq()
+            assert check_lemma_normdiff(space, f, h, start=k * h).lhs == pytest.approx(
+                np.sqrt(q_sq), rel=1e-13)
+            loss = loss * e.norm_sq() + proj * q_sq
+            proj *= pe.norm_sq()
+        assert projection_deficiency(f, 1.0, h, m, G, N) == pytest.approx(np.sqrt(loss), rel=1e-13)
+
 
 class TestNormDiffLemma:
     def test_zero_function(self):
@@ -284,6 +317,22 @@ class TestNormDiffLemma:
         space = IntervalSpace(m=1, G=4, N=2, h=0.5)
         with pytest.raises(TruncationError):
             check_lemma_normdiff(space, TestFunction.constant([2.0], 0.0, 1.0), 0.5)
+
+
+def _reference_fundamental(space, l, coeff, v):
+    """Lambda^l kind by kind, with the adjoint of each creation matrix formed explicitly."""
+    d, m = v.d, space.m
+    create, hop = space.ops
+    rh = np.sqrt(space.h)
+    if l == 1:
+        return space.h * (coeff @ v.data)
+    if l == 4:
+        T4 = coeff.reshape(d, m, d, m)
+        return sum(T4[:, i, :, j] @ (hop[i][j] @ v.data.T).T for i in range(m) for j in range(m))
+    R = _coeff_channels(coeff, d, m)
+    if l == 2:
+        return rh * sum(dagger(R[i]) @ (create[i].conj().T @ v.data.T).T for i in range(m))
+    return rh * sum(R[i] @ (create[i] @ v.data.T).T for i in range(m))
 
 
 class TestFundamentalProcesses:
@@ -374,6 +423,14 @@ class TestFundamentalProcesses:
         v = _rand_vec(self.rng, self.space, d=2)
         out = fundamental_apply(self.space, 1, S, v)
         assert_allclose(out.data, self.space.h * (S @ v.data), atol=1e-14)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_matches_per_kind_reference(self, l):
+        coeff = _rand_coeff(self.rng, l, self.d, self.space.m)
+        v = _rand_vec(self.rng, self.space, d=self.d)
+        got = fundamental_apply(self.space, l, coeff, v).data
+        want = _reference_fundamental(self.space, l, coeff, v)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def _reference_basic_flat(l, coeff, d, m):
@@ -528,6 +585,48 @@ def test_invalid_kind_raises_value_error(entry, kind):
         calls[entry]()
 
 
+def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", start=0.0,
+                           safety=4.0):
+    """check_N_vs_Lambda in the full space: scale N^l - Lambda^l applied to u e(f).
+
+    Also returns the size ||coeff|| ||u|| ||e(f)|| (times ||v|| ||e(g)|| in
+    mode "b") of the terms whose difference lhs measures.
+    """
+    u = np.asarray(u, dtype=complex)
+    h = space.h
+    ef, tail = _slot_exp_vector(space, f, start)
+    uef = ef.with_system(u)
+    scale = {1: h, 2: np.sqrt(h), 3: np.sqrt(h), 4: 1.0}[l]
+    diff = scale * basic_apply(space, l, coeff, uef) - fundamental_apply(space, l, coeff, uef)
+    coeff_scale = max(op_norm(coeff), 1.0) * max(float(np.linalg.norm(u)), 1.0)
+    c_f = f.slope_constant(start, start + h)
+    slack = (tail + h * c_f / space.G + 1e-12) * coeff_scale
+    eg_norm = 1.0
+    size = op_norm(coeff) * np.linalg.norm(u) * ef.norm()
+    if mode == "a":
+        lhs = diff.norm()
+    else:
+        eg, tail_g = _slot_exp_vector(space, g, start)
+        eg_norm = eg.norm()
+        size *= np.linalg.norm(v) * eg_norm
+        lhs = abs(eg.with_system(v).inner(diff))
+        c_g = g.slope_constant(start, start + h)
+        slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
+            float(np.linalg.norm(v)), 1.0)
+    rhs = _lemma_rhs(space, l, mode, coeff, u, v, f, g, start, ef.norm(), eg_norm)
+    ref = LemmaResult(l, mode, lhs, rhs, slack, lhs <= rhs + slack, lhs <= safety * rhs + slack)
+    return ref, size
+
+
+def _assert_matches_reference(res, reference):
+    # The floor is roundoff on the size of the terms: where lhs is exactly 0
+    # (creation at N = 1) both forms return noise of up to ~2e-16 size.
+    ref, size = reference
+    assert abs(res.lhs - ref.lhs) <= 1e-12 * ref.lhs + 1e-15 * size, (res, ref)
+    assert (res.rhs, res.slack, res.passed_raw, res.passed) == (
+        ref.rhs, ref.slack, ref.passed_raw, ref.passed)
+
+
 class TestNvsLambdaChecks:
     def setup_method(self):
         self.rng = np.random.default_rng(17)
@@ -575,3 +674,35 @@ class TestNvsLambdaChecks:
     def test_mode_b_requires_v_and_g(self):
         with pytest.raises(ValueError, match="mode 'b'"):
             check_N_vs_Lambda(self.space, 1, np.eye(2), self.u, self.f, mode="b")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 5),
+        st.floats(0.02, 0.3), st.integers(1, 4), st.sampled_from("ab"), st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_space_reference(self, d, m, G, N, h, l, mode, seed):
+        rng = np.random.default_rng(seed)
+        space = IntervalSpace(m=m, G=G, N=N, h=h)
+        coeff = _rand_coeff(rng, l, d, m)
+        u, v = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        f, g = (_rand_function(rng, m, h, knots=3) for _ in range(2))
+        # Halve f and g until the truncation tail of the interval is allowed.
+        while max(exp_tail_bound(space, fn.cell_averages(0, h, G)) for fn in (f, g)) > TAIL_LIMIT:
+            f, g = (TestFunction(fn.breakpoints, 0.5 * fn.values) for fn in (f, g))
+        args = (space, l, coeff, u, f, g, v, mode)
+        _assert_matches_reference(check_N_vs_Lambda(*args), _reference_N_vs_Lambda(*args))
+
+    def test_lemma_grid_matches_full_space_reference(self):
+        # The benchmark's lemma shape: dim 74,613, d = 3, all eight checks at one h.
+        rng = np.random.default_rng(5)
+        d, m, h = 3, 2, 1 / 8
+        space = IntervalSpace(m=m, G=8, N=6, h=h)
+        u, v = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        f, g = (_rand_function(rng, m, 1.0) for _ in range(2))
+        for l in (1, 2, 3, 4):
+            coeff = _rand_coeff(rng, l, d, m)
+            for mode in "ab":
+                args = (space, l, coeff, u, f, g, v, mode, 0.5)
+                res = check_N_vs_Lambda(*args)
+                _assert_matches_reference(res, _reference_N_vs_Lambda(*args))
+                assert res.passed
