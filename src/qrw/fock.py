@@ -20,11 +20,10 @@ product vectors and ladder operators instead.
 The distinguished vectors are the vacuum (index 0) and the normalized
 constant one-particle vector of each channel ("chi"), which span the
 (1+m)-dimensional slot space of the projected walk.  Exponential vectors
-e(f) = sum_n f^(x)n / sqrt(n!) are built from per-cell averages of a test
-function, one gather-multiply per sector against tables stored with the
-basis (each row's parent index, last mode and 1/sqrt(multiplicity)); the
-truncation tail is controlled by the Poisson bound
-||f||^(2(N+1)) e^(||f||^2) / (N+1)!.
+e(f) = sum_n f^(x)n / sqrt(n!) of per-cell averages have closed-form slot
+coordinates and projection loss (``slot_exp_data``); they are built as
+D-vectors, from the basis tables, only where an operator acts on them.
+Their truncation tail is at most ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.
 
 Each fundamental process Lambda^l is written once, as a list of terms
 M_a (x) A_a (a d x d coefficient times a second-quantized one-particle
@@ -62,6 +61,7 @@ __all__ = [
     "project_Ph",
     "projection_deficiency",
     "slot_coordinates",
+    "slot_exp_data",
     "space_for",
 ]
 
@@ -368,6 +368,19 @@ def exp_vector(space: IntervalSpace, cells) -> IntervalVector:
     return IntervalVector(space, data)
 
 
+def slot_exp_data(space: IntervalSpace, cells) -> tuple[np.ndarray, float]:
+    """Slot coordinates hat and ||(1 - P_h) e||^2 of the truncated e(cells), in closed form.
+
+    With c = sqrt(h/G) cells (G x m) and a = ||c||^2: hat = (1, sqrt(G) mean_c c),
+    and the loss is sectors >= 2, sum_{2<=n<=N} a^n / n!, plus sector 1 off the
+    chi vectors, sum_{c,i} |c_ci - mean_c c_.i|^2; no cancellation, no D-vector.
+    """
+    c = _one_particle_coeffs(space, cells).reshape(space.G, space.m)
+    a = float(np.vdot(c, c).real)
+    q_sq = sum(a**n / math.factorial(n) for n in range(2, space.N + 1)) + space.G * c.var(0).sum()
+    return np.concatenate([[1.0], np.sqrt(space.G) * c.mean(0)]), float(q_sq)
+
+
 def exp_tail_bound(space: IntervalSpace, cells) -> float:
     """Poisson tail bound ||f||^(2(N+1)) e^(||f||^2) / (N+1)! on the cut sectors."""
     nsq = float(np.sum(np.abs(_one_particle_coeffs(space, cells)) ** 2))
@@ -429,18 +442,6 @@ def project_Ph(space: IntervalSpace, v: IntervalVector) -> IntervalVector:
     return _slot_embed(space, slot_coordinates(space, v))
 
 
-def _slot_split(space: IntervalSpace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slot coordinates (K, 1+m) of a (K, dim) array, and its complement (1 - P_h) rows.
-
-    The complement overwrites ``rows``: the vacuum entry and the chi part of
-    sector 1 are removed, the sectors >= 2 are untouched.
-    """
-    coords = slot_coordinates(space, IntervalVector(space, rows))
-    rows[:, 0] = 0.0
-    rows[:, space.sector(1)] -= coords[:, 1:] @ space.chi_coefficients()
-    return coords, rows
-
-
 def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
                           N: int = DEFAULT_CUTOFF) -> float:
     """||(1 - P_h) e(f restricted to [0, t])|| over the whole partition.
@@ -448,7 +449,7 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     Exponential vectors factor over intervals, so with e_k = e(f_[k]) the
     squared norm prod_k ||e_k||^2 - prod_k ||P_h e_k||^2 is, free of that
     subtraction, sum_k (prod_{j<k} ||P_h e_j||^2) ||q_k||^2 (prod_{j>k} ||e_j||^2)
-    with q_k = (1 - P_h) e_k formed explicitly.
+    with q_k = (1 - P_h) e_k, all norms from the closed form ``slot_exp_data``.
     """
     n = int(round(t / h))
     if abs(n * h - t) > 1e-9 * max(1.0, t):
@@ -456,11 +457,10 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     loss, proj = 0.0, 1.0
     for k in range(n):
         space = space_for(f, h, m, G, start=k * h, N=N)
-        e, _ = _slot_exp_vector(space, f, k * h)
-        full_k = e.norm_sq()
-        coords, q = _slot_split(space, e.data)
-        loss = loss * full_k + proj * np.vdot(q, q).real
-        proj *= np.vdot(coords, coords).real
+        hat, q_sq = slot_exp_data(space, f.cell_averages(k * h, (k + 1) * h, G))
+        proj_k = np.vdot(hat, hat).real
+        loss = loss * (proj_k + q_sq) + proj * q_sq
+        proj *= proj_k
     return float(np.sqrt(loss))
 
 
@@ -574,18 +574,18 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
                          start: float = 0.0) -> NormDiffResult:
     """Projection loss of one exponential vector against h (c_f + sup) ||e(f)||.
 
-    lhs is computed in the truncated space; the slack adds the truncation
-    tail and the grid quadrature allowance h c_f / G.
+    lhs and ||e(f)|| come from the closed form ``slot_exp_data``; the slack
+    adds the truncation tail and the grid quadrature allowance h c_f / G.
     """
     if abs(h - space.h) > 1e-12:
         raise ValueError("h must match the space's interval length")
-    e, tail = _slot_exp_vector(space, f, start)
-    en = e.norm()
-    q = _slot_split(space, e.data)[1]
-    lhs = float(np.sqrt(np.vdot(q, q).real))
+    cells = f.cell_averages(start, start + h, space.G)
+    tail = _checked_tail(space, cells)
+    hat, q_sq = slot_exp_data(space, cells)
+    lhs = float(np.sqrt(q_sq))
     c_f = f.slope_constant(start, start + h)
     sup = f.sup_norm(start, start + h)
-    rhs = h * (c_f + sup) * en
+    rhs = h * (c_f + sup) * float(np.sqrt(np.vdot(hat, hat).real + q_sq))
     slack = tail + h * c_f / space.G
     return NormDiffResult(lhs=lhs, rhs=rhs, slack=slack, tail=tail, passed=lhs <= rhs + slack)
 
@@ -654,7 +654,10 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     scale = {1: h, 2: np.sqrt(h), 3: np.sqrt(h), 4: 1.0}[l]
     terms = _lambda_terms(space, l, coeff, d)
     C = np.column_stack([M @ u for M, _ in terms])
-    W_slot, Q = _slot_split(space, np.stack([op(ef.data[0]) for _, op in terms]))
+    Q = np.stack([op(ef.data[0]) for _, op in terms])
+    W_slot = slot_coordinates(space, IntervalVector(space, Q))
+    Q[:, 0] = 0.0  # (1 - P_h) W in place: drop the vacuum and the chi part of sector 1
+    Q[:, space.sector(1)] -= W_slot[:, 1:] @ space.chi_coefficients()
     P = basic_operator_flat(l, coeff, d, space.m) @ np.kron(u, slot_coordinates(space, ef)[0])
     A = scale * P.reshape(d, 1 + space.m) - C @ W_slot
 

@@ -33,9 +33,8 @@ from .fock import (
     IntervalSpace,
     basic_operator_flat,
     exp_tail_bound,
-    exp_vector,
-    project_Ph,
-    slot_coordinates,
+    exp_vector,  # noqa: F401 - unused; perfbench/tracing.py wraps walk.exp_vector by name
+    slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
 from .linalg import dagger, op_norm, sandwich
@@ -334,15 +333,14 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
         F = - sum_k W_{k-1}(x) u q_k e_{k+1..n}.
 
     Every term lies in the product over slots of span(vacuum, chi^1..chi^m,
-    q_k), so each is held in that orthonormal per-slot basis: e_k is its
-    slot coordinates with ||q_k|| appended, q_k is (0, ..., 0, ||q_k||), and
-    a walk leg gains a zero last entry.  The terms are (d, (m+2)^n) arrays;
-    only the n exponential vectors live in the interval Fock space (G cells,
-    cutoff N).  The walk pieces cost O(n (1+m)^n d^3) and the sum
-    O(n d (m+2)^n); n is limited by the dense cap on d (1+m)^n
-    (``DenseCapError``).  Reports ||F||^2 against h c(f,t) ||x||^2 ||u||^2
-    with c(f,t) = 2 t (c_f + sup|f|) ||e(f)||, plus the residual of the
-    decomposition identity itself.
+    q_k), so each is held in that orthonormal per-slot basis: e_k is its slot
+    coordinates with ||q_k|| appended (the closed form ``slot_exp_data`` on G
+    cells, cutoff N), q_k is (0, ..., 0, ||q_k||), and a walk leg gains a zero
+    last entry.  The walk pieces of the (d, (m+2)^n) terms cost
+    O(n (1+m)^n d^3) and the sum O(n d (m+2)^n); n is limited by the dense
+    cap on d (1+m)^n (``DenseCapError``).  Reports ||F||^2 against
+    h c(f,t) ||x||^2 ||u||^2 with c(f,t) = 2 t (c_f + sup|f|) ||e(f)||, plus
+    the residual of the decomposition identity itself.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -359,10 +357,9 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     for k in range(n):
         cells = f.cell_averages(k * h, (k + 1) * h, G)
         tails.append(exp_tail_bound(space, cells))
-        e = exp_vector(space, cells)
-        q_norm = (e - project_Ph(space, e)).norm()
-        es.append(np.append(slot_coordinates(space, e)[0], q_norm))
-        qs.append(np.append(np.zeros(1 + m), q_norm))
+        hat, q_sq = slot_exp_data(space, cells)
+        es.append(np.append(hat, np.sqrt(q_sq)))
+        qs.append(np.append(np.zeros(1 + m), np.sqrt(q_sq)))
     # rest[k] is the row e_{k+1} (x) ... (x) e_n of the slots after the k-th (0-based).
     rest = [np.ones((1, 1))]
     for e in reversed(es):

@@ -22,6 +22,8 @@ from qrw.fock import (
     fundamental_apply,
     project_Ph,
     projection_deficiency,
+    slot_coordinates,
+    slot_exp_data,
     space_for,
 )
 from qrw.fock import (
@@ -285,6 +287,31 @@ class TestProjection:
             loss = loss * e.norm_sq() + proj * q_sq
             proj *= pe.norm_sq()
         assert projection_deficiency(f, 1.0, h, m, G, N) == pytest.approx(np.sqrt(loss), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 6), st.integers(1, 5),
+        st.floats(0.02, 0.5), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_slot_exp_data_matches_fock_vector(self, m, G, N, h, sup, where, seed):
+        # The closed form against the D-vector: exp_vector, its slot
+        # coordinates, and ||e - P_h e||^2.
+        space = IntervalSpace(m=m, G=G, N=N, h=h)
+        start = where * (1.0 - h)
+        f = _rand_function(np.random.default_rng(seed), m, 1.0, sup=sup)
+        cells = f.cell_averages(start, start + h, G)
+        hat, q_sq = slot_exp_data(space, cells)
+        e = exp_vector(space, cells)
+        assert hat[0] == 1.0
+        assert_allclose(hat, slot_coordinates(space, e)[0], rtol=0, atol=1e-15)
+        assert_allclose(q_sq, (e - project_Ph(space, e)).norm_sq(), rtol=1e-12, atol=1e-18)
+
+    def test_slot_exp_data_zero_function(self):
+        space = IntervalSpace(m=2, G=4, N=5, h=0.25)
+        hat, q_sq = slot_exp_data(space, np.zeros((4, 2)))
+        assert q_sq == 0.0
+        assert np.array_equal(hat, [1.0, 0.0, 0.0])
 
 
 class TestNormDiffLemma:
