@@ -410,8 +410,12 @@ def space_for(f: TestFunction, h: float, m: int, G: int, start: float = 0.0,
     Raises ``TruncationError`` if the tail still exceeds ``TAIL_LIMIT`` at the
     escalated cutoff.
     """
+    return _space_for_cells(f.cell_averages(start, start + h, G), h, m, G, N)
+
+
+def _space_for_cells(cells, h: float, m: int, G: int, N: int) -> IntervalSpace:
+    """``space_for`` on one slot's cell averages."""
     space = IntervalSpace(m=m, G=G, N=N, h=h)
-    cells = f.cell_averages(start, start + h, G)
     if exp_tail_bound(space, cells) > TAIL_LIMIT and N < ESCALATED_CUTOFF:
         space = IntervalSpace(m=m, G=G, N=ESCALATED_CUTOFF, h=h)
     _checked_tail(space, cells)
@@ -456,8 +460,8 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
         raise ValueError("t must be an integer multiple of h")
     loss, proj = 0.0, 1.0
     for k in range(n):
-        space = space_for(f, h, m, G, start=k * h, N=N)
-        hat, q_sq = slot_exp_data(space, f.cell_averages(k * h, (k + 1) * h, G))
+        cells = f.cell_averages(k * h, (k + 1) * h, G)
+        hat, q_sq = slot_exp_data(_space_for_cells(cells, h, m, G, N), cells)
         proj_k = np.vdot(hat, hat).real
         loss = loss * (proj_k + q_sq) + proj * q_sq
         proj *= proj_k

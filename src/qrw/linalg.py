@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CHUNK",
     "HermEigen",
     "as_matrix",
     "dagger",
@@ -23,6 +24,10 @@ __all__ = [
     "psd_trig",
     "sandwich",
 ]
+
+# Slots (walk) or RK4 steps (oracle) whose sandwich factors are built at
+# once, so the working set is O(CHUNK (2+m) d^2) whatever n or the step count.
+CHUNK = 64
 
 # Largest dimension a kron result may have before we refuse to allocate.
 _KRON_DIM_CAP = 2**24

@@ -5,8 +5,8 @@ dimension ``d`` and the noise multiplicity space of dimension ``m``, plus a
 single noise operator R mapping the system into system (x) noise.  Everything
 else is derived from R:
 
-* the Lindblad generator  L(x) = R*(x (x) 1)R - (1/2){R*R, x},
-* the structure maps      delta(x) = (x (x) 1)R - Rx  and its dagger,
+* the structure maps      Theta = [[L, delta_dag], [delta, 0]], written once as
+  ``structure_factors``; L, delta, delta_dag are its blocks at unit hats,
 * the step unitary        U(h) = exp(sqrt(h) Rtilde)  on system (x) (C + noise),
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h),
 * the exact semigroup     T_t = exp(tL) through a vectorized superoperator.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import as_matrix, dagger, kron, op_norm, psd_trig
+from .linalg import as_matrix, dagger, op_norm, psd_trig, sandwich
 
 __all__ = [
     "BlockOperator",
@@ -41,6 +41,7 @@ __all__ = [
     "lindblad",
     "random_model",
     "semigroup",
+    "structure_factors",
     "structure_maps",
     "trig_estimates",
     "u_h",
@@ -192,39 +193,62 @@ def random_model(rng, d: int, m: int, norm: float) -> GkslModel:
 # ---------------------------------------------------------------------------
 
 
-def lindblad(model: GkslModel, x) -> np.ndarray:
-    """L(x) = R*(x (x) 1)R - (1/2)R*Rx - (1/2)xR*R."""
-    x = model.check_x(x)
-    Rd = dagger(model.R)
-    RdR = model.RdR
-    return Rd @ kron(x, np.eye(model.m)) @ model.R - 0.5 * (RdR @ x + x @ RdR)
+def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndarray]:
+    """Sandwich factors of Y -> <ghat, Theta(Y) fhat>, one set per row of the (P, 1+m) hats.
 
-
-def delta(model: GkslModel, x) -> np.ndarray:
-    """delta(x) = (x (x) 1)R - Rx, a map system -> system (x) noise."""
-    x = model.check_x(x)
-    return kron(x, np.eye(model.m)) @ model.R - model.R @ x
-
-
-def delta_dag(model: GkslModel, x) -> np.ndarray:
-    """delta_dag(x) = (delta(x*))* = R*(x (x) 1) - xR*."""
-    x = model.check_x(x)
-    return dagger(model.R) @ kron(x, np.eye(model.m)) - x @ dagger(model.R)
+    left (P, d, (2+m)d) holds [K, 1, c R_1*, ..., c R_m*] side by side and right
+    (P, 2+m, d, d) stacks [1, K', R_1, ..., R_m]: ``linalg.sandwich`` gives
+    c R*(Y (x) 1)R + K Y + Y K' with c = conj(ghat_0) fhat_0, K = -c R*R/2 + D,
+    K' = -c R*R/2 - D and D = conj(ghat_0) sum_i fhat_i R_i* - fhat_0 sum_i conj(ghat_i) R_i.
+    Bilinear in (conj ghat, fhat), so the unit hats (e_j, e_j') give block (j, j')
+    of Theta: L(x) at (0, 0), delta_i(x) = x R_i - R_i x at (i, 0) and
+    delta_dag_i(x) = R_i* x - x R_i* at (0, i).
+    """
+    chans = model.channels  # (m, d, d)
+    dags = chans.conj().transpose(0, 2, 1)
+    g0, f0 = ghat[:, :1].conj(), fhat[:, :1]
+    c = (g0 * f0)[:, :, None]
+    D = (np.tensordot(g0 * fhat[:, 1:], dags, axes=1)
+         - np.tensordot(f0 * ghat[:, 1:].conj(), chans, axes=1))
+    half = (-0.5 * c) * model.RdR
+    P, d, m = len(D), model.d, model.m
+    left = np.empty((P, d, 2 + m, d), dtype=complex)  # [p, a, j, b]: factor j side by side
+    left[:, :, 0], left[:, :, 1] = half + D, np.eye(d)
+    np.multiply(c[..., None], dags.transpose(1, 0, 2), out=left[:, :, 2:])
+    right = np.empty((P, 2 + m, d, d), dtype=complex)
+    right[:, 0], right[:, 1], right[:, 2:] = np.eye(d), half - D, chans
+    return left.reshape(P, d, -1), right
 
 
 def structure_maps(model: GkslModel, x) -> BlockOperator:
-    """The block map Theta(x) = [[L(x), delta_dag(x)], [delta(x), 0]].
+    """Theta(x) = [[L(x), delta_dag(x)], [delta(x), 0]] from ``structure_factors`` at unit hats.
 
     The conservation entry is identically zero here (trivial representation,
     no gauge term), but the slot is carried so walk code sees full blocks.
     """
-    dm = model.d * model.m
-    return BlockOperator.from_parts(
-        vacuum=lindblad(model, x),
-        creation=delta(model, x),
-        annihilation=delta_dag(model, x),
-        conservation=np.zeros((dm, dm), dtype=complex),
-    )
+    x = model.check_x(x)
+    units = np.eye(1 + model.m)
+    left, right = structure_factors(model, np.repeat(units, 1 + model.m, axis=0),
+                                    np.tile(units, (1 + model.m, 1)))
+    blocks = np.stack([sandwich(lj, x, rj) for lj, rj in zip(left, right)])
+    return BlockOperator(model.d, model.m, blocks.reshape((1 + model.m,) * 2 + x.shape))
+
+
+def lindblad(model: GkslModel, x) -> np.ndarray:
+    """L(x) = R*(x (x) 1)R - (1/2)R*Rx - (1/2)xR*R: ``structure_factors`` at ghat = fhat = e_0."""
+    vac = np.eye(1, 1 + model.m)
+    left, right = structure_factors(model, vac, vac)
+    return sandwich(left[0], model.check_x(x), right[0])
+
+
+def delta(model: GkslModel, x) -> np.ndarray:
+    """delta(x) = (x (x) 1)R - Rx, system -> system (x) noise: the creation column of Theta."""
+    return structure_maps(model, x).creation_part
+
+
+def delta_dag(model: GkslModel, x) -> np.ndarray:
+    """delta_dag(x) = (delta(x*))* = R*(x (x) 1) - xR*: the annihilation row of Theta."""
+    return structure_maps(model, x).annihilation_part
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ satisfies the finite-dimensional ODE
 
 with m_0(x) = <v, x u>.  This module integrates it backward in the
 Heisenberg picture: Y = x at time t, dY/dtau = G_{t-tau}(Y) down to time 0,
-and m_t(x) = <v, Y u>, with G_s the bracket plus <g(s), f(s)>.  G_s(Y) is a
-sum of d x d sandwiches, the walk's slot kernel, so an RK4 step (breakpoints
-of f and g forced onto the grid) costs O((2+m) d^3).  It is cross-validated
-two ways: at f = g = 0 it must reduce to the exact semigroup, and it must
-agree with the walk itself evaluated at a far finer step than the one under
-study.
+and m_t(x) = <v, Y u>, with G_s the bracket plus <g(s), f(s)>.  The bracket
+is <ghat, Theta(Y) fhat> at ghat = (1, g(s)), fhat = (1, f(s)), so G_s(Y) is
+the 2+m sandwich factors of ``model.structure_factors`` with the pairing added
+to K, applied by ``linalg.sandwich``, the kernel the walk's slots also use:
+an RK4 step (breakpoints of f and g forced onto the grid) costs O((2+m) d^3).
+The module imports nothing from ``walk.py``; the two meet only in ``model``
+and ``linalg``.  ``tests/test_oracle.py`` cross-validates it two ways:
+``TestVacuumCheck`` pairs the walk at f = g = 0 with the exact semigroup, and
+``TestFineWalkReference`` compares the walk at a far finer step than any
+study's with this ODE value.
 """
 
 from __future__ import annotations
@@ -22,16 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import TestFunction
-from .linalg import sandwich
-from .model import GkslModel, semigroup
-from .walk import CHUNK, walk_matrix_element
+from .linalg import CHUNK, sandwich
+from .model import GkslModel, structure_factors
 
 __all__ = [
     "OracleRefinementError",
-    "fine_walk_reference",
     "flow_matrix_element",
     "flow_matrix_element_fixed",
-    "vacuum_check",
     "weak_generator",
 ]
 
@@ -56,26 +57,18 @@ def _pairing(u, v, Y) -> complex:
 def _generator_factors(model: GkslModel, gvals, fvals, shift) -> tuple[np.ndarray, np.ndarray]:
     """Sandwich factors of Y -> weak_generator(Y) + shift Y, one set per row.
 
-    For gvals, fvals of shape (P, m) and shift of shape (P,), left (P, d, (2+m)d)
-    holds [K, 1, R_1*, ..., R_m*] side by side and right (P, 2+m, d, d) stacks
-    [1, K', R_1, ..., R_m], so that sum_j L_j Y R_j = K Y + Y K' + sum_i R_i* Y R_i
-    with K = -R*R/2 + drift + shift, K' = -R*R/2 - drift and
-    drift = sum_i f_i R_i* - conj(g_i) R_i.
+    ``structure_factors`` at ghat = (1, g), fhat = (1, f) for gvals, fvals of
+    shape (P, m), with shift (P,) added to its K factor.
     """
-    chans = model.channels  # (m, d, d)
-    dags = chans.conj().transpose(0, 2, 1)
-    drift = np.tensordot(fvals, dags, axes=1) - np.tensordot(np.conj(gvals), chans, axes=1)
-    K0 = -0.5 * model.RdR
-    eye = np.eye(model.d)
-    tile = lambda ops: [np.broadcast_to(op, drift.shape) for op in ops]  # noqa: E731
-    K = K0 + drift + np.multiply.outer(shift, eye)
-    left = np.concatenate([K, *tile([eye, *dags])], axis=-1)
-    right = np.stack([*tile([eye]), K0 - drift, *tile(chans)], axis=1)
+    ones = np.ones((len(gvals), 1))
+    left, right = structure_factors(model, np.hstack([ones, gvals]), np.hstack([ones, fvals]))
+    diag = np.arange(model.d)
+    left[:, diag, diag] += np.asarray(shift)[:, None]
     return left, right
 
 
 def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
-    """L(x) + <g, delta(x)> + delta_dag(x) f for fixed channel vectors g, f.
+    """L(x) + <g, delta(x)> + delta_dag(x) f = <ghat, Theta(x) fhat> for fixed g, f.
 
     Channel-wise, delta_i(x) = [x, R_i] and delta_dag_i(x) = [R_i*, x], so the
     whole thing is L(x) + sum_i conj(g_i)[x, R_i] + sum_i f_i [R_i*, x];
@@ -164,35 +157,3 @@ def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
         prev = cur
         steps *= 2
     raise OracleRefinementError(residual)
-
-
-def vacuum_check(model: GkslModel, x, u, v, t: float, h: float) -> tuple[complex, complex, float]:
-    """Walk vs exact semigroup matrix element on vacuum vectors.
-
-    With f = g = 0 the walk value is the n-fold vacuum-block iteration of x
-    and the limit is <v, T_t(x) u>; returns (walk, oracle, |walk - oracle|).
-    """
-    n = int(round(t / h))
-    if abs(n * h - t) > 1e-9 * max(t, 1.0):
-        raise ValueError("t must be an integer multiple of h")
-    zero = TestFunction.zero(model.m)
-    walk_value = walk_matrix_element(model, x, u, v, zero, zero, h, n)
-    u_arr = np.asarray(u, dtype=complex).reshape(-1)
-    v_arr = np.asarray(v, dtype=complex).reshape(-1)
-    oracle_value = complex(np.vdot(v_arr, semigroup(model, x, t) @ u_arr))
-    return walk_value, oracle_value, abs(walk_value - oracle_value)
-
-
-def fine_walk_reference(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
-                        t: float, h_ref: float, study_h: float | None = None) -> complex:
-    """The walk itself at a far finer step, as an alternate oracle.
-
-    Requires t / h_ref to be an integer; when the study step is given,
-    h_ref must undercut it by at least a factor of 8.
-    """
-    n = int(round(t / h_ref))
-    if abs(n * h_ref - t) > 1e-9 * max(t, 1.0):
-        raise ValueError("t must be an integer multiple of h_ref")
-    if study_h is not None and h_ref > study_h / 8:
-        raise ValueError("h_ref must be at most an eighth of the study step")
-    return walk_matrix_element(model, x, u, v, f, g, h_ref, n)

@@ -31,13 +31,13 @@ import numpy as np
 
 from .fock import (
     IntervalSpace,
+    _checked_tail,
     basic_operator_flat,
-    exp_tail_bound,
     exp_vector,  # noqa: F401 - unused; perfbench/tracing.py wraps walk.exp_vector by name
     slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import dagger, op_norm, sandwich
+from .linalg import CHUNK, dagger, op_norm, sandwich
 from .model import GkslModel, StepKernel, beta_blocks
 
 __all__ = [
@@ -55,9 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 4096
-# Slots (walk) or RK4 steps (oracle) whose sandwich factors are built at
-# once, so the working set is O(CHUNK (2+m) d^2) whatever n or the step count.
-CHUNK = 64
 
 
 class DenseCapError(ValueError):
@@ -340,7 +337,8 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     O(n (1+m)^n d^3) and the sum O(n d (m+2)^n); n is limited by the dense
     cap on d (1+m)^n (``DenseCapError``).  Reports ||F||^2 against
     h c(f,t) ||x||^2 ||u||^2 with c(f,t) = 2 t (c_f + sup|f|) ||e(f)||, plus
-    the residual of the decomposition identity itself.
+    the residual of the decomposition identity itself.  A slot whose
+    truncation tail exceeds ``TAIL_LIMIT`` raises ``TruncationError``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -356,7 +354,7 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     tails, es, qs = [], [], []
     for k in range(n):
         cells = f.cell_averages(k * h, (k + 1) * h, G)
-        tails.append(exp_tail_bound(space, cells))
+        tails.append(_checked_tail(space, cells))
         hat, q_sq = slot_exp_data(space, cells)
         es.append(np.append(hat, np.sqrt(q_sq)))
         qs.append(np.append(np.zeros(1 + m), np.sqrt(q_sq)))

@@ -17,6 +17,8 @@ from qrw.model import (
     beta,
     beta_blocks,
     defect,
+    delta,
+    delta_dag,
     lindblad,
     lindblad_superoperator,
     random_model,
@@ -25,6 +27,7 @@ from qrw.model import (
     trig_estimates,
     u_h,
 )
+from qrw.oracle import weak_generator
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1><1|
@@ -138,6 +141,65 @@ class TestStructureMaps:
             lhs = structure_maps(model, dagger(x)).flat
             rhs = dagger(structure_maps(model, x).flat)
             assert op_norm(lhs - rhs) <= 1e-12 * max(1.0, op_norm(lhs))
+
+
+def _reference_structure_maps(model, x):
+    """Theta(x) written with kron: L(x) = R*(x (x) 1)R - (1/2){R*R, x},
+    delta(x) = (x (x) 1)R - Rx and delta_dag(x) = R*(x (x) 1) - xR*."""
+    R, Rd = model.R, dagger(model.R)
+    amp = kron(x, np.eye(model.m))
+    dm = model.d * model.m
+    return BlockOperator.from_parts(
+        vacuum=Rd @ amp @ R - 0.5 * (model.RdR @ x + x @ model.RdR),
+        creation=amp @ R - R @ x,
+        annihilation=Rd @ amp - x @ Rd,
+        conservation=np.zeros((dm, dm), dtype=complex),
+    )
+
+
+class TestStructureRelations:
+    # The Evans-Hudson structure relations the convergence theorem assumes,
+    # and the sandwich form of Theta against its kron form.
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_structure_relations(self, d, m, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
+        x, y = _rand_x(rng, d), _rand_x(rng, d)
+        scale = max(1.0, model.norm_R**2 * op_norm(x) * op_norm(y))
+        # L(x*y) - x*L(y) - L(x*)y = delta(x)* delta(y)
+        xs = dagger(x)
+        lhs = lindblad(model, xs @ y) - xs @ lindblad(model, y) - lindblad(model, xs) @ y
+        assert op_norm(lhs - dagger(delta(model, x)) @ delta(model, y)) <= 1e-13 * scale
+        # delta(xy) = delta(x) y + (x (x) 1) delta(y)
+        lhs = delta(model, x @ y)
+        rhs = delta(model, x) @ y + kron(x, np.eye(m)) @ delta(model, y)
+        assert op_norm(lhs - rhs) <= 1e-13 * scale
+        # delta_dag(x) = delta(x*)* and Theta(x*) = Theta(x)*
+        assert op_norm(delta_dag(model, x) - dagger(delta(model, xs))) <= 1e-13 * scale
+        th = structure_maps(model, x).flat
+        assert op_norm(structure_maps(model, xs).flat - dagger(th)) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_kron_reference(self, d, m, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
+        x = _rand_x(rng, d)
+        ref = _reference_structure_maps(model, x)
+        # Roundoff scale of the terms, not of Theta itself, which may cancel.
+        scale = max(1.0, (model.norm_R + model.norm_R**2) * op_norm(x))
+        assert op_norm(structure_maps(model, x).flat - ref.flat) <= 1e-15 * scale
+        assert op_norm(lindblad(model, x) - ref.vacuum_part) <= 1e-15 * scale
+        assert op_norm(delta(model, x) - ref.creation_part) <= 1e-15 * scale
+        assert op_norm(delta_dag(model, x) - ref.annihilation_part) <= 1e-15 * scale
+        gv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        fv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        ghat, fhat = np.append(1.0, gv), np.append(1.0, fv)
+        want = np.einsum("j,k,jkab->ab", ghat.conj(), fhat, ref.blocks)
+        got = weak_generator(model, x, gv, fv)
+        hats = np.linalg.norm(ghat) * np.linalg.norm(fhat)
+        assert op_norm(got - want) <= 1e-15 * hats * scale
 
 
 class TestThetaH:

@@ -12,12 +12,11 @@ from qrw.model import amplitude_damping, delta, delta_dag, lindblad, random_mode
 from qrw.oracle import (
     OracleRefinementError,
     _generator_factors,
-    fine_walk_reference,
     flow_matrix_element,
     flow_matrix_element_fixed,
-    vacuum_check,
     weak_generator,
 )
+from qrw.walk import walk_matrix_element
 
 P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -218,39 +217,44 @@ class TestWeakFunctional:
         assert got == pytest.approx(np.vdot(v, x @ u))
 
 
+def _vacuum_pair(model, x, u, v, h, n):
+    """Walk vs exact semigroup on vacuum vectors: (walk, <v, T_nh(x) u>, |difference|)."""
+    zero = TestFunction.zero(model.m)
+    walk = walk_matrix_element(model, x, u, v, zero, zero, h, n)
+    exact = complex(np.vdot(v, semigroup(model, x, n * h) @ np.asarray(u, dtype=complex)))
+    return walk, exact, abs(walk - exact)
+
+
 class TestVacuumCheck:
     def test_zero_noise_exact(self):
         model = random_model(np.random.default_rng(17), 2, 1, 0.0)
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        walk, oracle, err = vacuum_check(model, x, [1, 0], [0, 1], 1.0, 0.125)
+        walk, exact, err = _vacuum_pair(model, x, [1, 0], [0, 1], 0.125, 8)
         assert err <= 1e-13
 
     def test_amplitude_damping_converges(self):
         model = amplitude_damping(1.0)
         u = v = np.array([1.0, 1.0]) / np.sqrt(2)
-        oracle_want = np.exp(-1.0) * np.vdot(v, P1 @ u)
+        exact_want = np.exp(-1.0) * np.vdot(v, P1 @ u)
         errs = []
-        for h in (0.25, 0.125, 0.0625):
-            walk, oracle, err = vacuum_check(model, P1, u, v, 1.0, h)
-            assert oracle == pytest.approx(oracle_want, abs=1e-12)
+        for n in (4, 8, 16):
+            walk, exact, err = _vacuum_pair(model, P1, u, v, 1.0 / n, n)
+            assert exact == pytest.approx(exact_want, abs=1e-12)
             errs.append(err)
         assert errs[0] > errs[1] > errs[2]
         # first-order composition: halving h roughly halves the error
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.3)
         assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.3)
 
-    def test_non_integer_step_rejected(self):
-        with pytest.raises(ValueError):
-            vacuum_check(amplitude_damping(), P1, [1, 0], [1, 0], 1.0, 0.3)
-
 
 class TestFineWalkReference:
+    # The walk itself at a far finer step than any study uses, as an alternate oracle.
     def test_zero_noise_matches_closed_form(self):
         model = random_model(np.random.default_rng(19), 2, 1, 0.0)
         f = _tf([0.0, 0.5, 1.0], [[0.0], [0.5], [0.0]])
         u, v = np.array([1.0, 0.0]), np.array([1.0, 0.0])
         x = np.eye(2, dtype=complex)
-        got = fine_walk_reference(model, x, u, v, f, f, 1.0, 2.0**-10)
+        got = walk_matrix_element(model, x, u, v, f, f, 2.0**-10, 2**10)
         # product over slots of (1 + |F_k|^2) approaches exp(||f||^2)
         assert got.real == pytest.approx(np.exp(f.l2_norm_sq(0.0, 1.0)), abs=2e-3)
 
@@ -258,7 +262,7 @@ class TestFineWalkReference:
         model = amplitude_damping(1.0)
         u = v = np.array([1.0, 1.0]) / np.sqrt(2)
         zero = TestFunction.zero(1)
-        got = fine_walk_reference(model, P1, u, v, zero, zero, 1.0, 2.0**-10)
+        got = walk_matrix_element(model, P1, u, v, zero, zero, 2.0**-10, 2**10)
         want = np.exp(-1.0) * np.vdot(v, P1 @ u)
         assert abs(got - want) <= 1e-3
 
@@ -273,13 +277,7 @@ class TestFineWalkReference:
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         ode = flow_matrix_element(model, x, u, v, f, g, 1.0)
         gaps = [
-            abs(fine_walk_reference(model, x, u, v, f, g, 1.0, 2.0**-k) - ode)
+            abs(walk_matrix_element(model, x, u, v, f, g, 2.0**-k, 2**k) - ode)
             for k in (8, 10, 12)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
-
-    def test_study_step_guard(self):
-        model = amplitude_damping(1.0)
-        zero = TestFunction.zero(1)
-        with pytest.raises(ValueError, match="eighth"):
-            fine_walk_reference(model, P1, [1, 0], [1, 0], zero, zero, 1.0, 0.25, study_h=0.5)

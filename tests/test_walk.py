@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrw import functions
-from qrw.fock import IntervalSpace, exp_vector, project_Ph
+from qrw.fock import (
+    TAIL_LIMIT,
+    IntervalSpace,
+    TruncationError,
+    exp_tail_bound,
+    exp_vector,
+    project_Ph,
+)
 from qrw.linalg import dagger, kron, op_norm
 from qrw.model import GkslModel, StepKernel, amplitude_damping, random_model, semigroup
 from qrw.walk import (
@@ -521,7 +528,9 @@ def _full_space_f_term(model, x, u, f, h, n, G, N):
 
 
 class TestFTermSlotCoordinates:
-    @settings(max_examples=30, deadline=None)
+    # Most draws have a slot tail above TAIL_LIMIT and check the raise; the rest,
+    # 45 to 71 of the 250 in six runs, compare values.
+    @settings(max_examples=250, deadline=None)
     @given(
         d=st.integers(1, 3),
         m=st.integers(1, 2),
@@ -537,6 +546,13 @@ class TestFTermSlotCoordinates:
         x = _rand_x(rng, d)
         u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         f = _rand_tf(rng, m, n * h)
+        space = IntervalSpace(m=m, G=G, N=N, h=h)
+        tail = max(exp_tail_bound(space, f.cell_averages(k * h, (k + 1) * h, G))
+                   for k in range(n))
+        if tail > TAIL_LIMIT:
+            with pytest.raises(TruncationError):
+                f_term_norm(model, x, u, f, h, n, G=G, N=N)
+            return
         res = f_term_norm(model, x, u, f, h, n, G=G, N=N)
         want, want_residual = _reference_f_term(model, x, u, f, h, n, G, N)
         assert abs(res.value_sq - want) <= 1e-12 * abs(want) + 1e-18
@@ -547,10 +563,11 @@ class TestFTermSlotCoordinates:
     def test_matches_full_space_telescoping(self, n):
         rng = np.random.default_rng(41 + n)
         model = random_model(rng, 2, 1, 1.0)
-        h, G, N = 0.1, 2, 3
+        # Cutoff N = n keeps every slot's truncation tail under TAIL_LIMIT.
+        h, G, N = 0.1, 2, n
         x, u = _rand_x(rng, 2), np.array([0.6, 0.8j])
         f = _rand_tf(rng, 1, n * h, height=0.5)
-        assert IntervalSpace(m=1, G=G, N=N, h=h).dim == 10
+        assert IntervalSpace(m=1, G=G, N=N, h=h).dim == {3: 10, 4: 15}[n]
         res = f_term_norm(model, x, u, f, h, n, G=G, N=N)
         want, want_residual = _full_space_f_term(model, x, u, f, h, n, G, N)
         assert want_residual <= 1e-12
@@ -562,6 +579,13 @@ class TestFTermSlotCoordinates:
     def test_n_zero_raises(self):
         with pytest.raises(ValueError):
             f_term_norm(amplitude_damping(1.0), SIGMA_X, [1.0, 0.0], TF.zero(1), 0.1, 0)
+
+    def test_truncation_tail_raises(self):
+        # f = 3 on slots of h = 1/4 with G = N = 4 leaves a per-slot tail of 4.6,
+        # far above TAIL_LIMIT: the check raises rather than count it as slack.
+        f = TF.constant([3.0], 0.0, 0.5)
+        with pytest.raises(TruncationError):
+            f_term_norm(amplitude_damping(1.0), SIGMA_X, [1.0, 0.0], f, 0.25, 2, G=4, N=4)
 
     def test_dense_cap_raises(self):
         # d (1+m)^n = 2 * 2^12 = 8192 exceeds the default cap of 4096.
