@@ -455,6 +455,8 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     subtraction, sum_k (prod_{j<k} ||P_h e_j||^2) ||q_k||^2 (prod_{j>k} ||e_j||^2)
     with q_k = (1 - P_h) e_k, all norms from the closed form ``slot_exp_data``.
     """
+    if h <= 0 or t < 0:
+        raise ValueError("need h > 0 and t >= 0")
     n = int(round(t / h))
     if abs(n * h - t) > 1e-9 * max(1.0, t):
         raise ValueError("t must be an integer multiple of h")
@@ -545,9 +547,8 @@ def basic_operator_flat(l: int, coeff, d: int, m: int) -> np.ndarray:
     """
     coeff = _check_coeff(l, coeff, d, m)
     dm = d * m
-    # In the order of from_parts: vacuum, creation, annihilation, conservation.
-    parts = [np.zeros((d, d)), np.zeros((dm, d)), np.zeros((d, dm)), np.zeros((dm, dm))]
-    parts[{1: 0, 2: 2, 3: 1, 4: 3}[l]] = dagger(coeff) if l == 2 else coeff
+    parts = [np.zeros((d, d)), np.zeros((d, dm)), np.zeros((dm, d)), np.zeros((dm, dm))]
+    parts[l - 1] = dagger(coeff) if l == 2 else coeff
     return BlockOperator.from_parts(*parts).flat
 
 

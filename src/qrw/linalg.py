@@ -3,8 +3,8 @@
 Conventions fixed here and used everywhere else:
 
 * matrices are 2-d ``numpy.ndarray`` of ``complex128``, row-major;
-* tensor products are left-factor-major: ``kron(a, b)`` sends the index
-  pair ``(p, q)`` to ``p * b.rows + q``, exactly ``numpy.kron``.
+* tensor products are ``numpy.kron``, left-factor-major: the index pair
+  ``(p, q)`` of ``a (x) b`` flattens to ``p * b.rows + q``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "as_matrix",
     "dagger",
     "herm_eigen",
-    "kron",
     "op_norm",
     "psd_trig",
     "sandwich",
@@ -28,9 +27,6 @@ __all__ = [
 # Slots (walk) or RK4 steps (oracle) whose sandwich factors are built at
 # once, so the working set is O(CHUNK (2+m) d^2) whatever n or the step count.
 CHUNK = 64
-
-# Largest dimension a kron result may have before we refuse to allocate.
-_KRON_DIM_CAP = 2**24
 
 # Hermiticity tolerance on inputs of herm_eigen / psd_trig.
 _HERM_TOL = 1e-12
@@ -47,17 +43,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product with the global left-factor-major flattening."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > _KRON_DIM_CAP or a.shape[1] * b.shape[1] > _KRON_DIM_CAP:
-        raise ValueError(
-            f"kron result {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} exceeds size cap"
-        )
-    return np.kron(a, b)
 
 
 def dagger(a) -> np.ndarray:

@@ -66,10 +66,10 @@ class BlockOperator:
             raise ValueError(f"blocks shape {self.blocks.shape}, expected {want}")
 
     @classmethod
-    def from_parts(cls, vacuum, creation, annihilation, conservation) -> "BlockOperator":
-        """Assemble from map-form parts.
+    def from_parts(cls, vacuum, annihilation, creation, conservation) -> "BlockOperator":
+        """Assemble from map-form parts, in the order of ``parts()``.
 
-        vacuum: d x d, creation: (dm) x d, annihilation: d x (dm),
+        vacuum: d x d, annihilation: d x (dm), creation: (dm) x d,
         conservation: (dm) x (dm), with the noise-channel flattening
         row a*m + i.
         """
@@ -112,6 +112,7 @@ class BlockOperator:
         return self.blocks[1:, 1:].transpose(2, 0, 3, 1).reshape(dm, dm)
 
     def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(vacuum, annihilation, creation, conservation): the basic-operator kinds 1-4."""
         return (
             self.vacuum_part,
             self.annihilation_part,
@@ -179,6 +180,8 @@ def amplitude_damping(gamma: float = 1.0) -> GkslModel:
 
 def random_model(rng, d: int, m: int, norm: float) -> GkslModel:
     """Complex Gaussian R rescaled to operator norm ``norm`` (seeded rng)."""
+    if not norm >= 0:
+        raise ValueError(f"need norm >= 0, got {norm}")
     R = (rng.standard_normal((d * m, d)) + 1j * rng.standard_normal((d * m, d))) / np.sqrt(2)
     r = op_norm(R)
     if r > 0 and norm > 0:
@@ -387,13 +390,7 @@ def defect(model: GkslModel, x, h: float) -> tuple[BlockOperator, DefectReport]:
         raw=tuple(op_norm(p) for p in raw_parts),
         bounds=tuple(M * x_norm * h ** (1.0 + eps) for eps in BLOCK_EXPONENTS),
     )
-    e_op = BlockOperator.from_parts(
-        vacuum=scaled_parts[0],
-        annihilation=scaled_parts[1],
-        creation=scaled_parts[2],
-        conservation=scaled_parts[3],
-    )
-    return e_op, report
+    return BlockOperator.from_parts(*scaled_parts), report
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ homomorphisms: slot n is applied to the observable first, and each step
 turns a system operator Y into the block family beta(h, Y) acting on the
 system and one fresh slot copy of C + noise.  Two engines evaluate it:
 
-* a dense engine that materializes operators/states on
-  system (x) (C + noise)^(x)n from the blocks of beta,
-  feasible while d (1+m)^n stays under a cap;
+* a dense engine that materializes operators and states on
+  system (x) (C + noise)^(x)n from the blocks of beta as plain arrays,
+  feasible while d (1+m)^n stays under the one cap ``DENSE_CAP``;
 * a streaming engine that contracts each slot against the hatted slot
   vectors (1, F_k) of the test functions immediately after its step.
   Slots are never revisited (the walk is adapted), so the immediate
@@ -24,7 +24,6 @@ excluded on both the walk and oracle sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +42,6 @@ from .model import GkslModel, StepKernel, beta_blocks
 __all__ = [
     "DenseCapError",
     "FTermResult",
-    "ToyState",
     "check_composition_table",
     "f_term_norm",
     "toy_exp_embed",
@@ -54,54 +52,30 @@ __all__ = [
     "walk_stream_states",
 ]
 
-DEFAULT_DENSE_CAP = 4096
+DENSE_CAP = 4096
 
 
 class DenseCapError(ValueError):
-    """The dense engine would exceed its configured total dimension."""
+    """The dense engine would exceed its total dimension cap ``DENSE_CAP``."""
 
 
-@dataclass(frozen=True, eq=False)
-class ToyState:
-    """Vector in system (x) (C + noise)^(x)n.
-
-    Flat slot index: slot 1 is slowest after the system factor, so the full
-    index is a (1+m)^n + sum_k j_k (1+m)^(n-k).
-    """
-
-    d: int
-    m: int
-    n: int
-    data: np.ndarray  # (d, (1+m)^n)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
-
-    def inner(self, other: "ToyState") -> complex:
-        return complex(np.vdot(self.data, other.data))
-
-    def legs(self) -> np.ndarray:
-        """data reshaped to (d, 1+m, ..., 1+m) with one axis per slot."""
-        return self.data.reshape((self.d,) + (1 + self.m,) * self.n)
-
-
-def _check_cap(d: int, m: int, n: int, cap: int) -> None:
-    if d * (1 + m) ** n > cap:
+def _check_cap(d: int, m: int, n: int) -> None:
+    if d * (1 + m) ** n > DENSE_CAP:
         raise DenseCapError(
-            f"dense dimension d(1+m)^n = {d * (1 + m) ** n} exceeds cap {cap}"
+            f"dense dimension d(1+m)^n = {d * (1 + m) ** n} exceeds cap {DENSE_CAP}"
         )
 
 
-def toy_exp_embed(avgs: SlotAverages) -> ToyState:
+def toy_exp_embed(avgs: SlotAverages) -> np.ndarray:
     """Product of the hatted slot vectors (1, F_k): the projected exponential.
 
-    Squared norm is prod_k (1 + sum_i |F_k[i]|^2); the system factor is a
-    unit placeholder of dimension 1.
+    A ((1+m)^n,) array in the slot order of ``walk_dense_state``, with
+    squared norm prod_k (1 + sum_i |F_k[i]|^2).
     """
     vec = np.ones(1, dtype=complex)
     for k in range(avgs.n):
         vec = np.kron(vec, avgs.hatted(k))
-    return ToyState(d=1, m=avgs.F.shape[1], n=avgs.n, data=vec[None, :])
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +83,7 @@ def toy_exp_embed(avgs: SlotAverages) -> ToyState:
 # ---------------------------------------------------------------------------
 
 
-def walk_dense_operator(model: GkslModel, x, h: float, n: int,
-                        cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def walk_dense_operator(model: GkslModel, x, h: float, n: int) -> np.ndarray:
     """The walk operator p_{nh}(x) as a flat matrix on system (x) slots.
 
     Built by the outward recursion: start from the observable at slot n and
@@ -120,7 +93,7 @@ def walk_dense_operator(model: GkslModel, x, h: float, n: int,
     x = model.check_x(x)
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_cap(model.d, model.m, n, cap)
+    _check_cap(model.d, model.m, n)
     kernel = StepKernel.build(model, h)
     d, m = model.d, model.m
     T = x[None, None, :, :]  # (M, M, d, d) with M = 1
@@ -162,29 +135,22 @@ def _prefix_state(kernel: StepKernel, ops: np.ndarray, hats: list, u: np.ndarray
     return np.einsum("Jab,b->aJ", ops, u)
 
 
-def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
-                     cap: int = DEFAULT_DENSE_CAP) -> ToyState:
-    """p_{nh}(x) applied to u (x) projected e(f), by the leg-keeping recursion."""
+def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float,
+                     n: int) -> np.ndarray:
+    """p_{nh}(x) applied to u (x) projected e(f), by the leg-keeping recursion.
+
+    Returns the (d, (1+m)^n) array: slot 1 is slowest after the system
+    index, so the flat slot index is sum_k j_k (1+m)^(n-k).
+    """
     x = model.check_x(x)
     u = np.asarray(u, dtype=complex).reshape(-1)
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_cap(model.d, model.m, n, cap)
+    _check_cap(model.d, model.m, n)
     kernel = StepKernel.build(model, h)
     avgs = slot_averages(f, h, n)
     hats = [avgs.hatted(k) for k in range(n)]
-    return ToyState(d=model.d, m=model.m, n=n, data=_prefix_state(kernel, x[None], hats, u))
-
-
-def walk_dense_state_via_operator(model: GkslModel, x, u, f: TestFunction, h: float,
-                                  n: int, cap: int = DEFAULT_DENSE_CAP) -> ToyState:
-    """The same state through the dense operator path (cross-check engine)."""
-    flat = walk_dense_operator(model, x, h, n, cap=cap)
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    embed = toy_exp_embed(slot_averages(f, h, n))
-    vec = np.kron(u, embed.data[0])
-    return ToyState(d=model.d, m=model.m, n=n,
-                    data=(flat @ vec).reshape(model.d, -1))
+    return _prefix_state(kernel, x[None], hats, u)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +301,14 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     cells, cutoff N), q_k is (0, ..., 0, ||q_k||), and a walk leg gains a zero
     last entry.  The walk pieces of the (d, (m+2)^n) terms cost
     O(n (1+m)^n d^3) and the sum O(n d (m+2)^n); n is limited by the dense
-    cap on d (1+m)^n (``DenseCapError``).  Reports ||F||^2 against
+    cap ``DENSE_CAP`` on d (1+m)^n (``DenseCapError``).  Reports ||F||^2 against
     h c(f,t) ||x||^2 ||u||^2 with c(f,t) = 2 t (c_f + sup|f|) ||e(f)||, plus
     the residual of the decomposition identity itself.  A slot whose
     truncation tail exceeds ``TAIL_LIMIT`` raises ``TruncationError``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_cap(model.d, model.m, n, DEFAULT_DENSE_CAP)
+    _check_cap(model.d, model.m, n)
     x = model.check_x(x)
     u = np.asarray(u, dtype=complex).reshape(-1)
     m = model.m

@@ -270,6 +270,12 @@ class TestProjection:
         assert all(a > b for a, b in zip(defs, defs[1:]))
         assert defs[-1] < 0.5 * defs[0]
 
+    @pytest.mark.parametrize("t, h", [(-0.5, 0.25), (0.5, -0.25), (0.5, 0.0)])
+    def test_deficiency_rejects_negative_t_or_nonpositive_h(self, t, h):
+        f = TestFunction(np.array([0.0, 0.4, 1.0]), np.array([[0.0], [0.6], [0.0]]))
+        with pytest.raises(ValueError, match="need h > 0 and t >= 0"):
+            projection_deficiency(f, t, h, m=1, G=4, N=6)
+
     def test_deficiency_matches_slot_by_slot_complement(self):
         # At the lemma grid (dim 74,613), sqrt(||e||^2 - ||P_h e||^2) would lose
         # ~5e-11 relative to cancellation; the reference sums the telescoped

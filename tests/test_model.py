@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qrw.linalg import dagger, kron, op_norm
+from qrw.linalg import dagger, op_norm
 from qrw.model import (
     BlockOperator,
     GkslModel,
@@ -69,17 +69,26 @@ class TestBlockOperator:
         cre = rng.standard_normal((dm, d)) + 0j
         ann = rng.standard_normal((d, dm)) + 0j
         con = rng.standard_normal((dm, dm)) + 0j
-        op = BlockOperator.from_parts(vac, cre, ann, con)
+        op = BlockOperator.from_parts(vac, ann, cre, con)
         assert np.array_equal(op.vacuum_part, vac)
         assert np.array_equal(op.creation_part, cre)
         assert np.array_equal(op.annihilation_part, ann)
         assert np.array_equal(op.conservation_part, con)
+        # parts() returns the order from_parts takes.
+        assert np.array_equal(BlockOperator.from_parts(*op.parts()).blocks, op.blocks)
 
     def test_flat_matches_kron_convention(self):
-        # b(x) = x (x) 1 must flatten to kron(x, eye(1+m)).
+        # b(x) = x (x) 1 must flatten to np.kron(x, eye(1+m)).
         model = amplitude_damping(1.0)
         x = SIGMA_X
-        assert_allclose(ampliation(model, x).flat, kron(x, np.eye(2)), atol=0)
+        assert_allclose(ampliation(model, x).flat, np.kron(x, np.eye(2)), atol=0)
+
+
+class TestRandomModel:
+    @pytest.mark.parametrize("norm", [-1.0, float("nan")])
+    def test_invalid_norm_raises(self, norm):
+        with pytest.raises(ValueError, match="norm"):
+            random_model(np.random.default_rng(0), 2, 1, norm)
 
 
 class TestLindblad:
@@ -147,7 +156,7 @@ def _reference_structure_maps(model, x):
     """Theta(x) written with kron: L(x) = R*(x (x) 1)R - (1/2){R*R, x},
     delta(x) = (x (x) 1)R - Rx and delta_dag(x) = R*(x (x) 1) - xR*."""
     R, Rd = model.R, dagger(model.R)
-    amp = kron(x, np.eye(model.m))
+    amp = np.kron(x, np.eye(model.m))
     dm = model.d * model.m
     return BlockOperator.from_parts(
         vacuum=Rd @ amp @ R - 0.5 * (model.RdR @ x + x @ model.RdR),
@@ -173,7 +182,7 @@ class TestStructureRelations:
         assert op_norm(lhs - dagger(delta(model, x)) @ delta(model, y)) <= 1e-13 * scale
         # delta(xy) = delta(x) y + (x (x) 1) delta(y)
         lhs = delta(model, x @ y)
-        rhs = delta(model, x) @ y + kron(x, np.eye(m)) @ delta(model, y)
+        rhs = delta(model, x) @ y + np.kron(x, np.eye(m)) @ delta(model, y)
         assert op_norm(lhs - rhs) <= 1e-13 * scale
         # delta_dag(x) = delta(x*)* and Theta(x*) = Theta(x)*
         assert op_norm(delta_dag(model, x) - dagger(delta(model, xs))) <= 1e-13 * scale
@@ -286,7 +295,7 @@ class TestBeta:
 
     def test_zero_noise(self):
         model = GkslModel(d=2, m=1, R=np.zeros((2, 2)))
-        assert_allclose(beta(model, SIGMA_X, 0.5).flat, kron(SIGMA_X, np.eye(2)), atol=1e-14)
+        assert_allclose(beta(model, SIGMA_X, 0.5).flat, np.kron(SIGMA_X, np.eye(2)), atol=1e-14)
 
     def test_scalar_observable_commutes(self):
         rng = np.random.default_rng(17)
@@ -300,7 +309,7 @@ class TestBeta:
             for h in (1.0, 0.05, 1e-3):
                 x = _rand_x(rng, model.d)
                 U = u_h(model, h).flat
-                direct = dagger(U) @ kron(x, np.eye(1 + model.m)) @ U
+                direct = dagger(U) @ np.kron(x, np.eye(1 + model.m)) @ U
                 assert op_norm(beta(model, x, h).flat - direct) <= 1e-10
 
     def test_star_homomorphism(self):
@@ -379,7 +388,7 @@ class TestBeta:
         U = kernel.U.flat
         for i, (x, y) in enumerate(zip(xs, ys)):
             tol = 1e-10 * op_norm(x)
-            direct = dagger(U) @ kron(x, np.eye(1 + m)) @ U
+            direct = dagger(U) @ np.kron(x, np.eye(1 + m)) @ U
             assert op_norm(BlockOperator(d, m, bx[i]).flat - direct) <= tol
             product = np.einsum("jkab,klbc->jlac", bx[i], by[i])
             assert op_norm(BlockOperator(d, m, bxy[i] - product).flat) <= tol * op_norm(y)
