@@ -28,7 +28,10 @@ Their truncation tail is at most ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.
 Each fundamental process Lambda^l is written once, as a list of terms
 M_a (x) A_a (a d x d coefficient times a second-quantized one-particle
 operator); ``fundamental_apply`` sums them over (d, dim) vectors, and the
-lemma checks contract them against the scalar e(f) instead.
+lemma checks contract them against the scalar e(f) instead.  The ladder and
+hop operators are scipy.sparse matrices; scipy is imported where they are
+first built (``_sparse``), so only code that touches ``IntervalSpace.ops``
+loads it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .functions import TestFunction
 from .linalg import as_matrix, dagger, op_norm
@@ -156,6 +158,8 @@ def _count(rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
 
 
 def _sparse(dim: int, rows: list, cols: list, vals: list):
+    import scipy.sparse
+
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim), dtype=complex,
@@ -395,12 +399,20 @@ def _checked_tail(space: IntervalSpace, cells) -> float:
     return tail
 
 
+@lru_cache(maxsize=2)
 def _slot_exp_vector(space: IntervalSpace, f: TestFunction,
                      start: float) -> tuple[IntervalVector, float]:
-    """e(f restricted to [start, start + h]) on the space's grid, and its checked tail."""
+    """e(f restricted to [start, start + h]) on the space's grid, and its checked tail.
+
+    Cached on the identities of the space and of f (both immutable), so the
+    eight kind x mode calls of ``check_N_vs_Lambda`` on one slot build e(f)
+    and e(g) once each; the cached vector's data is read-only.
+    """
     cells = f.cell_averages(start, start + space.h, space.G)
     tail = _checked_tail(space, cells)
-    return exp_vector(space, cells), tail
+    ef = exp_vector(space, cells)
+    ef.data.setflags(write=False)
+    return ef, tail
 
 
 def space_for(f: TestFunction, h: float, m: int, G: int, start: float = 0.0,

@@ -11,6 +11,9 @@ else is derived from R:
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h),
 * the exact semigroup     T_t = exp(tL) through a vectorized superoperator.
 
+``semigroup`` is the only caller of ``scipy.linalg.expm`` and imports it when
+called, so loading qrw, and running a walk or an oracle, needs numpy alone.
+
 Operators on system (x) (C + noise) are handled as ``BlockOperator``:
 a (1+m) x (1+m) array of d x d blocks, block index 0 being the vacuum
 direction.  The equivalent flat matrix uses the global left-factor-major
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import as_matrix, dagger, op_norm, psd_trig, sandwich
 
@@ -411,6 +413,8 @@ def lindblad_superoperator(model: GkslModel) -> np.ndarray:
 
 def semigroup(model: GkslModel, x, t: float) -> np.ndarray:
     """T_t(x) = exp(tL)(x), through the superoperator of L on row-major vec(x)."""
+    import scipy.linalg
+
     x = model.check_x(x)
     if t < 0:
         raise ValueError("semigroup needs t >= 0")

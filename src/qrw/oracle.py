@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functions import TestFunction
+from .functions import TestFunction, _sorted_distinct
 from .linalg import CHUNK, sandwich
 from .model import GkslModel, structure_factors
 
@@ -87,7 +87,7 @@ def _integration_grid(f: TestFunction, g: TestFunction, t: float, steps: int) ->
     """Union of [0, t] endpoints and interior breakpoints, each segment
     subdivided so kinks sit on grid nodes and the total count is >= steps."""
     kinks = np.concatenate([f.breakpoints, g.breakpoints])
-    kinks = np.unique(kinks[(kinks > 0) & (kinks < t)])
+    kinks = _sorted_distinct(kinks[(kinks > 0) & (kinks < t)])
     edges = np.concatenate([[0.0], kinks, [t]])
     nodes = [np.array([0.0])]
     for a, b in zip(edges[:-1], edges[1:]):

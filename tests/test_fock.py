@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qrw import fock
 from qrw.fock import (
     IntervalSpace,
     TruncationError,
@@ -703,6 +704,26 @@ class TestNvsLambdaChecks:
             lhss.append(check_N_vs_Lambda(space, 4, T, self.u, f).lhs)
         slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(lhss), 1)[0]
         assert slope >= 0.9
+
+    def test_eight_checks_build_two_exp_vectors(self, monkeypatch):
+        # Per slot, the four kinds x two modes share e(f) and e(g), built once each.
+        built = []
+
+        def counted(space, cells):
+            built.append(cells)
+            return exp_vector(space, cells)
+
+        monkeypatch.setattr(fock, "exp_vector", counted)
+        for l in (1, 2, 3, 4):
+            coeff = _rand_coeff(self.rng, l, self.d, 1)
+            for mode in "ab":
+                check_N_vs_Lambda(self.space, l, coeff, self.u, self.f, g=self.g, v=self.v,
+                                  mode=mode)
+        assert len(built) == 2
+        ef, _ = _slot_exp_vector(self.space, self.f, 0.0)
+        assert len(built) == 2
+        with pytest.raises(ValueError):
+            ef.data[0, 0] = 0.0
 
     def test_mode_b_requires_v_and_g(self):
         with pytest.raises(ValueError, match="mode 'b'"):

@@ -96,6 +96,26 @@ class TestTestFunction:
         g = TF(np.array([0.0, 1.0]), np.array([[1.0], [1.0]]))
         assert g.pair_overlap_integral(f, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
+    def test_owns_read_only_copies(self):
+        bp, vals = np.array([0.0, 1.0]), np.array([[1.0], [1.0]])
+        f = TF(bp, vals)
+        bp[1], vals[0, 0] = 2.0, 5.0
+        assert f(0.0)[0] == 1.0 and f.breakpoints[1] == 1.0
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            f.breakpoints[0] = -1.0
+
+    @pytest.mark.parametrize("bp", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_breakpoints_rejected(self, bp):
+        with pytest.raises(ValueError, match="non-finite breakpoints"):
+            TF(np.array(bp), np.ones((2, 1)))
+
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0), max_size=12))
+    def test_sorted_distinct_matches_unique(self, xs):
+        x = np.array(xs, dtype=float)
+        assert np.array_equal(functions._sorted_distinct(x), np.unique(x))
+
 
 class TestSlotAverages:
     def test_zero(self):
@@ -592,11 +612,12 @@ class TestFTermSlotCoordinates:
         m=st.integers(1, 2),
         h=st.floats(0.02, 0.3),
         n=st.integers(1, 2),
-        G=st.integers(1, 4),
-        N=st.integers(1, 4),
+        # At G = N = 1 the slot space is the whole space, so both sides read 0.
+        GN=st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda GN: GN != (1, 1)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_hybrid_space_reference(self, d, m, h, n, G, N, seed):
+    def test_matches_hybrid_space_reference(self, d, m, h, n, GN, seed):
+        G, N = GN
         rng = np.random.default_rng(seed)
         model = random_model(rng, d, m, rng.uniform(0.2, 1.5))
         x = _rand_x(rng, d)
