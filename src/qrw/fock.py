@@ -19,19 +19,20 @@ product vectors and ladder operators instead.
 
 The distinguished vectors are the vacuum (index 0) and the normalized
 constant one-particle vector of each channel ("chi"), which span the
-(1+m)-dimensional slot space of the projected walk.  Exponential vectors
+(1+m)-dimensional slot space of the projected walk.  Vectors are plain
+(dim,) arrays, or (d, dim) for C^d (x) Fock.  Exponential vectors
 e(f) = sum_n f^(x)n / sqrt(n!) of per-cell averages have closed-form slot
-coordinates and projection loss (``slot_exp_data``); they are built as
-D-vectors, from the basis tables, only where an operator acts on them.
-Their truncation tail is at most ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.
+coordinates and projection loss (``slot_exp_data``) and a truncation tail of
+at most ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.
 
 Each fundamental process Lambda^l is written once, as a list of terms
 M_a (x) A_a (a d x d coefficient times a second-quantized one-particle
-operator); ``fundamental_apply`` sums them over (d, dim) vectors, and the
-lemma checks contract them against the scalar e(f) instead.  The ladder and
-hop operators are scipy.sparse matrices; scipy is imported where they are
-first built (``_sparse``), so only code that touches ``IntervalSpace.ops``
-loads it.
+operator); ``fundamental_apply`` sums them over (d, dim) arrays.  The lemma
+checks build no Fock vector: each vector they meet is s e_K(a) or
+a_dag(phi) e_K(a), e(a) cut at sector K, whose inner products a one-particle
+algebra (``_inner``) gives from <a, b>, <a, psi>, <phi, b> and <phi, psi>.
+The ladder and hop operators are scipy.sparse matrices built on first use of
+``IntervalSpace.ops``, so only it and ``fundamental_apply`` load scipy.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import TestFunction
-from .linalg import as_matrix, dagger, op_norm
+from .linalg import as_matrix, as_vector, dagger, op_norm
 from .model import BlockOperator
 
 __all__ = [
     "IntervalSpace",
-    "IntervalVector",
     "LemmaResult",
     "NormDiffResult",
     "TruncationError",
@@ -259,84 +259,12 @@ class IntervalSpace:
     def ops(self):
         return _channel_ops(self.m, self.G, self.N)
 
-    def chi_coefficients(self) -> np.ndarray:
-        """(m, dim_1) coefficients of the normalized constant channel vectors."""
-        out = np.zeros((self.m, self.G * self.m), dtype=complex)
-        for i in range(self.m):
-            out[i, np.arange(self.G) * self.m + i] = 1.0 / np.sqrt(self.G)
-        return out
-
     def khat_embedding(self) -> np.ndarray:
         """(1+m, dim) rows: vacuum and the chi vectors, as full-space vectors."""
         out = np.zeros((1 + self.m, self.dim), dtype=complex)
         out[0, 0] = 1.0
-        out[1:, self.sector(1)] = self.chi_coefficients()
+        out[1:, self.sector(1)] = np.tile(np.eye(self.m), self.G) / np.sqrt(self.G)
         return out
-
-    def vacuum(self, u=None) -> "IntervalVector":
-        data = np.zeros((1, self.dim), dtype=complex)
-        data[0, 0] = 1.0
-        vec = IntervalVector(self, data)
-        return vec if u is None else vec.with_system(u)
-
-    def chi(self, i: int, u=None) -> "IntervalVector":
-        data = np.zeros((1, self.dim), dtype=complex)
-        data[0, self.sector(1)] = self.chi_coefficients()[i]
-        vec = IntervalVector(self, data)
-        return vec if u is None else vec.with_system(u)
-
-    def one_particle(self, coeffs, u=None) -> "IntervalVector":
-        """Vector with the given one-particle mode coefficients, other sectors zero."""
-        data = np.zeros((1, self.dim), dtype=complex)
-        data[0, self.sector(1)] = np.asarray(coeffs, dtype=complex)
-        vec = IntervalVector(self, data)
-        return vec if u is None else vec.with_system(u)
-
-
-@dataclass(eq=False)
-class IntervalVector:
-    """Vector in (C^d (x)) the truncated interval Fock space; data is (d, dim)."""
-
-    space: IntervalSpace
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.ndim == 1:
-            data = data[None, :]
-        if data.shape[1] != self.space.dim:
-            raise ValueError("data length does not match space dimension")
-        self.data = data
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[0]
-
-    def with_system(self, u) -> "IntervalVector":
-        u = np.asarray(u, dtype=complex).reshape(-1)
-        if self.d != 1:
-            raise ValueError("vector already carries a system factor")
-        return IntervalVector(self.space, u[:, None] * self.data[0])
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.data, self.data).real)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
-
-    def inner(self, other: "IntervalVector") -> complex:
-        return complex(np.vdot(self.data, other.data))
-
-    def __add__(self, other):
-        return IntervalVector(self.space, self.data + other.data)
-
-    def __sub__(self, other):
-        return IntervalVector(self.space, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return IntervalVector(self.space, scalar * self.data)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +279,7 @@ def _one_particle_coeffs(space: IntervalSpace, cells: np.ndarray) -> np.ndarray:
     return np.sqrt(space.h / space.G) * cells.reshape(-1)
 
 
-def exp_vector(space: IntervalSpace, cells) -> IntervalVector:
+def exp_vector(space: IntervalSpace, cells) -> np.ndarray:
     """Truncated exponential vector of the piecewise-constant grid function.
 
     ``cells`` holds the per-cell channel values; the n-particle sector gets
@@ -369,7 +297,7 @@ def exp_vector(space: IntervalSpace, cells) -> IntervalVector:
     for n in range(1, space.N + 1):
         prev = data[off[n - 1]:off[n]]
         data[off[n]:off[n + 1]] = prev[basis.parent[n]] * c[basis.last[n]] * basis.weight[n]
-    return IntervalVector(space, data)
+    return data
 
 
 def slot_exp_data(space: IntervalSpace, cells) -> tuple[np.ndarray, float]:
@@ -399,22 +327,6 @@ def _checked_tail(space: IntervalSpace, cells) -> float:
     return tail
 
 
-@lru_cache(maxsize=2)
-def _slot_exp_vector(space: IntervalSpace, f: TestFunction,
-                     start: float) -> tuple[IntervalVector, float]:
-    """e(f restricted to [start, start + h]) on the space's grid, and its checked tail.
-
-    Cached on the identities of the space and of f (both immutable), so the
-    eight kind x mode calls of ``check_N_vs_Lambda`` on one slot build e(f)
-    and e(g) once each; the cached vector's data is read-only.
-    """
-    cells = f.cell_averages(start, start + space.h, space.G)
-    tail = _checked_tail(space, cells)
-    ef = exp_vector(space, cells)
-    ef.data.setflags(write=False)
-    return ef, tail
-
-
 def space_for(f: TestFunction, h: float, m: int, G: int, start: float = 0.0,
               N: int = DEFAULT_CUTOFF) -> IntervalSpace:
     """Build an interval space for f, escalating the cutoff if the tail is large.
@@ -439,23 +351,14 @@ def _space_for_cells(cells, h: float, m: int, G: int, N: int) -> IntervalSpace:
 # ---------------------------------------------------------------------------
 
 
-def slot_coordinates(space: IntervalSpace, v: IntervalVector) -> np.ndarray:
-    """(d, 1+m) components of v along the vacuum and the chi vectors."""
-    chi = space.chi_coefficients()
-    return np.column_stack([v.data[:, 0], v.data[:, space.sector(1)] @ chi.conj().T])
+def slot_coordinates(space: IntervalSpace, v: np.ndarray) -> np.ndarray:
+    """(..., 1+m) components of the (..., dim) array v along the vacuum and the chi vectors."""
+    return v @ space.khat_embedding().conj().T
 
 
-def _slot_embed(space: IntervalSpace, coords: np.ndarray) -> IntervalVector:
-    """The vector with (d, 1+m) slot-space coordinates ``coords``, zero elsewhere."""
-    out = np.zeros((coords.shape[0], space.dim), dtype=complex)
-    out[:, 0] = coords[:, 0]
-    out[:, space.sector(1)] = coords[:, 1:] @ space.chi_coefficients()
-    return IntervalVector(space, out)
-
-
-def project_Ph(space: IntervalSpace, v: IntervalVector) -> IntervalVector:
-    """Orthogonal projection onto vacuum + the constant one-particle vectors."""
-    return _slot_embed(space, slot_coordinates(space, v))
+def project_Ph(space: IntervalSpace, v: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of the (..., dim) array v onto the slot space."""
+    return slot_coordinates(space, v) @ space.khat_embedding()
 
 
 def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
@@ -504,47 +407,58 @@ def _check_coeff(l: int, coeff, d: int, m: int) -> np.ndarray:
 
 
 def _lambda_terms(space: IntervalSpace, l: int, coeff: np.ndarray, d: int) -> list:
-    """Lambda^l = sum_a M_a (x) A_a as the list of terms (M_a, A_a).
+    """Lambda^l = sum_a M_a (x) A_a as the list of terms (M_a, i, j).
 
     M_a is h S, sqrt(h) R_i*, sqrt(h) R_i or T_ij; A_a (identity, a(chi^i),
-    a_dag(chi^i) or hop[i][j]) is a callable on (dim,) or (dim, k) arrays.
-    a(chi^i) is create[i].T applied on the conjugate: no adjoint is built.
+    a_dag(chi^i) or the hop j -> i) is ``_fock_operator`` or ``_term_image``.
     """
     m, rh = space.m, np.sqrt(space.h)
     if l == 1:
-        return [(space.h * coeff, lambda x: x)]
+        return [(space.h * coeff, 0, 0)]
+    if l == 4:
+        T4 = coeff.reshape(d, m, d, m)
+        return [(T4[:, i, :, j], i, j) for i in range(m) for j in range(m)]
+    R = _coeff_channels(coeff, d, m)
+    return [(rh * (dagger(R[i]) if l == 2 else R[i]), i, 0) for i in range(m)]
+
+
+def _fock_operator(space: IntervalSpace, l: int, i: int, j: int):
+    """A_a of the term (i, j) of Lambda^l, a callable on (dim,) or (dim, k) arrays.
+
+    a(chi^i) is create[i].T applied on the conjugate: no adjoint is built.
+    """
+    if l == 1:
+        return lambda x: x
     create, hop = space.ops
     if l == 2:
-        return [(rh * dagger(R), lambda x, c=c.T: (c @ x.conj()).conj())
-                for R, c in zip(_coeff_channels(coeff, d, m), create)]
-    if l == 3:
-        return [(rh * R, c.__matmul__) for R, c in zip(_coeff_channels(coeff, d, m), create)]
-    T4 = coeff.reshape(d, m, d, m)
-    return [(T4[:, i, :, j], hop[i][j].__matmul__) for i in range(m) for j in range(m)]
+        return lambda x, c=create[i].T: (c @ x.conj()).conj()
+    return create[i].__matmul__ if l == 3 else hop[i][j].__matmul__
 
 
-def fundamental_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) -> IntervalVector:
-    """Apply one fundamental process of the interval to a system-valued vector.
+def fundamental_apply(space: IntervalSpace, l: int, coeff, v) -> np.ndarray:
+    """Apply one fundamental process of the interval to a (d, dim) array.
 
     Kinds: 1 time (h * S), 2 annihilation a_R, 3 creation a_dag_R,
     4 conservation with kernel T; coefficient shapes d x d, (dm) x d,
     (dm) x d and (dm) x (dm) respectively.
     """
-    coeff = _check_coeff(l, coeff, v.d, space.m)
-    out = sum(M @ A(v.data.T).T for M, A in _lambda_terms(space, l, coeff, v.d))
-    return IntervalVector(space, out)
+    if np.shape(v)[-1] != space.dim:
+        raise ValueError(f"array shape {np.shape(v)}, expected (d, {space.dim})")
+    coeff = _check_coeff(l, coeff, len(v), space.m)
+    return sum(M @ _fock_operator(space, l, i, j)(v.T).T
+               for M, i, j in _lambda_terms(space, l, coeff, len(v)))
 
 
-def basic_apply(space: IntervalSpace, l: int, coeff, v: IntervalVector) -> IntervalVector:
-    """Apply one basic operator N^l: the projected/scaled fundamental process.
+def basic_apply(space: IntervalSpace, l: int, coeff, v) -> np.ndarray:
+    """Apply one basic operator N^l, the projected fundamental process, to a (d, dim) array.
 
     N^l acts on the slot-space coordinates of v by ``basic_operator_flat``
     and annihilates the orthogonal complement of the slot space.
     """
-    d = v.d
+    d = len(v)
     flat = basic_operator_flat(l, coeff, d, space.m)
     coords = flat @ slot_coordinates(space, v).reshape(-1)
-    return _slot_embed(space, coords.reshape(d, 1 + space.m))
+    return coords.reshape(d, 1 + space.m) @ space.khat_embedding()
 
 
 def basic_operator_flat(l: int, coeff, d: int, m: int) -> np.ndarray:
@@ -562,6 +476,77 @@ def basic_operator_flat(l: int, coeff, d: int, m: int) -> np.ndarray:
     parts = [np.zeros((d, d)), np.zeros((d, dm)), np.zeros((dm, d)), np.zeros((dm, dm))]
     parts[l - 1] = dagger(coeff) if l == 2 else coeff
     return BlockOperator.from_parts(*parts).flat
+
+
+# ---------------------------------------------------------------------------
+# One-particle algebra of truncated exponential vectors
+# ---------------------------------------------------------------------------
+
+
+def _partial_exp(z: complex, K: int, lo: int) -> complex:
+    """S_K(z) = sum_{n<=K} z^n / n! over the terms n >= lo (zero if K < lo)."""
+    return sum(z**n / math.factorial(n) for n in range(max(lo, 0), K + 1))
+
+
+def _inner(x: tuple, y: tuple, lo: int = 0) -> complex:
+    """<x, y> over the sectors >= lo, from one-particle inner products alone.
+
+    A vector (s, phi, K, a) is s e_K(a), or s a_dag(phi) e_K(a) if phi is not
+    None, with e_K(a) = sum_{n<=K} a^(x)n / sqrt(n!) and a, phi (G m,) arrays
+    over the orthonormal cell modes.  With z = <a, b>:
+    <e_K(a), e_L(b)> = S_min(K,L)(z), <e_K(a), a_dag(psi) e_L(b)> =
+    <a, psi> S_min(K-1,L)(z), and
+    <a_dag(phi) e_K(a), a_dag(psi) e_L(b)> = <phi, psi> S_min(K,L)(z)
+    + <phi, b> <a, psi> S_min(K-1,L-1)(z).  A term z^n / n! lies in sector n
+    plus its count of a_dag (0, 1 or 2), so the sector floor lo drops by it.
+    """
+    s, phi, K, a = x
+    t, psi, L, b = y
+    z = complex(np.vdot(a, b))
+    if phi is None and psi is None:
+        val = _partial_exp(z, min(K, L), lo)
+    elif phi is None:
+        val = np.vdot(a, psi) * _partial_exp(z, min(K - 1, L), lo - 1)
+    elif psi is None:
+        val = np.vdot(phi, b) * _partial_exp(z, min(K, L - 1), lo - 1)
+    else:
+        val = (np.vdot(phi, psi) * _partial_exp(z, min(K, L), lo - 1)
+               + np.vdot(phi, b) * np.vdot(a, psi) * _partial_exp(z, min(K - 1, L - 1), lo - 2))
+    return complex(np.conj(s) * t * val)
+
+
+def _slot_split(space: IntervalSpace, x: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Slot coordinates (vacuum, chi^1..chi^m) of x and its (G, m) sector 1 off the chi vectors."""
+    s, phi, K, a = x
+    one = s * (phi if phi is not None else a if K >= 1 else 0 * a).reshape(space.G, space.m)
+    mean = one.mean(0)
+    return np.concatenate([[s if phi is None else 0.0], np.sqrt(space.G) * mean]), one - mean
+
+
+def _complement_gram(space: IntervalSpace, xs: list, ys: list) -> np.ndarray:
+    """[<(1 - P_h) x, (1 - P_h) y>] over xs and ys: sectors >= 2 plus sector 1
+    off the chi vectors, with no slot part subtracted from a full inner product."""
+    off_x, off_y = (np.array([_slot_split(space, x)[1].ravel() for x in vs]) for vs in (xs, ys))
+    return np.array([[_inner(x, y, 2) for y in ys] for x in xs]) + off_x.conj() @ off_y.T
+
+
+def _term_image(space: IntervalSpace, l: int, i: int, j: int, c: np.ndarray) -> tuple:
+    """A_a e_N(c) for the term (i, j) of Lambda^l: e_N(c), <chi^i, c> e_{N-1}(c),
+    a_dag(chi^i) e_{N-1}(c) (the cutoff drops sector N's image) or a_dag(T_ij c)
+    e_{N-1}(c), with T_ij c channel j of c moved to channel i cell by cell."""
+    if l == 1:
+        return (1.0, None, space.N, c)
+    phi = np.zeros((space.G, space.m), dtype=complex)
+    phi[:, i] = c.reshape(space.G, space.m)[:, j] if l == 4 else 1.0 / np.sqrt(space.G)
+    if l == 2:
+        return (complex(np.vdot(phi, c)), None, space.N - 1, c)
+    return (1.0, phi.ravel(), space.N - 1, c)
+
+
+def _slot_exp(space: IntervalSpace, f: TestFunction, start: float) -> tuple[tuple, float]:
+    """e_N of f's cell averages on [start, start + h], and its checked tail."""
+    cells = f.cell_averages(start, start + space.h, space.G)
+    return (1.0, None, space.N, _one_particle_coeffs(space, cells)), _checked_tail(space, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +589,7 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
     sup = f.sup_norm(start, start + h)
     rhs = h * (c_f + sup) * float(np.sqrt(np.vdot(hat, hat).real + q_sq))
     slack = tail + h * c_f / space.G
-    return NormDiffResult(lhs=lhs, rhs=rhs, slack=slack, tail=tail, passed=lhs <= rhs + slack)
+    return NormDiffResult(lhs, float(rhs), float(slack), float(tail), bool(lhs <= rhs + slack))
 
 
 def _lemma_rhs(space: IntervalSpace, l: int, mode: str, coeff, u, v, f: TestFunction,
@@ -650,33 +635,33 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     v e(g).  ``passed`` applies the safety factor on the right-hand side,
     ``passed_raw`` does not; both include the truncation/grid slack.
 
-    u e(f) is rank one: each term M_a (x) A_a of Lambda^l maps it to
-    (M_a u) (x) W_a, W_a = A_a e(f) (K <= m^2 one-column sparse matvecs).
-    With C = [M_a u], W split into slot coordinates and Q = (1 - P_h) W, and
-    P the slot image of scale N^l u e(f), the difference is the slot part
-    A = P - C slot(W) plus the orthogonal part C Q: mode "a" is
-    sqrt(||A||^2 + Re tr(C*C Q Q*)), mode "b" pairs both parts with v e(g).
-    No (d, dim) array is built; the cost is O(K nnz + K^2 dim).
+    Every vector met is s e_K(c) or a_dag(phi) e_K(c), c = sqrt(h/G) cells
+    (see ``_inner``): u e(f) is u (x) e_N(c), and each term M_a (x) A_a of
+    Lambda^l maps it to (M_a u) (x) W_a with W_a = ``_term_image``.  With
+    C = [M_a u], W split into slot coordinates and Q = (1 - P_h) W, and P
+    the slot image of scale N^l u e(f), the difference is the slot part
+    A = P - C slot(W) plus the orthogonal part sum_a C_a (x) Q_a: mode "a" is
+    sqrt(||A||^2 + sum_ab <C_a, C_b> <Q_a, Q_b>), mode "b" pairs both parts
+    with v e(g), and <Q_a, Q_b> never subtracts a slot part from a norm
+    (``_complement_gram``).  No Fock vector or ladder operator is built: the
+    at most m^2 terms cost O(m^4 (N + G m)), whatever the Fock dimension.
     """
     if mode not in ("a", "b"):
         raise ValueError("mode must be 'a' or 'b'")
     if mode == "b" and (g is None or v is None):
         raise ValueError("mode 'b' needs both v and g")
-    u = np.asarray(u, dtype=complex).reshape(-1)
+    u = as_vector(u)
     d = len(u)
     coeff = _check_coeff(l, coeff, d, space.m)
     h = space.h
-    ef, tail = _slot_exp_vector(space, f, start)
-    ef_norm = ef.norm()
+    ef, tail = _slot_exp(space, f, start)
+    ef_norm = np.sqrt(_inner(ef, ef).real)
     scale = {1: h, 2: np.sqrt(h), 3: np.sqrt(h), 4: 1.0}[l]
     terms = _lambda_terms(space, l, coeff, d)
-    C = np.column_stack([M @ u for M, _ in terms])
-    Q = np.stack([op(ef.data[0]) for _, op in terms])
-    W_slot = slot_coordinates(space, IntervalVector(space, Q))
-    Q[:, 0] = 0.0  # (1 - P_h) W in place: drop the vacuum and the chi part of sector 1
-    Q[:, space.sector(1)] -= W_slot[:, 1:] @ space.chi_coefficients()
-    P = basic_operator_flat(l, coeff, d, space.m) @ np.kron(u, slot_coordinates(space, ef)[0])
-    A = scale * P.reshape(d, 1 + space.m) - C @ W_slot
+    C = np.column_stack([M @ u for M, _, _ in terms])
+    W = [_term_image(space, l, i, j, ef[3]) for _, i, j in terms]
+    P = basic_operator_flat(l, coeff, d, space.m) @ np.kron(u, _slot_split(space, ef)[0])
+    A = scale * P.reshape(d, 1 + space.m) - C @ np.array([_slot_split(space, w)[0] for w in W])
 
     coeff_scale = max(op_norm(coeff), 1.0) * max(float(np.linalg.norm(u)), 1.0)
     c_f = f.slope_constant(start, start + h)
@@ -684,15 +669,15 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     slack = (tail + h * c_f / space.G + 1e-12) * coeff_scale
     eg_norm = 1.0
     if mode == "a":
-        gram = (C.conj().T @ C) * (Q @ Q.conj().T).T
+        gram = (C.conj().T @ C) * _complement_gram(space, W, W)
         lhs = np.sqrt(max(np.vdot(A, A).real + np.sum(gram).real, 0.0))
     else:
-        eg, tail_g = _slot_exp_vector(space, g, start)
-        eg_norm = eg.norm()
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        # Q is orthogonal to the slot space, so <e(g), Q_a> = <(1 - P_h) e(g), Q_a>.
-        slot = np.vdot(np.outer(v, slot_coordinates(space, eg)[0]), A)
-        lhs = abs(slot - (v.conj() @ C) @ (Q @ eg.data[0].conj()))
+        v = as_vector(v, d)
+        eg, tail_g = _slot_exp(space, g, start)
+        eg_norm = np.sqrt(_inner(eg, eg).real)
+        # <(1 - P_h) e(g), Q_a> is <e(g), Q_a>, as Q_a is orthogonal to the slot space.
+        slot = np.vdot(np.outer(v, _slot_split(space, eg)[0]), A)
+        lhs = abs(slot - (v.conj() @ C) @ _complement_gram(space, [eg], W)[0])
         c_g = g.slope_constant(start, start + h)
         slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
             float(np.linalg.norm(v)), 1.0

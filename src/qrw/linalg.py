@@ -17,6 +17,7 @@ __all__ = [
     "CHUNK",
     "HermEigen",
     "as_matrix",
+    "as_vector",
     "dagger",
     "herm_eigen",
     "op_norm",
@@ -43,6 +44,17 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def as_vector(a, n: int | None = None) -> np.ndarray:
+    """Coerce to a finite 1-d complex vector, of length n if given; reject NaN/Inf entries."""
+    v = np.asarray(a, dtype=complex)
+    if v.ndim != 1 or (n is not None and len(v) != n):
+        length = "" if n is None else f" of length {n}"
+        raise ValueError(f"expected a 1-d vector{length}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("vector has non-finite entries")
+    return v
 
 
 def dagger(a) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, dagger, op_norm, psd_trig, sandwich
+from .linalg import as_matrix, as_vector, dagger, op_norm, psd_trig, sandwich
 
 __all__ = [
     "BlockOperator",
@@ -172,6 +172,9 @@ class GkslModel:
         if x.shape != (self.d, self.d):
             raise ValueError(f"observable shape {x.shape}, expected {(self.d, self.d)}")
         return x
+
+    def check_vector(self, u) -> np.ndarray:
+        return as_vector(u, self.d)
 
 
 def amplitude_damping(gamma: float = 1.0) -> GkslModel:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import TestFunction, _sorted_distinct
-from .linalg import CHUNK, sandwich
+from .linalg import CHUNK, as_vector, sandwich
 from .model import GkslModel, structure_factors
 
 __all__ = [
@@ -48,10 +48,9 @@ class OracleRefinementError(RuntimeError):
         self.residual = residual
 
 
-def _pairing(u, v, Y) -> complex:
+def _pairing(model: GkslModel, u, v, Y) -> complex:
     """<v, Y u>, the weak functional of the flow at time 0."""
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    return complex(np.vdot(np.asarray(v, dtype=complex).reshape(-1), Y @ u))
+    return complex(np.vdot(model.check_vector(v), Y @ model.check_vector(u)))
 
 
 def _generator_factors(model: GkslModel, gvals, fvals, shift) -> tuple[np.ndarray, np.ndarray]:
@@ -75,10 +74,7 @@ def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
     it kills the identity and reduces to L at g = f = 0.
     """
     x = model.check_x(x)
-    gval = np.asarray(gval, dtype=complex).reshape(-1)
-    fval = np.asarray(fval, dtype=complex).reshape(-1)
-    if len(gval) != model.m or len(fval) != model.m:
-        raise ValueError(f"channel vectors must have length m={model.m}")
+    gval, fval = as_vector(gval, model.m), as_vector(fval, model.m)
     left, right = _generator_factors(model, gval[None], fval[None], [0.0])
     return sandwich(left[0], x, right[0])
 
@@ -130,7 +126,7 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
             k3 = rate(2 * i + 1, Y + dt / 2 * k2)
             k4 = rate(2 * i + 2, Y + dt * k3)
             Y = Y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return _pairing(u, v, Y)
+    return _pairing(model, u, v, Y)
 
 
 def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
@@ -145,7 +141,7 @@ def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     if t < 0:
         raise ValueError("need t >= 0")
     if t == 0:
-        return _pairing(u, v, model.check_x(x))
+        return _pairing(model, u, v, model.check_x(x))
     steps = max(64, int(steps))
     prev, residual = None, float("inf")
     while steps <= MAX_STEPS:

@@ -143,7 +143,7 @@ def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float,
     index, so the flat slot index is sum_k j_k (1+m)^(n-k).
     """
     x = model.check_x(x)
-    u = np.asarray(u, dtype=complex).reshape(-1)
+    u = model.check_vector(u)
     if n < 1:
         raise ValueError("need n >= 1")
     _check_cap(model.d, model.m, n)
@@ -204,8 +204,7 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     Cost O(n (1+m) d^3); agrees with the dense engine pairing whenever the
     dense cap allows.
     """
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    u, v = model.check_vector(u), model.check_vector(v)
     for Y in _sweep(model, x, slot_averages(f, h, n), slot_averages(g, h, n)):
         pass
     return complex(np.vdot(v, Y @ u))
@@ -310,7 +309,7 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
         raise ValueError("need n >= 1")
     _check_cap(model.d, model.m, n)
     x = model.check_x(x)
-    u = np.asarray(u, dtype=complex).reshape(-1)
+    u = model.check_vector(u)
     m = model.m
     kernel = StepKernel.build(model, h)
     avgs = slot_averages(f, h, n)
@@ -355,8 +354,8 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     slack = (sum(tails) + 1e-12) * scale
     return FTermResult(
         value_sq=value_sq,
-        bound=bound,
-        slack=slack,
+        bound=float(bound),
+        slack=float(slack),
         passed=bool(value_sq <= safety * bound + slack),
         passed_raw=bool(value_sq <= bound + slack),
         decomposition_residual=residual,

@@ -61,6 +61,9 @@ space = fock.IntervalSpace(m=1, G=2, N=3, h=0.25)
 fock.check_lemma_normdiff(space, f, 0.25)
 fock.projection_deficiency(f, 1.0, 0.25, 1, 2, 3)
 walk.f_term_norm(gksl, x, u, f, 0.25, 2, G=2, N=3)
+for kind in (1, 2, 3, 4):
+    for mode in "ab":
+        fock.check_N_vs_Lambda(space, kind, np.eye(2), u, f, g=g, v=v, mode=mode)
 loaded = [name for name in sys.modules if name.startswith("scipy")
           or name == "numpy.ma" or name.startswith("numpy.ma.")]
 assert not loaded, sorted(loaded)

@@ -53,6 +53,12 @@ class TestWeakGenerator:
         want = 2.0 * weak_generator(model, x, gv, fv) + 1j * weak_generator(model, y, gv, fv)
         assert op_norm(got - want) <= 1e-12
 
+    @pytest.mark.parametrize("gv, fv", [([np.nan], [0.0]), ([0.0], [0.0, 1.0])])
+    def test_channel_vectors_checked(self, gv, fv):
+        # A NaN once gave a NaN generator.
+        with pytest.raises(ValueError, match="non-finite|1-d vector of length 1"):
+            weak_generator(amplitude_damping(1.0), P1, gv, fv)
+
     def test_derivative_at_zero_oracle(self):
         # finite difference of the integrated element at t = 0 matches
         # m_0(weak_generator(x)) + <g, f> m_0(x).
@@ -152,6 +158,13 @@ class TestFlowMatrixElement:
         assert flow_matrix_element(model, P1, u, v, zero, zero, 0.0) == pytest.approx(
             np.vdot(v, P1 @ u)
         )
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("u, v", [([np.nan, 0.0], [0.0, 1.0]), ([1.0, 0.0], [1.0])])
+    def test_vectors_checked(self, t, u, v):
+        zero = TestFunction.zero(1)
+        with pytest.raises(ValueError, match="non-finite|1-d vector"):
+            flow_matrix_element(amplitude_damping(1.0), P1, u, v, zero, zero, t)
 
     def test_refinement_order(self):
         # Step-halving error of the fixed-budget integrator shrinks at

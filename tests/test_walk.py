@@ -197,7 +197,7 @@ class TestToyExpEmbed:
         space = IntervalSpace(m=1, G=16, N=6, h=h)
         pe = project_Ph(space, exp_vector(space, f.cell_averages(0.0, h, 16)))
         state = toy_exp_embed(avgs)
-        assert np.vdot(state, state).real == pytest.approx(pe.norm_sq(), rel=1e-12)
+        assert np.vdot(state, state).real == pytest.approx(np.vdot(pe, pe).real, rel=1e-12)
 
 
 class TestDenseEngine:
@@ -489,7 +489,7 @@ class TestFTerm:
         res = f_term_norm(model, SIGMA_X, u, f, h, 1, G=G, N=N)
         space = IntervalSpace(m=1, G=G, N=N, h=h)
         e = exp_vector(space, f.cell_averages(0.0, h, G))
-        q_sq = (e - project_Ph(space, e)).norm_sq()
+        q_sq = np.linalg.norm(e - project_Ph(space, e)) ** 2
         want = np.linalg.norm(SIGMA_X @ u) ** 2 * q_sq
         assert res.value_sq == pytest.approx(want, rel=1e-9)
         assert res.passed
@@ -532,9 +532,8 @@ def _reference_f_term(model, x, u, f, h, n, G, N):
     avgs = functions.slot_averages(f, h, n)
     space = IntervalSpace(m=model.m, G=G, N=N, h=h)
     emb = space.khat_embedding()
-    es = [exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G)) for k in range(n)]
-    e_vecs = [e.data[0] for e in es]
-    q_vecs = [(e - project_Ph(space, e)).data[0] for e in es]
+    e_vecs = [exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G)) for k in range(n)]
+    q_vecs = [e - project_Ph(space, e) for e in e_vecs]
 
     xu = x @ u
     if n == 1:
@@ -573,8 +572,7 @@ def _full_space_f_term(model, x, u, f, h, n, G, N):
     space = IntervalSpace(m=m, G=G, N=N, h=h)
     emb = space.khat_embedding()
     es = [exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G)) for k in range(n)]
-    qs = [(e - project_Ph(space, e)).data[0] for e in es]
-    es = [e.data[0] for e in es]
+    qs = [e - project_Ph(space, e) for e in es]
 
     def prefix(ops, k):
         # Slots k, ..., 1 applied to ops (L, d, d), then u: (d, (1+m)^k L).
@@ -673,3 +671,36 @@ class TestFTermSlotCoordinates:
                           G=8, N=6)
         assert res.value_sq > 0
         assert res.decomposition_residual <= 1e-12
+
+
+class TestVectorInputs:
+    """u and v are checked once, by ``GkslModel.check_vector``."""
+
+    def setup_method(self):
+        self.model = amplitude_damping(1.0)
+        self.f = TF(np.array([0.0, 0.4, 1.0]), np.array([[0.0], [0.3], [0.1]]))
+
+    def test_short_u_rejected(self):
+        # Once broadcast into a (2, 4) state at d = 2.
+        with pytest.raises(ValueError, match="1-d vector of length 2"):
+            walk_dense_state(self.model, SIGMA_X, [1.0], self.f, 0.5, 2)
+
+    @pytest.mark.parametrize("which", ["u", "v"])
+    def test_nan_rejected_by_matrix_element(self, which):
+        # Once returned nan+nanj.
+        vecs = {"u": [1.0, 0.0], "v": [0.0, 1.0]}
+        vecs[which] = [np.nan, 0.0]
+        with pytest.raises(ValueError, match="non-finite"):
+            walk_matrix_element(self.model, SIGMA_X, vecs["u"], vecs["v"], self.f, self.f, 0.5, 2)
+
+    def test_nan_rejected_by_f_term(self):
+        # Once returned passed=False with NaN values.
+        with pytest.raises(ValueError, match="non-finite"):
+            f_term_norm(self.model, SIGMA_X, [np.nan, 0.0], self.f, 0.25, 2, G=4, N=4)
+
+    def test_check_vector(self):
+        u = self.model.check_vector([1, 2j])
+        assert u.dtype == complex and u.shape == (2,)
+        for bad in ([1.0, 2.0, 3.0], [[1.0], [0.0]], [np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                self.model.check_vector(bad)
