@@ -21,8 +21,10 @@ __all__ = [
     "dagger",
     "herm_eigen",
     "op_norm",
+    "power_runs",
     "psd_trig",
     "sandwich",
+    "superoperator",
 ]
 
 # Slots (walk) or RK4 steps (oracle) whose sandwich factors are built at
@@ -131,6 +133,43 @@ def sandwich(left: np.ndarray, y: np.ndarray, right: np.ndarray) -> np.ndarray:
     ``left`` holds the L_j side by side, (d, J d); ``right`` stacks the R_j, (J, d, d).
     """
     return left @ (y @ right).reshape(-1, y.shape[-1])
+
+
+def superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 matrix of y -> sandwich(left, y, right) on row-major vec(y).
+
+    Entry ((a, b), (c, e)) is sum_j L_j[a, c] R_j[e, b], i.e. sum_j L_j (x) R_j^T.
+    """
+    d = left.shape[0]
+    L = left.reshape(d, -1, d)
+    return np.einsum("ajc,jeb->abce", L, right).reshape(d * d, d * d)
+
+
+def _power_pays(d: int, r: int, step_cost: float, setup: float) -> bool:
+    """Whether S^r for a d^2 x d^2 S costs fewer multiply-adds than r steps.
+
+    ``np.linalg.matrix_power`` takes at most 2 bit_length(r) products of d^6
+    multiply-adds, and building S takes ``setup`` more such products.
+    """
+    return d**6 * (setup + 2 * r.bit_length()) < r * step_cost
+
+
+def power_runs(labels, d: int, step_cost: float, setup: float = 0.0) -> list[tuple[int, int]]:
+    """The runs of steps worth taking as one power of a d^2 x d^2 matrix.
+
+    ``labels`` has one entry per step; steps with one nonnegative label apply
+    one linear map on d x d matrices, negative labels mark steps that must be
+    stepped.  Returns (start, stop) of each maximal run of one nonnegative
+    label whose r steps of ``step_cost`` multiply-adds each cost more than
+    the power (``setup`` counts d^6 products spent building the matrix).
+    """
+    labels = np.asarray(labels)
+    cuts = np.flatnonzero(np.diff(labels)) + 1
+    starts = np.concatenate([[0], cuts])
+    stops = np.concatenate([cuts, [len(labels)]])
+    keep = labels[starts] >= 0
+    return [(a, b) for a, b in zip(starts[keep].tolist(), stops[keep].tolist())
+            if _power_pays(d, b - a, step_cost, setup)]
 
 
 def op_norm(a) -> float:

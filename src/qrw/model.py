@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, dagger, op_norm, psd_trig, sandwich
+from .linalg import as_matrix, as_vector, dagger, op_norm, psd_trig, sandwich, superoperator
 
 __all__ = [
     "BlockOperator",
@@ -212,20 +212,35 @@ def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndar
     of Theta: L(x) at (0, 0), delta_i(x) = x R_i - R_i x at (i, 0) and
     delta_dag_i(x) = R_i* x - x R_i* at (0, i).
     """
+    P, d, m = len(ghat), model.d, model.m
     chans = model.channels  # (m, d, d)
+    c = (ghat[:, :1].conj() * fhat[:, :1])[:, :, None]
+    left = np.empty((P, d, 2 + m, d), dtype=complex)  # [p, a, j, b]: factor j side by side
+    left[:, :, 1] = np.eye(d)
+    np.multiply(c[..., None], chans.conj().transpose(2, 0, 1), out=left[:, :, 2:])
+    right = np.empty((P, 2 + m, d, d), dtype=complex)
+    right[:, 0], right[:, 2:] = np.eye(d), chans
+    left = left.reshape(P, d, -1)
+    _write_k_factors(model, ghat, fhat, left, right)
+    return left, right
+
+
+def _write_k_factors(model: GkslModel, ghat, fhat, left, right) -> None:
+    """Write K and K' of ``structure_factors`` at the (P, 1+m) hats into rows :P of its factors.
+
+    The other factors depend on the hats only through c = conj(ghat_0) fhat_0,
+    so rows built for hats of the same c become the factors of these hats.
+    """
+    chans = model.channels
     dags = chans.conj().transpose(0, 2, 1)
     g0, f0 = ghat[:, :1].conj(), fhat[:, :1]
     c = (g0 * f0)[:, :, None]
     D = (np.tensordot(g0 * fhat[:, 1:], dags, axes=1)
          - np.tensordot(f0 * ghat[:, 1:].conj(), chans, axes=1))
     half = (-0.5 * c) * model.RdR
-    P, d, m = len(D), model.d, model.m
-    left = np.empty((P, d, 2 + m, d), dtype=complex)  # [p, a, j, b]: factor j side by side
-    left[:, :, 0], left[:, :, 1] = half + D, np.eye(d)
-    np.multiply(c[..., None], dags.transpose(1, 0, 2), out=left[:, :, 2:])
-    right = np.empty((P, 2 + m, d, d), dtype=complex)
-    right[:, 0], right[:, 1], right[:, 2:] = np.eye(d), half - D, chans
-    return left.reshape(P, d, -1), right
+    P, d = len(D), model.d
+    np.add(half, D, out=left[:P, :, :d])
+    np.subtract(half, D, out=right[:P, 1])
 
 
 def structure_maps(model: GkslModel, x) -> BlockOperator:
@@ -404,14 +419,10 @@ def defect(model: GkslModel, x, h: float) -> tuple[BlockOperator, DefectReport]:
 
 
 def lindblad_superoperator(model: GkslModel) -> np.ndarray:
-    """Matrix of x -> L(x) on row-major vec(x): column c is vec(L(E_c)).
-
-    E_c runs over the d^2 matrix units, so the matrix is derived from
-    ``lindblad`` itself rather than written out a second time.
-    """
-    d = model.d
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return np.stack([lindblad(model, e).reshape(-1) for e in units], axis=1)
+    """Matrix of x -> L(x) on row-major vec(x): ``superoperator`` of the factors of ``lindblad``."""
+    vac = np.eye(1, 1 + model.m)
+    left, right = structure_factors(model, vac, vac)
+    return superoperator(left[0], right[0])
 
 
 def semigroup(model: GkslModel, x, t: float) -> np.ndarray:

@@ -12,10 +12,16 @@ system and one fresh slot copy of C + noise.  Two engines evaluate it:
   vectors (1, F_k) of the test functions immediately after its step.
   Slots are never revisited (the walk is adapted), so the immediate
   contraction is exact.  It steps with the dilation form U(h)* (Y (x) 1) U(h),
-  two matmul calls on d x d blocks per slot: O(n (1+m) d^3) time and a
-  working set independent of n.  Agreement of the engines thus checks the
-  materialized beta blocks against the slot-by-slot contraction with the
-  hatted vectors, including its chunking and its slot order.
+  two matmul calls on d x d blocks per slot, and a working set independent
+  of n.  Off supp f u supp g every slot applies the same vacuum-block map, so
+  ``walk_matrix_element`` takes a run of r such slots as the r-th power of
+  its d^2 x d^2 matrix whenever d^3 bit_length(r) < (1+m) r, i.e. whenever
+  that costs fewer multiply-adds: O((n - n_vac)(1+m) d^3 + d^6 log n_vac)
+  time.  ``walk_stream_states`` keeps every state and so steps every slot.
+  Agreement of the engines thus checks the materialized beta blocks against
+  the slot-by-slot contraction with the hatted vectors, including its
+  chunking and its slot order, and agreement of the two streaming paths
+  checks the powers.
 
 Matrix elements pair against per-slot projections of exponential vectors,
 i.e. the unnormalized product of (1, F_k); tail overlaps beyond t = n h are
@@ -36,7 +42,7 @@ from .fock import (
     slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import CHUNK, dagger, op_norm, sandwich
+from .linalg import CHUNK, dagger, op_norm, power_runs, sandwich, superoperator
 from .model import GkslModel, StepKernel, beta_blocks
 
 __all__ = [
@@ -158,8 +164,30 @@ def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float,
 # ---------------------------------------------------------------------------
 
 
-def _sweep(model: GkslModel, x, favgs: SlotAverages, gavgs: SlotAverages):
-    """Yield the streaming states Y_{n-1}, ..., Y_0 that follow Y_n = x.
+def _slot_factors(model: GkslModel, favgs: SlotAverages, gavgs: SlotAverages):
+    """factors(lo, hi) -> (left, right): the sandwich factors of slots lo..hi-1.
+
+    Per input direction j, cols holds the blocks U^{(l,j)} of U(h) stacked
+    over l and rows the blocks U^{(l,j)}* side by side, so V_l and
+    [Vg_0* | ... | Vg_m*] of ``_sweep`` are linear in the hatted vectors.
+    """
+    if favgs.n != gavgs.n or favgs.h != gavgs.h:
+        raise ValueError("slot averages of f and g must share (h, n)")
+    d, m = model.d, model.m
+    U = StepKernel.build(model, favgs.h).U.blocks  # [l, j, a, b]
+    cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
+    rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
+
+    def factors(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        right = (favgs.hatted(slice(lo, hi)) @ cols).reshape(-1, 1 + m, d, d)
+        left = (gavgs.hatted(slice(lo, hi)).conj() @ rows).reshape(-1, d, (1 + m) * d)
+        return left, right
+
+    return factors
+
+
+def _sweep(model: GkslModel, Y, factors, start: int, stop: int):
+    """Yield the streaming states Y_{stop-1}, ..., Y_start that follow Y_stop = Y.
 
     Y_{k-1} = sum_{j j'} conj(ghat_k[j]) fhat_k[j'] beta^{(j,j')}(h, Y_k)
             = sum_l Vg_l* Y_k Vf_l,
@@ -167,25 +195,14 @@ def _sweep(model: GkslModel, x, favgs: SlotAverages, gavgs: SlotAverages):
     slot k is contracted between the hatted vectors of g (output side) and
     f (input side) immediately after its step, which is exact because later
     steps never touch slot k again.  A nonzero ``model.beta_corruption`` c
-    adds c Y_k, as it adds c x to the vacuum block of beta.
+    adds c Y_k, as it adds c x to the vacuum block of beta.  ``factors`` is
+    from ``_slot_factors``, called CHUNK slots at a time.
     """
-    x = model.check_x(x)
-    if favgs.n != gavgs.n or favgs.h != gavgs.h:
-        raise ValueError("slot averages of f and g must share (h, n)")
-    d, m = model.d, model.m
-    U = StepKernel.build(model, favgs.h).U.blocks  # [l, j, a, b]
-    # Per input direction j: the blocks U^{(l,j)} stacked over l, and the
-    # blocks U^{(l,j)}* side by side, so V_l and [Vg_0* | ... | Vg_m*] are
-    # linear in the hatted vectors.
-    cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
-    rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
     c = model.beta_corruption
-    Y = x
-    for stop in range(favgs.n, 0, -CHUNK):
-        start = max(0, stop - CHUNK)
-        right = (favgs.hatted(slice(start, stop)) @ cols).reshape(-1, 1 + m, d, d)
-        left = (gavgs.hatted(slice(start, stop)).conj() @ rows).reshape(-1, d, (1 + m) * d)
-        for k in range(stop - start - 1, -1, -1):
+    for hi in range(stop, start, -CHUNK):
+        lo = max(start, hi - CHUNK)
+        left, right = factors(lo, hi)
+        for k in range(hi - lo - 1, -1, -1):
             step = sandwich(left[k], Y, right[k])
             Y = step + c * Y if c else step
             yield Y
@@ -193,19 +210,40 @@ def _sweep(model: GkslModel, x, favgs: SlotAverages, gavgs: SlotAverages):
 
 def walk_stream_states(model: GkslModel, x, favgs: SlotAverages,
                        gavgs: SlotAverages) -> np.ndarray:
-    """All streaming states [Y_n = x, Y_{n-1}, ..., Y_0], shape (n+1, d, d)."""
-    return np.stack([model.check_x(x), *_sweep(model, x, favgs, gavgs)])
+    """All streaming states [Y_n = x, Y_{n-1}, ..., Y_0], shape (n+1, d, d), slot by slot."""
+    x = model.check_x(x)
+    factors = _slot_factors(model, favgs, gavgs)
+    return np.stack([x, *_sweep(model, x, factors, 0, favgs.n)])
 
 
 def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
                         h: float, n: int) -> complex:
     """<v (x) projected e(g), p_{nh}(x) u (x) projected e(f)> by streaming.
 
-    Cost O(n (1+m) d^3); agrees with the dense engine pairing whenever the
+    Cost O((n - n_vac)(1+m) d^3 + d^6 log n_vac), with n_vac the slots in runs
+    of r vacuum slots (f and g both average to zero) where d^3 bit_length(r)
+    < (1+m) r: ``power_runs`` takes each as S^r, with S the ``superoperator``
+    of the slot map at ghat = fhat = e_0 plus c for a nonzero
+    ``beta_corruption`` c.  Agrees with the dense engine pairing whenever the
     dense cap allows.
     """
     u, v = model.check_vector(u), model.check_vector(v)
-    for Y in _sweep(model, x, slot_averages(f, h, n), slot_averages(g, h, n)):
+    Y = model.check_x(x)
+    favgs, gavgs = slot_averages(f, h, n), slot_averages(g, h, n)
+    factors = _slot_factors(model, favgs, gavgs)
+    d, m = model.d, model.m
+    vacuum = ~(favgs.F.any(axis=1) | gavgs.F.any(axis=1))
+    runs = power_runs(np.where(vacuum, 0, -1), d, 2 * (1 + m) * d**3)
+    if runs:
+        left, right = factors(runs[0][0], runs[0][0] + 1)
+        S = superoperator(left[0], right[0]) + model.beta_corruption * np.eye(d * d)
+    stop = n
+    for a, b in reversed(runs):
+        for Y in _sweep(model, Y, factors, b, stop):
+            pass
+        Y = (np.linalg.matrix_power(S, b - a) @ Y.reshape(-1)).reshape(d, d)
+        stop = a
+    for Y in _sweep(model, Y, factors, 0, stop):
         pass
     return complex(np.vdot(v, Y @ u))
 

@@ -57,6 +57,10 @@ f = functions.TestFunction([0.0, 0.4, 1.0], [[0.0], [0.3 - 0.1j], [0.1]])
 g = functions.TestFunction([0.2, 0.5, 0.7], [[0.0], [0.2j], [0.0]])
 walk.walk_matrix_element(gksl, x, u, v, f, g, 0.25, 4)
 oracle.flow_matrix_element(gksl, x, u, v, f, g, 1.0)
+# Long enough for both engines to take their vacuum runs as matrix powers.
+zero = functions.TestFunction.zero(1)
+walk.walk_matrix_element(gksl, x, u, v, zero, zero, 1 / 1024, 1024)
+oracle.flow_matrix_element_fixed(gksl, x, u, v, zero, zero, 1.0, 1024)
 space = fock.IntervalSpace(m=1, G=2, N=3, h=0.25)
 fock.check_lemma_normdiff(space, f, 0.25)
 fock.projection_deficiency(f, 1.0, 0.25, 1, 2, 3)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qrw.linalg import dagger, herm_eigen, op_norm, psd_trig
+from qrw import linalg
+from qrw.linalg import dagger, herm_eigen, op_norm, power_runs, psd_trig, sandwich, superoperator
 
 
 def _rand_complex(rng, *shape):
@@ -191,3 +194,46 @@ class TestOpNorm:
             a = _rand_complex(rng, 4, 4)
             b = _rand_complex(rng, 4, 4)
             assert op_norm(a @ b) <= op_norm(a) * op_norm(b) * (1 + 1e-10)
+
+
+class TestSuperoperator:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 5), J=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_sandwich(self, d, J, seed):
+        rng = np.random.default_rng(seed)
+        left, right = _rand_complex(rng, d, J * d), _rand_complex(rng, J, d, d)
+        y = _rand_complex(rng, d, d)
+        got = (superoperator(left, right) @ y.reshape(-1)).reshape(d, d)
+        want = sandwich(left, y, right)
+        assert op_norm(got - want) <= 1e-13 * max(1.0, op_norm(want))
+
+    def test_power_is_repeated_sandwich(self):
+        rng = np.random.default_rng(23)
+        left, right = _rand_complex(rng, 3, 6) / 3, _rand_complex(rng, 2, 3, 3) / 3
+        y = _rand_complex(rng, 3, 3)
+        want = y
+        for _ in range(37):
+            want = sandwich(left, want, right)
+        got = (np.linalg.matrix_power(superoperator(left, right), 37) @ y.reshape(-1)).reshape(3, 3)
+        assert op_norm(got - want) <= 1e-13 * op_norm(want)
+
+
+class TestPowerRuns:
+    def test_maximal_runs_of_one_label(self):
+        labels = np.array([0] * 100 + [-1] * 3 + [0] * 100 + [1] * 100 + [-1] * 50)
+        assert power_runs(labels, 1, 1.0) == [(0, 100), (103, 203), (203, 303)]
+
+    def test_short_runs_are_stepped(self):
+        # d = 1: S^r costs 2 bit_length(r) products, r steps cost r.
+        labels = np.array([0] * 8 + [-1] + [0] * 9)
+        assert power_runs(labels, 1, 1.0) == [(9, 18)]
+        assert power_runs(np.full(5, -1), 1, 1.0) == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_loop_at_d16_up_to_4096(self, m):
+        # The walk's slot cost 2(1+m)d^3 and the oracle's RK4 step 8(2+m)d^3 plus
+        # the 3 products that build M: at d = 16 the walk steps every run of up to
+        # 4096 slots, and the oracle every run of up to 2048 steps.
+        d = 16
+        assert not any(linalg._power_pays(d, r, 2 * (1 + m) * d**3, 0) for r in range(1, 4097))
+        assert not any(linalg._power_pays(d, r, 8 * (2 + m) * d**3, 3) for r in range(1, 2049))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrw import oracle
+from qrw import linalg, oracle
 from qrw.functions import TestFunction
-from qrw.linalg import dagger, op_norm, sandwich
+from qrw.linalg import dagger, op_norm, power_runs, sandwich
 from qrw.model import amplitude_damping, delta, delta_dag, lindblad, random_model, semigroup
 from qrw.oracle import (
     OracleRefinementError,
@@ -180,6 +180,31 @@ class TestFlowMatrixElement:
         errs = [abs(flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, s) - ref) for s in steps]
         slope = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope >= 3.8, (slope, errs)
+
+    def test_vacuum_power_matches_rk4_loop(self, monkeypatch):
+        # f is zero on [0.1, 0.2] and g vanishes below 0.3, so the vacuum steps
+        # below 0.2 span two grid segments, and those above 0.6 a third; each
+        # run is M^r for the RK4 polynomial M, against the loop it replaces.
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 3, 2, 1.2)
+        f = _tf([0.1, 0.2, 0.4, 0.6], [[0, 0], [0, 0], [0.3, -0.2j], [0, 0]])
+        g = _tf([0.3, 0.5, 0.6], [[0.1j, 0.2], [-0.4, 0], [0, 0]])
+        x = _rand_x(rng, 3)
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(power_runs(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(oracle, "power_runs", spy)
+        power = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
+        assert len(runs[0]) == 3
+        monkeypatch.setattr(linalg, "_power_pays", lambda *args: False)
+        loop = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
+        assert runs[1] == []
+        assert abs(power - loop) <= 1e-13 * abs(loop)
 
 
 class TestRefinement:

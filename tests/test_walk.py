@@ -1,12 +1,14 @@
 """Tests for test functions, slot averages, and the walk engines."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qrw import functions
+from qrw import functions, walk
 from qrw.fock import (
     TAIL_LIMIT,
     IntervalSpace,
@@ -16,7 +18,7 @@ from qrw.fock import (
     project_Ph,
     projection_deficiency,
 )
-from qrw.linalg import dagger, op_norm
+from qrw.linalg import dagger, op_norm, power_runs
 from qrw.model import GkslModel, StepKernel, amplitude_damping, random_model, semigroup
 from qrw.walk import (
     DenseCapError,
@@ -363,6 +365,44 @@ class TestStreamingEngine:
         embed = toy_exp_embed(functions.slot_averages(g, h, n))
         dense = complex(np.vdot(np.einsum("a,J->aJ", v, embed), state))
         assert abs(stream - dense) <= 1e-10 * max(1.0, abs(dense))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        m=st.integers(1, 2),
+        starts=st.lists(st.floats(0.3, 0.45), min_size=2, max_size=2),
+        ends=st.lists(st.floats(0.55, 0.7), min_size=2, max_size=2),
+        corruption=st.sampled_from([0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vacuum_runs_match_slot_by_slot(self, d, m, starts, ends, corruption, seed):
+        # f on [starts[0], ends[0]] and g on [starts[1], ends[1]] leave runs of
+        # 300 or more vacuum slots at both ends, which walk_matrix_element takes
+        # as matrix powers and walk_stream_states steps slot by slot.
+        rng = np.random.default_rng(seed)
+        R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
+        model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
+        n = 1024
+        h = 1.0 / n
+        f, g = (TF(np.linspace(a, b, 4), _rand_x(rng, 4)[:, :m]) for a, b in zip(starts, ends))
+        x = _rand_x(rng, d)
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        found = []
+
+        def spy(*args):
+            found.append(power_runs(*args))
+            return found[-1]
+
+        with mock.patch.object(walk, "power_runs", spy):
+            got = walk_matrix_element(model, x, u, v, f, g, h, n)
+        assert found[0]
+        favgs, gavgs = functions.slot_averages(f, h, n), functions.slot_averages(g, h, n)
+        want = complex(np.vdot(v, walk_stream_states(model, x, favgs, gavgs)[-1] @ u))
+        hats = np.prod(np.linalg.norm(favgs.hatted(slice(None)), axis=1)
+                       * np.linalg.norm(gavgs.hatted(slice(None)), axis=1))
+        scale = op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v) * hats * (1 + corruption) ** n
+        assert abs(got - want) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(
