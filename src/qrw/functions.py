@@ -172,7 +172,7 @@ class SlotAverages:
 
 def slot_averages(f: TestFunction, h: float, n: int) -> SlotAverages:
     """Exact slot averages of ``f`` over n consecutive intervals of length h."""
-    if h <= 0 or n < 1:
-        raise ValueError("need h > 0 and n >= 1")
+    if not (np.isfinite(h) and h > 0) or n < 1:
+        raise ValueError(f"need a finite h > 0 and n >= 1, got h = {h}, n = {n}")
     F = np.diff(f.antiderivative(h * np.arange(n + 1)), axis=0) / np.sqrt(h)
     return SlotAverages(h=h, n=n, F=F)

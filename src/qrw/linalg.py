@@ -21,15 +21,21 @@ __all__ = [
     "dagger",
     "herm_eigen",
     "op_norm",
+    "pick_engine",
     "power_runs",
     "psd_trig",
     "sandwich",
     "superoperator",
+    "transfer_matrices",
 ]
 
 # Slots (walk) or RK4 steps (oracle) whose sandwich factors are built at
 # once, so the working set is O(CHUNK (2+m) d^2) whatever n or the step count.
 CHUNK = 64
+
+# Multiply-adds that one numpy call costs beyond its arithmetic.  At d <= 4 the
+# per-call overhead, not the arithmetic, sets what a slot or an RK4 rate costs.
+_CALL = 4096
 
 # Hermiticity tolerance on inputs of herm_eigen / psd_trig.
 _HERM_TOL = 1e-12
@@ -139,29 +145,69 @@ def superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The d^2 x d^2 matrix of y -> sandwich(left, y, right) on row-major vec(y).
 
     Entry ((a, b), (c, e)) is sum_j L_j[a, c] R_j[e, b], i.e. sum_j L_j (x) R_j^T.
+    Leading axes of ``left`` (..., d, J d) and ``right`` (..., J, d, d) are a batch.
     """
-    d = left.shape[0]
-    L = left.reshape(d, -1, d)
-    return np.einsum("ajc,jeb->abce", L, right).reshape(d * d, d * d)
+    d = left.shape[-2]
+    L = left.reshape(left.shape[:-1] + (-1, d))
+    out = np.einsum("...ajc,...jeb->...abce", L, right)
+    return out.reshape(left.shape[:-2] + (d * d, d * d))
 
 
-def _power_pays(d: int, r: int, step_cost: float, setup: float) -> bool:
-    """Whether S^r for a d^2 x d^2 S costs fewer multiply-adds than r steps.
+def transfer_matrices(table: np.ndarray, ghat: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """sum_{j j'} conj(ghat_j) fhat_j' table[j (1+m) + j'] for each row of the (P, 1+m) hats.
 
+    ``table`` holds the (1+m)^2 matrices of a map bilinear in (conj ghat, fhat),
+    one per pair of unit hats; the P maps cost one (P, (1+m)^2) @ ((1+m)^2, d^4) product.
+    """
+    pairs = (ghat.conj()[:, :, None] * fhat[:, None, :]).reshape(len(ghat), -1)
+    return (pairs @ table.reshape(len(table), -1)).reshape((len(ghat),) + table.shape[1:])
+
+
+def _cost(madds: float, calls: float) -> float:
+    """The cost behind every choice of engine: multiply-adds plus ``_CALL`` per numpy call."""
+    return madds + _CALL * calls
+
+
+def pick_engine(d: int, terms: int, hats: int, points: int, applies: int) -> tuple[bool, int, int]:
+    """Sandwich factors or transfer matrices for the steps of maps on d x d matrices.
+
+    A step forms its maps at ``points`` pairs of hats of length ``hats`` and
+    applies them ``applies`` times; one map is ``terms`` sandwich terms.  By
+    ``sandwich`` an application is 2 calls and 2 terms d^3 multiply-adds.  By
+    transfer matrices it is one d^2 x d^2 matrix-vector call of d^4, and a
+    point is its row of the ``transfer_matrices`` product, hats^2 d^4; the
+    table, built once per run, is left out.  Returns whether a step costs less
+    by transfer matrices, and the multiply-adds and calls of a step of the
+    engine chosen.
+    """
+    sandwich_step = (2 * applies * terms * d**3, 2 * applies)
+    transfer_step = ((points * hats**2 + applies) * d**4, applies)
+    transfer = _cost(*transfer_step) < _cost(*sandwich_step)
+    return (transfer, *(transfer_step if transfer else sandwich_step))
+
+
+def _power_pays(d: int, r: int, step_cost: float, setup: float, step_calls: int = 1) -> bool:
+    """Whether S^r for a d^2 x d^2 S costs less by ``_cost`` than r steps.
+
+    A step takes ``step_cost`` multiply-adds in ``step_calls`` numpy calls.
     ``np.linalg.matrix_power`` takes at most 2 bit_length(r) products of d^6
-    multiply-adds, and building S takes ``setup`` more such products.
+    multiply-adds, building S takes ``setup`` more, and each product and the
+    final matrix-vector product is one call.
     """
-    return d**6 * (setup + 2 * r.bit_length()) < r * step_cost
+    products = setup + 2 * r.bit_length()
+    return _cost(d**6 * products, products + 1) < _cost(r * step_cost, r * step_calls)
 
 
-def power_runs(labels, d: int, step_cost: float, setup: float = 0.0) -> list[tuple[int, int]]:
+def power_runs(labels, d: int, step_cost: float, setup: float = 0.0,
+               step_calls: int = 1) -> list[tuple[int, int]]:
     """The runs of steps worth taking as one power of a d^2 x d^2 matrix.
 
     ``labels`` has one entry per step; steps with one nonnegative label apply
     one linear map on d x d matrices, negative labels mark steps that must be
     stepped.  Returns (start, stop) of each maximal run of one nonnegative
-    label whose r steps of ``step_cost`` multiply-adds each cost more than
-    the power (``setup`` counts d^6 products spent building the matrix).
+    label whose r steps of ``step_cost`` multiply-adds in ``step_calls`` calls
+    each cost more than the power (``setup`` counts d^6 products spent
+    building the matrix).
     """
     labels = np.asarray(labels)
     cuts = np.flatnonzero(np.diff(labels)) + 1
@@ -169,7 +215,7 @@ def power_runs(labels, d: int, step_cost: float, setup: float = 0.0) -> list[tup
     stops = np.concatenate([cuts, [len(labels)]])
     keep = labels[starts] >= 0
     return [(a, b) for a, b in zip(starts[keep].tolist(), stops[keep].tolist())
-            if _power_pays(d, b - a, step_cost, setup)]
+            if _power_pays(d, b - a, step_cost, setup, step_calls)]
 
 
 def op_norm(a) -> float:

@@ -47,6 +47,7 @@ __all__ = [
     "structure_maps",
     "trig_estimates",
     "u_h",
+    "unit_pairs",
 ]
 
 # Scaling exponents of the four block parts: vacuum, annihilation row,
@@ -243,6 +244,16 @@ def _write_k_factors(model: GkslModel, ghat, fhat, left, right) -> None:
     np.subtract(half, D, out=right[:P, 1])
 
 
+def unit_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All (1+m)^2 pairs of unit hats (ghat, fhat) = (e_j, e_j'), row p = j (1+m) + j'.
+
+    Row 0 is the vacuum pair (e_0, e_0).  A map bilinear in (conj ghat, fhat)
+    is known from its values at these rows (``linalg.transfer_matrices``).
+    """
+    units = np.eye(1 + m)
+    return np.repeat(units, 1 + m, axis=0), np.tile(units, (1 + m, 1))
+
+
 def structure_maps(model: GkslModel, x) -> BlockOperator:
     """Theta(x) = [[L(x), delta_dag(x)], [delta(x), 0]] from ``structure_factors`` at unit hats.
 
@@ -250,9 +261,7 @@ def structure_maps(model: GkslModel, x) -> BlockOperator:
     no gauge term), but the slot is carried so walk code sees full blocks.
     """
     x = model.check_x(x)
-    units = np.eye(1 + model.m)
-    left, right = structure_factors(model, np.repeat(units, 1 + model.m, axis=0),
-                                    np.tile(units, (1 + model.m, 1)))
+    left, right = structure_factors(model, *unit_pairs(model.m))
     blocks = np.stack([sandwich(lj, x, rj) for lj, rj in zip(left, right)])
     return BlockOperator(model.d, model.m, blocks.reshape((1 + model.m,) * 2 + x.shape))
 

@@ -11,17 +11,22 @@ system and one fresh slot copy of C + noise.  Two engines evaluate it:
 * a streaming engine that contracts each slot against the hatted slot
   vectors (1, F_k) of the test functions immediately after its step.
   Slots are never revisited (the walk is adapted), so the immediate
-  contraction is exact.  It steps with the dilation form U(h)* (Y (x) 1) U(h),
-  two matmul calls on d x d blocks per slot, and a working set independent
-  of n.  Off supp f u supp g every slot applies the same vacuum-block map, so
-  ``walk_matrix_element`` takes a run of r such slots as the r-th power of
-  its d^2 x d^2 matrix whenever d^3 bit_length(r) < (1+m) r, i.e. whenever
-  that costs fewer multiply-adds: O((n - n_vac)(1+m) d^3 + d^6 log n_vac)
-  time.  ``walk_stream_states`` keeps every state and so steps every slot.
-  Agreement of the engines thus checks the materialized beta blocks against
-  the slot-by-slot contraction with the hatted vectors, including its
-  chunking and its slot order, and agreement of the two streaming paths
-  checks the powers.
+  contraction is exact, and the working set is independent of n.  The slot
+  map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y) is bilinear in
+  the hats, so it has two forms: the dilation form U(h)* (Y (x) 1) U(h) as
+  sandwich factors, two matmul calls on d x d blocks, and on vec(Y) one
+  d^2 x d^2 transfer matrix, the contraction of the table B_{jj'} of the
+  slot maps at unit hats, one call.  ``linalg.pick_engine`` counts
+  multiply-adds plus a fixed charge per numpy call and takes the transfer
+  matrices at d <= 4, the sandwich factors above.  Off supp f u supp g every
+  slot applies the same vacuum map B_00, so ``walk_matrix_element`` takes a
+  run of such slots as a matrix power where ``linalg.power_runs`` finds that
+  cheaper by the same count.  ``walk_stream_states`` keeps every state and
+  steps every slot by its sandwich factors.  Agreement of the engines thus
+  checks the materialized beta blocks against the slot-by-slot contraction
+  with the hatted vectors, including its chunking and its slot order, and
+  agreement of the two streaming paths checks the transfer matrices and the
+  powers.
 
 Matrix elements pair against per-slot projections of exponential vectors,
 i.e. the unnormalized product of (1, F_k); tail overlaps beyond t = n h are
@@ -42,8 +47,17 @@ from .fock import (
     slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import CHUNK, dagger, op_norm, power_runs, sandwich, superoperator
-from .model import GkslModel, StepKernel, beta_blocks
+from .linalg import (
+    CHUNK,
+    dagger,
+    op_norm,
+    pick_engine,
+    power_runs,
+    sandwich,
+    superoperator,
+    transfer_matrices,
+)
+from .model import GkslModel, StepKernel, beta_blocks, unit_pairs
 
 __all__ = [
     "DenseCapError",
@@ -164,88 +178,131 @@ def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float,
 # ---------------------------------------------------------------------------
 
 
-def _slot_factors(model: GkslModel, favgs: SlotAverages, gavgs: SlotAverages):
-    """factors(lo, hi) -> (left, right): the sandwich factors of slots lo..hi-1.
+def _slot_factors(model: GkslModel, h: float):
+    """factors(ghat, fhat) -> (left, right): sandwich factors of the slot maps at (P, 1+m) hats.
 
-    Per input direction j, cols holds the blocks U^{(l,j)} of U(h) stacked
-    over l and rows the blocks U^{(l,j)}* side by side, so V_l and
-    [Vg_0* | ... | Vg_m*] of ``_sweep`` are linear in the hatted vectors.
+    Row p is the map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y)
+    = sum_l Vg_l* Y Vf_l, where V_l is the block of V = U(h)(1 (x) hat) on slot
+    direction l.  Per input direction j, cols holds the blocks U^{(l,j)} of
+    U(h) stacked over l and rows the blocks U^{(l,j)}* side by side, so
+    right = [Vf_0; ...; Vf_m] and left = [Vg_0* | ... | Vg_m*] are linear in
+    the hats.
     """
-    if favgs.n != gavgs.n or favgs.h != gavgs.h:
-        raise ValueError("slot averages of f and g must share (h, n)")
     d, m = model.d, model.m
-    U = StepKernel.build(model, favgs.h).U.blocks  # [l, j, a, b]
+    U = StepKernel.build(model, h).U.blocks  # [l, j, a, b]
     cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
     rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
 
-    def factors(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        right = (favgs.hatted(slice(lo, hi)) @ cols).reshape(-1, 1 + m, d, d)
-        left = (gavgs.hatted(slice(lo, hi)).conj() @ rows).reshape(-1, d, (1 + m) * d)
+    def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        right = (fhat @ cols).reshape(-1, 1 + m, d, d)
+        left = (ghat.conj() @ rows).reshape(-1, d, (1 + m) * d)
         return left, right
 
     return factors
 
 
-def _sweep(model: GkslModel, Y, factors, start: int, stop: int):
+def _slot_table(model: GkslModel, factors, count: int) -> np.ndarray:
+    """The transfer matrices B_{jj'} of the first ``count`` unit-hat pairs, (count, d^2, d^2).
+
+    ``superoperator`` of ``factors`` at ``unit_pairs``; a nonzero
+    ``model.beta_corruption`` c adds c to the vacuum entry B_00, so every
+    contraction of the table (its hats have ghat_0 = fhat_0 = 1) carries c Y.
+    """
+    table = superoperator(*factors(*(units[:count] for units in unit_pairs(model.m))))
+    table[0] += model.beta_corruption * np.eye(model.d**2)
+    return table
+
+
+def _sweep(Y, chunk, start: int, stop: int):
     """Yield the streaming states Y_{stop-1}, ..., Y_start that follow Y_stop = Y.
 
-    Y_{k-1} = sum_{j j'} conj(ghat_k[j]) fhat_k[j'] beta^{(j,j')}(h, Y_k)
-            = sum_l Vg_l* Y_k Vf_l,
-    where V_l is the block of V = U(h)(1 (x) hat_k) on slot direction l:
+    Y_{k-1} = sum_{j j'} conj(ghat_k[j]) fhat_k[j'] beta^{(j,j')}(h, Y_k):
     slot k is contracted between the hatted vectors of g (output side) and
     f (input side) immediately after its step, which is exact because later
-    steps never touch slot k again.  A nonzero ``model.beta_corruption`` c
-    adds c Y_k, as it adds c x to the vacuum block of beta.  ``factors`` is
-    from ``_slot_factors``, called CHUNK slots at a time.
+    steps never touch slot k again.  ``chunk(lo, hi)`` gives step(k, Y), the
+    map of slot lo + k, and is called CHUNK slots at a time.
     """
-    c = model.beta_corruption
     for hi in range(stop, start, -CHUNK):
         lo = max(start, hi - CHUNK)
-        left, right = factors(lo, hi)
+        step = chunk(lo, hi)
         for k in range(hi - lo - 1, -1, -1):
-            step = sandwich(left[k], Y, right[k])
-            Y = step + c * Y if c else step
+            Y = step(k, Y)
             yield Y
+
+
+def _sandwich_chunks(model: GkslModel, factors, ghats: np.ndarray, fhats: np.ndarray):
+    """chunk(lo, hi) for ``_sweep``: slot maps by their sandwich factors, on d x d Y.
+
+    A nonzero ``model.beta_corruption`` c adds c Y_k, as it adds c x to the
+    vacuum block of beta.
+    """
+    c = model.beta_corruption
+
+    def chunk(lo: int, hi: int):
+        left, right = factors(ghats[lo:hi], fhats[lo:hi])
+        if c:
+            return lambda k, Y: sandwich(left[k], Y, right[k]) + c * Y
+        return lambda k, Y: sandwich(left[k], Y, right[k])
+
+    return chunk
 
 
 def walk_stream_states(model: GkslModel, x, favgs: SlotAverages,
                        gavgs: SlotAverages) -> np.ndarray:
-    """All streaming states [Y_n = x, Y_{n-1}, ..., Y_0], shape (n+1, d, d), slot by slot."""
+    """All streaming states [Y_n = x, Y_{n-1}, ..., Y_0], shape (n+1, d, d), slot by slot.
+
+    Always steps every slot by its sandwich factors: the cross-check of the
+    transfer matrices and matrix powers of ``walk_matrix_element``.
+    """
     x = model.check_x(x)
-    factors = _slot_factors(model, favgs, gavgs)
-    return np.stack([x, *_sweep(model, x, factors, 0, favgs.n)])
+    if favgs.n != gavgs.n or favgs.h != gavgs.h:
+        raise ValueError("slot averages of f and g must share (h, n)")
+    chunk = _sandwich_chunks(model, _slot_factors(model, favgs.h),
+                             gavgs.hatted(slice(None)), favgs.hatted(slice(None)))
+    return np.stack([x, *_sweep(x, chunk, 0, favgs.n)])
 
 
 def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
                         h: float, n: int) -> complex:
     """<v (x) projected e(g), p_{nh}(x) u (x) projected e(f)> by streaming.
 
-    Cost O((n - n_vac)(1+m) d^3 + d^6 log n_vac), with n_vac the slots in runs
-    of r vacuum slots (f and g both average to zero) where d^3 bit_length(r)
-    < (1+m) r: ``power_runs`` takes each as S^r, with S the ``superoperator``
-    of the slot map at ghat = fhat = e_0 plus c for a nonzero
-    ``beta_corruption`` c.  Agrees with the dense engine pairing whenever the
-    dense cap allows.
+    ``linalg.pick_engine`` steps the slots either by their sandwich factors,
+    O((1+m) d^3) per slot in 2 numpy calls, or on vec(Y) by one transfer
+    matrix per slot, the contraction of the table B_{jj'} of ``_slot_table``
+    at the slot's hats, O((1+m)^2 d^4) in one call: the latter at d <= 4.
+    ``power_runs`` takes each run of vacuum slots (f and g both average to
+    zero) that costs more stepped than as a power as B_00^r.  Agrees with the
+    dense engine pairing whenever the dense cap allows, and with
+    ``walk_stream_states``.
     """
     u, v = model.check_vector(u), model.check_vector(v)
-    Y = model.check_x(x)
+    x = model.check_x(x)
     favgs, gavgs = slot_averages(f, h, n), slot_averages(g, h, n)
-    factors = _slot_factors(model, favgs, gavgs)
+    ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
+    factors = _slot_factors(model, h)
     d, m = model.d, model.m
+    transfer, madds, calls = pick_engine(d, 1 + m, 1 + m, 1, 1)
     vacuum = ~(favgs.F.any(axis=1) | gavgs.F.any(axis=1))
-    runs = power_runs(np.where(vacuum, 0, -1), d, 2 * (1 + m) * d**3)
-    if runs:
-        left, right = factors(runs[0][0], runs[0][0] + 1)
-        S = superoperator(left[0], right[0]) + model.beta_corruption * np.eye(d * d)
+    runs = power_runs(np.where(vacuum, 0, -1), d, madds, 0, calls)
+    if transfer or runs:
+        table = _slot_table(model, factors, (1 + m) ** 2 if transfer else 1)
+    if transfer:
+        Y = x.reshape(-1)
+
+        def chunk(lo: int, hi: int):
+            T = transfer_matrices(table, ghats[lo:hi], fhats[lo:hi])
+            return lambda k, y: T[k] @ y
+    else:
+        Y, chunk = x, _sandwich_chunks(model, factors, ghats, fhats)
     stop = n
     for a, b in reversed(runs):
-        for Y in _sweep(model, Y, factors, b, stop):
+        for Y in _sweep(Y, chunk, b, stop):
             pass
-        Y = (np.linalg.matrix_power(S, b - a) @ Y.reshape(-1)).reshape(d, d)
+        Y = (np.linalg.matrix_power(table[0], b - a) @ Y.reshape(-1)).reshape(Y.shape)
         stop = a
-    for Y in _sweep(model, Y, factors, 0, stop):
+    for Y in _sweep(Y, chunk, 0, stop):
         pass
-    return complex(np.vdot(v, Y @ u))
+    return complex(np.vdot(v, Y.reshape(d, d) @ u))
 
 
 def walk_norm_sq(model: GkslModel, x, u, f: TestFunction, h: float, n: int) -> float:

@@ -237,3 +237,39 @@ class TestPowerRuns:
         d = 16
         assert not any(linalg._power_pays(d, r, 2 * (1 + m) * d**3, 0) for r in range(1, 4097))
         assert not any(linalg._power_pays(d, r, 8 * (2 + m) * d**3, 3) for r in range(1, 2049))
+
+
+class TestEngineRule:
+    # The calls the walk (a slot: 1+m terms, one point, one application) and the
+    # oracle (an RK4 step: 2+m terms, two new points, four applications) make.
+    @staticmethod
+    def walk(d, m):
+        return linalg.pick_engine(d, 1 + m, 1 + m, 1, 1)
+
+    @staticmethod
+    def oracle(d, m):
+        return linalg.pick_engine(d, 2 + m, 1 + m, 2, 4)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_transfer_at_d_up_to_4(self, d, m):
+        assert self.walk(d, m)[0] == (d <= 4)
+        assert self.oracle(d, m)[0] == (d <= 4)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_d16_steps_every_run(self, m):
+        # With the call charge on the sandwich steps of each engine: the walk
+        # steps every run of up to 4096 slots, the oracle every run of up to
+        # 2048 steps (at m = 3 by a margin of about 4%).
+        _, madds, calls = self.walk(16, m)
+        assert not any(linalg._power_pays(16, r, madds, 0, calls) for r in range(1, 4097))
+        _, madds, calls = self.oracle(16, m)
+        assert not any(linalg._power_pays(16, r, madds, 3, calls) for r in range(1, 2049))
+
+    def test_d4_powers_from_short_runs(self):
+        # study-small's shape, d = 4 and m = 2: the walk takes vacuum runs of 11
+        # or more slots as powers, the oracle runs of 3 or more steps.
+        _, madds, calls = self.walk(4, 2)
+        assert [linalg._power_pays(4, r, madds, 0, calls) for r in (10, 11)] == [False, True]
+        _, madds, calls = self.oracle(4, 2)
+        assert [linalg._power_pays(4, r, madds, 3, calls) for r in (2, 3)] == [False, True]

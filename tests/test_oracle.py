@@ -7,8 +7,16 @@ from hypothesis import strategies as st
 
 from qrw import linalg, oracle
 from qrw.functions import TestFunction
-from qrw.linalg import dagger, op_norm, power_runs, sandwich
-from qrw.model import amplitude_damping, delta, delta_dag, lindblad, random_model, semigroup
+from qrw.linalg import dagger, op_norm, power_runs, sandwich, superoperator, transfer_matrices
+from qrw.model import (
+    amplitude_damping,
+    delta,
+    delta_dag,
+    lindblad,
+    random_model,
+    semigroup,
+    structure_factors,
+)
 from qrw.oracle import (
     OracleRefinementError,
     _generator_factors,
@@ -94,6 +102,24 @@ class TestWeakGenerator:
                      + np.einsum("i,aib->ab", np.conj(gv), delta(model, Y).reshape(d, m, d))
                      + np.einsum("abi,i->ab", delta_dag(model, Y).reshape(d, d, m), fv))
         assert op_norm(gen - from_maps) <= 1e-12 * scale
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_table_contracts_to_rate_superoperator(self, d, m, seed):
+        # sum_{jj'} conj(ghat_j) fhat_j' Theta_{jj'} is the superoperator of
+        # structure_factors at (ghat, fhat) plus sum_{i>=1} conj(ghat_i) fhat_i,
+        # for hats that need not start with 1.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
+        table = oracle._generator_table(model, (1 + m) ** 2)
+        ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
+        pairing = np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)
+        want = (superoperator(*structure_factors(model, ghat, fhat))
+                + pairing[:, None, None] * np.eye(d * d))
+        got = transfer_matrices(table, ghat, fhat)
+        scale = np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1) * (1 + model.norm_R**2)
+        assert (np.linalg.norm(got - want, axis=(1, 2)) <= 1e-13 * d * scale).all()
 
 
 class TestFlowMatrixElement:
@@ -205,6 +231,56 @@ class TestFlowMatrixElement:
         loop = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
         assert runs[1] == []
         assert abs(power - loop) <= 1e-13 * abs(loop)
+
+
+    def test_transfer_matches_sandwich_loop(self, monkeypatch):
+        # At d = 3 the rule takes transfer matrices and the vacuum runs as
+        # powers.  A constant cost makes nothing strictly cheaper, which forces
+        # the sandwich factors at every step, as walk_stream_states uses them.
+        rng = np.random.default_rng(19)
+        model = random_model(rng, 3, 2, 1.2)
+        f = _tf([0.1, 0.2, 0.4, 0.6], [[0, 0], [0, 0], [0.3, -0.2j], [0, 0]])
+        g = _tf([0.0, 0.5, 1.0], [[0.1j, 0.2], [-0.4, 0.3], [0.2, -0.1j]])
+        x = _rand_x(rng, 3)
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        chosen = []
+
+        def spy(*args):
+            chosen.append(linalg.pick_engine(*args))
+            return chosen[-1]
+
+        monkeypatch.setattr(oracle, "pick_engine", spy)
+        transfer = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
+        monkeypatch.setattr(linalg, "_cost", lambda madds, calls: 0.0)
+        loop = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
+        assert [transfer for transfer, _, _ in chosen] == [True, False]
+        assert abs(transfer - loop) <= 1e-13 * abs(loop)
+
+
+class TestInputChecks:
+    # amplitude_damping with x = P1 and u = v = e1 decays as exp(-t).
+    ARGS = (amplitude_damping(1.0), P1, [0.0, 1.0], [0.0, 1.0],
+            TestFunction.zero(1), TestFunction.zero(1))
+
+    def test_fixed_negative_t_raises(self):
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            flow_matrix_element_fixed(*self.ARGS, -1.0, 64)
+
+    def test_fixed_t_zero_is_initial_value(self):
+        assert flow_matrix_element_fixed(*self.ARGS, 0.0, 64) == 1.0
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    @pytest.mark.parametrize("fn", [flow_matrix_element_fixed, flow_matrix_element])
+    def test_steps_below_one_raise(self, fn, steps):
+        with pytest.raises(ValueError, match="steps >= 1"):
+            fn(*self.ARGS, 1.0, steps)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [flow_matrix_element_fixed, flow_matrix_element])
+    def test_non_finite_t_raises(self, fn, t):
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            fn(*self.ARGS, t, 64)
 
 
 class TestRefinement:

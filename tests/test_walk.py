@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qrw import functions, walk
+from qrw import functions, linalg, walk
 from qrw.fock import (
     TAIL_LIMIT,
     IntervalSpace,
@@ -18,7 +18,7 @@ from qrw.fock import (
     project_Ph,
     projection_deficiency,
 )
-from qrw.linalg import dagger, op_norm, power_runs
+from qrw.linalg import dagger, op_norm, power_runs, superoperator, transfer_matrices
 from qrw.model import GkslModel, StepKernel, amplitude_damping, random_model, semigroup
 from qrw.walk import (
     DenseCapError,
@@ -128,6 +128,11 @@ class TestSlotAverages:
         c = np.array([0.3, -0.7])
         avgs = functions.slot_averages(TF.constant(c, 0.0, 1.0), 0.25, 4)
         assert_allclose(avgs.F, np.sqrt(0.25) * np.tile(c, (4, 1)), atol=1e-14)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_non_finite_h_rejected(self, h):
+        with pytest.raises(ValueError, match="finite h"):
+            functions.slot_averages(TF.constant([0.3], 0.0, 1.0), h, 4)
 
     def test_ramp_exact_integrals(self):
         # f(s) = s on [0, 1], h = 0.5: F_1 = 0.125/sqrt(0.5), F_2 = 0.375/sqrt(0.5).
@@ -403,6 +408,74 @@ class TestStreamingEngine:
                        * np.linalg.norm(gavgs.hatted(slice(None)), axis=1))
         scale = op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v) * hats * (1 + corruption) ** n
         assert abs(got - want) <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        m=st.integers(1, 3),
+        n=st.sampled_from([1, 63, 64, 65, 130]),
+        corruption=st.sampled_from([0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transfer_matches_slot_by_slot(self, d, m, n, corruption, seed):
+        # f and g are nonzero on all of [0, 1], so at d <= 4 every slot goes
+        # through a transfer matrix, and walk_stream_states steps the same slots
+        # by sandwiches; n = 63, 64, 65 and 130 put chunk ends on either side of
+        # CHUNK = 64.
+        rng = np.random.default_rng(seed)
+        R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
+        model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
+        h = 1.0 / n
+        f, g = (TF(np.linspace(0.0, 1.0, 4), 0.5 + _rand_x(rng, 4)[:, :m]) for _ in range(2))
+        x = _rand_x(rng, d)
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        chosen = []
+
+        def spy(*args):
+            chosen.append(linalg.pick_engine(*args))
+            return chosen[-1]
+
+        with mock.patch.object(walk, "pick_engine", spy):
+            got = walk_matrix_element(model, x, u, v, f, g, h, n)
+        assert chosen[0][0]
+        favgs, gavgs = functions.slot_averages(f, h, n), functions.slot_averages(g, h, n)
+        assert (favgs.F != 0).all() and (gavgs.F != 0).all()
+        want = complex(np.vdot(v, walk_stream_states(model, x, favgs, gavgs)[-1] @ u))
+        hats = np.prod(np.linalg.norm(favgs.hatted(slice(None)), axis=1)
+                       * np.linalg.norm(gavgs.hatted(slice(None)), axis=1))
+        scale = op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v) * hats * (1 + corruption) ** n
+        assert abs(got - want) <= 1e-12 * scale
+
+    def test_d8_keeps_the_sandwich_loop(self):
+        # At d = 8 the rule keeps the sandwich factors, and with f and g nonzero
+        # everywhere no slot is a vacuum slot: the value is the cross-check's
+        # own pairing, bit for bit.
+        rng = np.random.default_rng(29)
+        model = random_model(rng, 8, 2, 1.0)
+        n = 300
+        f, g = (TF(np.linspace(0.0, 1.0, 4), 0.5 + _rand_x(rng, 4)[:, :2]) for _ in range(2))
+        x = _rand_x(rng, 8)
+        u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        favgs, gavgs = functions.slot_averages(f, 1 / n, n), functions.slot_averages(g, 1 / n, n)
+        want = complex(np.vdot(v, walk_stream_states(model, x, favgs, gavgs)[-1] @ u))
+        assert walk_matrix_element(model, x, u, v, f, g, 1 / n, n) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_table_contracts_to_slot_superoperator(self, d, m, seed):
+        # sum_{jj'} conj(ghat_j) fhat_j' B_{jj'} is the superoperator of the slot
+        # factors at (ghat, fhat), for hats that need not start with 1.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
+        factors = walk._slot_factors(model, float(rng.uniform(0.01, 1.0)))
+        table = walk._slot_table(model, factors, (1 + m) ** 2)
+        ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
+        want = superoperator(*factors(ghat, fhat))
+        got = transfer_matrices(table, ghat, fhat)
+        scale = np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1)
+        assert (np.linalg.norm(got - want, axis=(1, 2)) <= 1e-13 * d * scale).all()
 
     @settings(max_examples=60, deadline=None)
     @given(
