@@ -10,6 +10,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -186,36 +187,79 @@ def pick_engine(d: int, terms: int, hats: int, points: int, applies: int) -> tup
     return (transfer, *(transfer_step if transfer else sandwich_step))
 
 
-def _power_pays(d: int, r: int, step_cost: float, setup: float, step_calls: int = 1) -> bool:
+def step_maps(factors, d: int, hats: int, terms: int, points: int, applies: int):
+    """The stepping engine of the walk and the oracle: maps on vec(Y) bilinear in two hats.
+
+    ``factors(ghat, fhat) -> (left, right)`` gives, per row of the (P, hats)
+    hats, the ``terms`` sandwich factors of one map Y -> sum_t L_t Y R_t on
+    d x d matrices, L_t conj-linear in ghat and R_t linear in fhat.  The
+    engine asks only for hats whose entry 0 is 1, and uses up each result
+    before its next call.  Such a map has two forms on row-major vec(Y):
+
+    * its sandwich factors, applied by ``sandwich`` to the d x d view of
+      vec(Y) in 2 numpy calls and 2 terms d^3 multiply-adds;
+    * one d^2 x d^2 transfer matrix, applied in one call and d^4
+      multiply-adds.  It is the contraction by ``transfer_matrices`` of the
+      table B_{jj'} of the maps at the unit hats (e_j, e_j'), hats^2 d^4 per
+      map.  The table is ``superoperator`` of the factors at a_0 = (1, 0) and
+      a_i = (1, e_i), taken to the unit hats by e_i = a_i - a_0.
+
+    A step forms its maps at ``points`` pairs of hats and applies them
+    ``applies`` times; ``pick_engine`` takes the form whose step costs less.
+    Returns ``maps(ghat, fhat) -> step(p, y)``, which applies the map of row p
+    to vec(Y) y; ``vacuum()``, the d^2 x d^2 matrix of the map at
+    (a_0, a_0), built at its first call; and the (multiply-adds, calls) of
+    one step.
+    """
+    transfer, madds, calls = pick_engine(d, terms, hats, points, applies)
+    step = (madds, calls)
+    corners = np.eye(hats)
+    corners[:, 0] = 1.0  # row j is a_j
+    if transfer:
+        table = superoperator(*factors(corners.repeat(hats, axis=0), np.tile(corners, (hats, 1))))
+        blocks = table.reshape(hats, hats, d * d, d * d)
+        blocks[1:] -= blocks[0]
+        blocks[:, 1:] -= blocks[:, :1]
+
+        def maps(ghat: np.ndarray, fhat: np.ndarray):
+            T = transfer_matrices(table, ghat, fhat)
+            return lambda p, y: T[p] @ y
+
+        return maps, lambda: table[0], step
+
+    square = (d, d)
+
+    def maps(ghat: np.ndarray, fhat: np.ndarray):
+        left, right = factors(ghat, fhat)
+        return lambda p, y: sandwich(left[p], y.reshape(square), right[p]).ravel()
+
+    return maps, cache(lambda: superoperator(*factors(corners[:1], corners[:1]))[0]), step
+
+
+def _power_pays(d: int, r: int, step: tuple[float, float], setup: int = 0) -> bool:
     """Whether S^r for a d^2 x d^2 S costs less by ``_cost`` than r steps.
 
-    A step takes ``step_cost`` multiply-adds in ``step_calls`` numpy calls.
+    A step takes ``step`` = (multiply-adds, numpy calls).
     ``np.linalg.matrix_power`` takes at most 2 bit_length(r) products of d^6
     multiply-adds, building S takes ``setup`` more, and each product and the
     final matrix-vector product is one call.
     """
     products = setup + 2 * r.bit_length()
-    return _cost(d**6 * products, products + 1) < _cost(r * step_cost, r * step_calls)
+    madds, calls = step
+    return _cost(d**6 * products, products + 1) < _cost(r * madds, r * calls)
 
 
-def power_runs(labels, d: int, step_cost: float, setup: float = 0.0,
-               step_calls: int = 1) -> list[tuple[int, int]]:
+def power_runs(vacuum, d: int, step: tuple[float, float]) -> list[tuple[int, int]]:
     """The runs of steps worth taking as one power of a d^2 x d^2 matrix.
 
-    ``labels`` has one entry per step; steps with one nonnegative label apply
-    one linear map on d x d matrices, negative labels mark steps that must be
-    stepped.  Returns (start, stop) of each maximal run of one nonnegative
-    label whose r steps of ``step_cost`` multiply-adds in ``step_calls`` calls
-    each cost more than the power (``setup`` counts d^6 products spent
-    building the matrix).
+    ``vacuum`` has one entry per step, true where the step applies the one
+    map that the power raises.  Returns (start, stop) of each maximal run of
+    true entries whose r steps of ``step`` = (multiply-adds, calls) each cost
+    more than the power.
     """
-    labels = np.asarray(labels)
-    cuts = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate([[0], cuts])
-    stops = np.concatenate([cuts, [len(labels)]])
-    keep = labels[starts] >= 0
-    return [(a, b) for a, b in zip(starts[keep].tolist(), stops[keep].tolist())
-            if _power_pays(d, b - a, step_cost, setup, step_calls)]
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], vacuum, [False]])))
+    return [(a, b) for a, b in zip(edges[0::2].tolist(), edges[1::2].tolist())
+            if _power_pays(d, b - a, step)]
 
 
 def op_norm(a) -> float:

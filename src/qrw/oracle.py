@@ -11,19 +11,13 @@ with m_0(x) = <v, x u>.  This module integrates it backward in the
 Heisenberg picture: Y = x at time t, dY/dtau = G_{t-tau}(Y) down to time 0,
 and m_t(x) = <v, Y u>, with G_s the bracket plus <g(s), f(s)>.  The bracket
 is <ghat, Theta(Y) fhat> at ghat = (1, g(s)), fhat = (1, f(s)), bilinear in
-the hats, so G_s has two forms: the 2+m sandwich factors of
-``model.structure_factors`` with the pairing added to K, applied by
-``linalg.sandwich`` in two matmul calls, and on vec(Y) one d^2 x d^2 transfer
-matrix, the contraction of the table Theta_{jj'} (plus the identity at
-j = j' >= 1 for the pairing) by ``linalg.transfer_matrices``, in one call.
-These are the two forms the walk's slots use, and ``linalg.pick_engine``
-chooses between them by the same count, multiply-adds plus a fixed charge
-per numpy call: transfer matrices at d <= 4.  An RK4 step (breakpoints of f
-and g forced onto the grid) costs O((2+m) d^3) or O((1+m)^2 d^4).  Where
-f = g = 0 the rate is the constant L, the table's entry 0, and an RK4 step
-is the polynomial sum_{k<=4} (dt L)^k / k! of its d^2 x d^2 matrix; a run of
-such vacuum steps on one grid segment goes through that polynomial's power
-where ``linalg.power_runs`` finds this cheaper than the steps.
+the hats, so G_s is stepped by ``linalg.step_maps``, the walk's engine, on
+the factors of ``model.structure_factors`` with the pairing added to K.  RK4
+runs piece by piece between the breakpoints of f and g, reading f and g at
+each piece's ends as the limits from inside it, so a jump of either costs no
+order.  Where f = g = 0 on a piece the rate is the constant L, and its RK4
+steps go through one power of the polynomial sum_{k<=4} (dt L)^k / k! of its
+d^2 x d^2 matrix where that is cheaper.
 The module imports nothing from ``walk.py``; the two meet only in ``model``
 and ``linalg``.  ``tests/test_oracle.py`` cross-validates it two ways:
 ``TestVacuumCheck`` pairs the walk at f = g = 0 with the exact semigroup, and
@@ -37,16 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import TestFunction, _sorted_distinct
-from .linalg import (
-    CHUNK,
-    as_vector,
-    pick_engine,
-    power_runs,
-    sandwich,
-    superoperator,
-    transfer_matrices,
-)
-from .model import GkslModel, _write_k_factors, structure_factors, unit_pairs
+from .linalg import CHUNK, _power_pays, as_vector, sandwich, step_maps
+from .model import GkslModel, _write_k_factors, structure_factors
 
 __all__ = [
     "OracleRefinementError",
@@ -72,25 +58,27 @@ def _pairing(model: GkslModel, u, v, Y) -> complex:
     return complex(np.vdot(model.check_vector(v), Y @ model.check_vector(u)))
 
 
-def _generator_factors(model: GkslModel, gvals, fvals, shift,
-                       out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Sandwich factors of Y -> weak_generator(Y) + shift Y, one set per row.
+def _rate_factors(model: GkslModel, rows: int):
+    """factors(ghat, fhat) of the rate G_s for ``linalg.step_maps``, at most ``rows`` hats a call.
 
-    ``structure_factors`` at ghat = (1, g), fhat = (1, f) for gvals, fvals of
-    shape (P, m), with shift (P,) added to its K factor.  Every such hat has
-    c = 1, so given ``out``, factors of P or more such hats, only K and K' are
-    written, into its first P rows, and views of those rows are returned.
+    ``structure_factors`` with <g, f> = sum_{i>=1} conj(ghat_i) fhat_i added
+    to its K factor.  Every hat the engine asks for has c = 1, so the factors
+    of vacuum hats are built once, for ``rows`` rows or the (1+m)^2 of the
+    engine's table, and each call writes only K and K' into its first rows
+    and returns views of them.
     """
-    ones = np.ones((len(gvals), 1))
-    ghat, fhat = np.hstack([ones, gvals]), np.hstack([ones, fvals])
-    if out is None:
-        left, right = structure_factors(model, ghat, fhat)
-    else:
-        left, right = out[0][:len(ghat)], out[1][:len(ghat)]
+    d, m = model.d, model.m
+    vac = np.eye(1, 1 + m).repeat(max(rows, (1 + m) ** 2), axis=0)
+    rows = structure_factors(model, vac, vac)
+    diag = np.arange(d)
+
+    def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        left, right = (part[:len(ghat)] for part in rows)
         _write_k_factors(model, ghat, fhat, left, right)
-    diag = np.arange(model.d)
-    left[:, diag, diag] += np.asarray(shift)[:, None]
-    return left, right
+        left[:, diag, diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]
+        return left, right
+
+    return factors
 
 
 def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
@@ -102,24 +90,41 @@ def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
     """
     x = model.check_x(x)
     gval, fval = as_vector(gval, model.m), as_vector(fval, model.m)
-    left, right = _generator_factors(model, gval[None], fval[None], [0.0])
+    left, right = structure_factors(model, np.append(1.0, gval)[None], np.append(1.0, fval)[None])
     return sandwich(left[0], x, right[0])
 
 
-def _integration_grid(f: TestFunction, g: TestFunction, t: float,
-                      steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Union of [0, t] endpoints and interior breakpoints, each segment
-    subdivided so kinks sit on grid nodes and the total count is >= steps;
-    also the segment index of every step, one step per grid interval."""
+def _pieces(f: TestFunction, g: TestFunction, t: float, steps: int) -> list[tuple[float, float, int]]:
+    """(a, b, k) for the pieces [a, b] of [0, t] between the interior
+    breakpoints of f and g, each cut into k equal steps, >= steps in all."""
     kinks = np.concatenate([f.breakpoints, g.breakpoints])
     kinks = _sorted_distinct(kinks[(kinks > 0) & (kinks < t)])
-    edges = np.concatenate([[0.0], kinks, [t]])
-    nodes, counts = [np.array([0.0])], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        k = max(1, int(np.ceil((b - a) / t * steps)))
-        nodes.append(np.linspace(a, b, k + 1)[1:])
-        counts.append(k)
-    return np.concatenate(nodes), np.repeat(np.arange(len(counts)), counts)
+    edges = np.concatenate([[0.0], kinks, [t]]).tolist()
+    return [(a, b, max(1, int(np.ceil((b - a) / t * steps)))) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _points(a: float, b: float, k: int) -> np.ndarray:
+    """The k + 1 nodes of [a, b] interleaved with the k midpoints, latest first:
+    step i of the piece uses points 2i (its start), 2i + 1 and 2i + 2 (its end)."""
+    nodes = np.linspace(a, b, k + 1)[::-1]
+    times = np.empty(2 * k + 1)
+    times[0::2] = nodes
+    times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return times
+
+
+def _hats(fn: TestFunction, times: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+    """Rows (1, fn(s)) at the points of the pieces, read from inside each piece at its ends.
+
+    A piece's points are times[first:last + 1], latest first.  fn is continuous
+    but at its support ends, where its value is the limit from inside its
+    support.  So a piece's upper end at the start of the support, or its lower
+    end at the end of the support, reads 0; every other point reads fn's value.
+    """
+    hats = np.hstack([np.ones((len(times), 1)), fn(times)])
+    hats[firsts[times[firsts] == fn.breakpoints[0]], 1:] = 0.0
+    hats[lasts[times[lasts] == fn.breakpoints[-1]], 1:] = 0.0
+    return hats
 
 
 def _rk4_polynomial(A: np.ndarray) -> np.ndarray:
@@ -129,20 +134,6 @@ def _rk4_polynomial(A: np.ndarray) -> np.ndarray:
     for k in (3, 2, 1):
         M = eye + (A / k) @ M
     return M
-
-
-def _generator_table(model: GkslModel, count: int) -> np.ndarray:
-    """The transfer matrices of the rate at the first ``count`` unit-hat pairs, (count, d^2, d^2).
-
-    Entry j (1+m) + j' is ``superoperator`` of ``structure_factors`` at
-    (e_j, e_j'), the block Theta_{jj'}, plus the identity where j = j' >= 1:
-    contracted at ghat = (1, g), fhat = (1, f) by ``transfer_matrices`` this
-    gives the rate G_s, bracket plus <g, f>.  Entry 0 is L.
-    """
-    ghat, fhat = (units[:count] for units in unit_pairs(model.m))
-    table = superoperator(*structure_factors(model, ghat, fhat))
-    table[model.m + 2::model.m + 2] += np.eye(model.d**2)
-    return table
 
 
 def _check_pass(t: float, steps: int) -> None:
@@ -158,74 +149,49 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
 
     Starts from Y = x at time t and steps the Heisenberg picture
     dY/dtau = G_{t-tau}(Y) down to time 0; the result is <v, Y u>, which is
-    <v, x u> at t = 0.  f and g are evaluated once on the grid nodes and
-    midpoints, and the rates at those points are formed CHUNK steps at a
-    time.  ``linalg.pick_engine`` applies them either by their 2+m sandwich
-    factors, O((2+m) d^3) per rate in 2 numpy calls, or on vec(Y) by one
-    transfer matrix per point, the contraction of the table of
-    ``_generator_table``, O(d^4) per rate in one call and O((1+m)^2 d^4) per
-    point: the latter at d <= 4.  A run of r vacuum steps (f = g = 0 at start,
-    midpoint and end) on one grid segment is M^r on vec(Y),
-    M = ``_rk4_polynomial``(dt L) with L the table's entry 0, where
-    ``power_runs`` finds that cheaper than r steps.
+    <v, x u> at t = 0.  The pieces between breakpoints of f and g run latest
+    first.  f and g are read once on the nodes and midpoints of every piece,
+    from inside the piece at its ends, and ``linalg.step_maps`` applies the
+    rates at those points CHUNK steps at a time.  A piece of k steps where
+    f = g = 0 is M^k on vec(Y), M = ``_rk4_polynomial``(dt L) with L the
+    engine's vacuum map, where ``_power_pays`` finds that cheaper than k steps.
     """
     x = model.check_x(x)
     _check_pass(t, steps)
     if t == 0:
         return _pairing(model, u, v, x)
-    grid, segment = _integration_grid(f, g, t, steps)
-    grid, segment = grid[::-1], segment[::-1]
-    # Nodes interleaved with midpoints, latest first: step i uses points
-    # 2i (its start), 2i + 1 (midpoint) and 2i + 2 (its end).
-    times = np.empty(2 * len(grid) - 1)
-    times[0::2] = grid
-    times[1::2] = 0.5 * (grid[:-1] + grid[1:])
-    fv, gv = f(times), g(times)
-    zero = ~(fv.any(axis=-1) | gv.any(axis=-1))
-    vacuum = zero[0:-1:2] & zero[1::2] & zero[2::2]
     d, m = model.d, model.m
-    # An RK4 step forms the rates at 2 new points and applies them 4 times; M
-    # takes 3 products of d^6.
-    transfer, madds, calls = pick_engine(d, 2 + m, 1 + m, 2, 4)
-    runs = power_runs(np.where(vacuum, segment, -1), d, madds, setup=3, step_calls=calls)
-    if transfer or runs:
-        table = _generator_table(model, (1 + m) ** 2 if transfer else 1)
-    if transfer:
-        ones = np.ones((len(times), 1))
-        ghat, fhat = np.hstack([ones, gv]), np.hstack([ones, fv])
-
-        def rates(pts: slice):
-            T = transfer_matrices(table, ghat[pts], fhat[pts])
-            return lambda p, y: T[p] @ y
-    else:
-        pairing = np.sum(np.conj(gv) * fv, axis=-1)
-        # Factors at the vacuum points of one chunk hold the blocks every chunk shares.
-        hats = np.eye(1, 1 + m).repeat(2 * min(CHUNK, len(vacuum)) + 1, axis=0)
-        factors = structure_factors(model, hats, hats)
-
-        def rates(pts: slice):
-            left, right = _generator_factors(model, gv[pts], fv[pts], pairing[pts], factors)
-            return lambda p, Y: sandwich(left[p], Y, right[p])
-
-    def rk4(Y, first, last):
-        for start in range(first, last, CHUNK):
-            stop = min(start + CHUNK, last)
-            rate = rates(slice(2 * start, 2 * stop + 1))
+    pieces = _pieces(f, g, t, steps)[::-1]
+    counts = np.array([k for _, _, k in pieces])
+    # A chunk of k RK4 steps reads its rates at 2 k + 1 points; a step forms
+    # the rates at 2 new points and applies them 4 times.
+    factors = _rate_factors(model, 2 * min(CHUNK, int(counts.max())) + 1)
+    maps, vacuum, step = step_maps(factors, d, 1 + m, 2 + m, 2, 4)
+    # Each piece has its own points, so a node between two pieces is read from
+    # inside each of them.
+    times = np.concatenate([_points(a, b, k) for a, b, k in pieces])
+    lasts = np.cumsum(2 * counts + 1) - 1
+    firsts = lasts - 2 * counts
+    ghat, fhat = (_hats(fn, times, firsts, lasts) for fn in (g, f))
+    y = x.reshape(-1)
+    for (a, b, k), first in zip(pieces, firsts.tolist()):
+        pts = slice(first, first + 2 * k + 1)
+        gp, fp, tp = ghat[pts], fhat[pts], times[pts]
+        # f = g = 0 on the piece: M takes 3 products of d^6.
+        if not (gp[:, 1:].any() or fp[:, 1:].any()) and _power_pays(d, k, step, 3):
+            y = np.linalg.matrix_power(_rk4_polynomial((b - a) / k * vacuum()), k) @ y
+            continue
+        for start in range(0, k, CHUNK):
+            stop = min(start + CHUNK, k)
+            rate = maps(gp[2 * start:2 * stop + 1], fp[2 * start:2 * stop + 1])
             for i in range(stop - start):
-                dt = grid[start + i] - grid[start + i + 1]
-                k1 = rate(2 * i, Y)
-                k2 = rate(2 * i + 1, Y + dt / 2 * k1)
-                k3 = rate(2 * i + 1, Y + dt / 2 * k2)
-                k4 = rate(2 * i + 2, Y + dt * k3)
-                Y = Y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return Y
-
-    Y, done = (x.reshape(-1) if transfer else x), 0
-    for a, b in runs:
-        M = _rk4_polynomial((grid[a] - grid[b]) / (b - a) * table[0])
-        Y = (np.linalg.matrix_power(M, b - a) @ rk4(Y, done, a).reshape(-1)).reshape(Y.shape)
-        done = b
-    return _pairing(model, u, v, rk4(Y, done, len(grid) - 1).reshape(d, d))
+                dt = tp[2 * (start + i)] - tp[2 * (start + i) + 2]
+                k1 = rate(2 * i, y)
+                k2 = rate(2 * i + 1, y + dt / 2 * k1)
+                k3 = rate(2 * i + 1, y + dt / 2 * k2)
+                k4 = rate(2 * i + 2, y + dt * k3)
+                y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return _pairing(model, u, v, y.reshape(d, d))
 
 
 def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,

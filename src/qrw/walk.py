@@ -13,20 +13,15 @@ system and one fresh slot copy of C + noise.  Two engines evaluate it:
   Slots are never revisited (the walk is adapted), so the immediate
   contraction is exact, and the working set is independent of n.  The slot
   map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y) is bilinear in
-  the hats, so it has two forms: the dilation form U(h)* (Y (x) 1) U(h) as
-  sandwich factors, two matmul calls on d x d blocks, and on vec(Y) one
-  d^2 x d^2 transfer matrix, the contraction of the table B_{jj'} of the
-  slot maps at unit hats, one call.  ``linalg.pick_engine`` counts
-  multiply-adds plus a fixed charge per numpy call and takes the transfer
-  matrices at d <= 4, the sandwich factors above.  Off supp f u supp g every
-  slot applies the same vacuum map B_00, so ``walk_matrix_element`` takes a
-  run of such slots as a matrix power where ``linalg.power_runs`` finds that
-  cheaper by the same count.  ``walk_stream_states`` keeps every state and
-  steps every slot by its sandwich factors.  Agreement of the engines thus
-  checks the materialized beta blocks against the slot-by-slot contraction
-  with the hatted vectors, including its chunking and its slot order, and
-  agreement of the two streaming paths checks the transfer matrices and the
-  powers.
+  the hats; ``walk_matrix_element`` steps it by ``linalg.step_maps`` (sandwich
+  factors or transfer matrices, whichever its cost rule finds cheaper), and
+  takes each run of vacuum slots off supp f u supp g as a matrix power where
+  ``linalg.power_runs`` finds that cheaper.  ``walk_stream_states`` keeps
+  every state and steps every slot by its sandwich factors.  Agreement of the
+  engines thus checks the materialized beta blocks against the slot-by-slot
+  contraction with the hatted vectors, including its chunking and its slot
+  order, and agreement of the two streaming paths checks the transfer
+  matrices and the powers.
 
 Matrix elements pair against per-slot projections of exponential vectors,
 i.e. the unnormalized product of (1, F_k); tail overlaps beyond t = n h are
@@ -47,17 +42,8 @@ from .fock import (
     slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import (
-    CHUNK,
-    dagger,
-    op_norm,
-    pick_engine,
-    power_runs,
-    sandwich,
-    superoperator,
-    transfer_matrices,
-)
-from .model import GkslModel, StepKernel, beta_blocks, unit_pairs
+from .linalg import CHUNK, dagger, op_norm, power_runs, sandwich, step_maps
+from .model import GkslModel, StepKernel, beta_blocks
 
 __all__ = [
     "DenseCapError",
@@ -186,31 +172,24 @@ def _slot_factors(model: GkslModel, h: float):
     direction l.  Per input direction j, cols holds the blocks U^{(l,j)} of
     U(h) stacked over l and rows the blocks U^{(l,j)}* side by side, so
     right = [Vf_0; ...; Vf_m] and left = [Vg_0* | ... | Vg_m*] are linear in
-    the hats.
+    the hats.  A nonzero ``model.beta_corruption`` c adds c x to the vacuum
+    block of beta, so it is one more term c conj(ghat_0) fhat_0 Y.
     """
-    d, m = model.d, model.m
+    d, m, c = model.d, model.m, model.beta_corruption
     U = StepKernel.build(model, h).U.blocks  # [l, j, a, b]
     cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
     rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
+    eye = np.eye(d)
 
     def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         right = (fhat @ cols).reshape(-1, 1 + m, d, d)
         left = (ghat.conj() @ rows).reshape(-1, d, (1 + m) * d)
+        if c:
+            left = np.concatenate([left, c * ghat[:, :1, None].conj() * eye], axis=2)
+            right = np.concatenate([right, fhat[:, :1, None, None] * eye], axis=1)
         return left, right
 
     return factors
-
-
-def _slot_table(model: GkslModel, factors, count: int) -> np.ndarray:
-    """The transfer matrices B_{jj'} of the first ``count`` unit-hat pairs, (count, d^2, d^2).
-
-    ``superoperator`` of ``factors`` at ``unit_pairs``; a nonzero
-    ``model.beta_corruption`` c adds c to the vacuum entry B_00, so every
-    contraction of the table (its hats have ghat_0 = fhat_0 = 1) carries c Y.
-    """
-    table = superoperator(*factors(*(units[:count] for units in unit_pairs(model.m))))
-    table[0] += model.beta_corruption * np.eye(model.d**2)
-    return table
 
 
 def _sweep(Y, chunk, start: int, stop: int):
@@ -230,35 +209,24 @@ def _sweep(Y, chunk, start: int, stop: int):
             yield Y
 
 
-def _sandwich_chunks(model: GkslModel, factors, ghats: np.ndarray, fhats: np.ndarray):
-    """chunk(lo, hi) for ``_sweep``: slot maps by their sandwich factors, on d x d Y.
-
-    A nonzero ``model.beta_corruption`` c adds c Y_k, as it adds c x to the
-    vacuum block of beta.
-    """
-    c = model.beta_corruption
-
-    def chunk(lo: int, hi: int):
-        left, right = factors(ghats[lo:hi], fhats[lo:hi])
-        if c:
-            return lambda k, Y: sandwich(left[k], Y, right[k]) + c * Y
-        return lambda k, Y: sandwich(left[k], Y, right[k])
-
-    return chunk
-
-
 def walk_stream_states(model: GkslModel, x, favgs: SlotAverages,
                        gavgs: SlotAverages) -> np.ndarray:
     """All streaming states [Y_n = x, Y_{n-1}, ..., Y_0], shape (n+1, d, d), slot by slot.
 
-    Always steps every slot by its sandwich factors: the cross-check of the
-    transfer matrices and matrix powers of ``walk_matrix_element``.
+    Always steps every slot by ``linalg.sandwich`` on its factors: the
+    cross-check of the engine, transfer matrices and matrix powers of
+    ``walk_matrix_element``.
     """
     x = model.check_x(x)
     if favgs.n != gavgs.n or favgs.h != gavgs.h:
         raise ValueError("slot averages of f and g must share (h, n)")
-    chunk = _sandwich_chunks(model, _slot_factors(model, favgs.h),
-                             gavgs.hatted(slice(None)), favgs.hatted(slice(None)))
+    factors = _slot_factors(model, favgs.h)
+    ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
+
+    def chunk(lo: int, hi: int):
+        left, right = factors(ghats[lo:hi], fhats[lo:hi])
+        return lambda k, Y: sandwich(left[k], Y, right[k])
+
     return np.stack([x, *_sweep(x, chunk, 0, favgs.n)])
 
 
@@ -266,43 +234,34 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
                         h: float, n: int) -> complex:
     """<v (x) projected e(g), p_{nh}(x) u (x) projected e(f)> by streaming.
 
-    ``linalg.pick_engine`` steps the slots either by their sandwich factors,
-    O((1+m) d^3) per slot in 2 numpy calls, or on vec(Y) by one transfer
-    matrix per slot, the contraction of the table B_{jj'} of ``_slot_table``
-    at the slot's hats, O((1+m)^2 d^4) in one call: the latter at d <= 4.
-    ``power_runs`` takes each run of vacuum slots (f and g both average to
-    zero) that costs more stepped than as a power as B_00^r.  Agrees with the
-    dense engine pairing whenever the dense cap allows, and with
-    ``walk_stream_states``.
+    ``linalg.step_maps`` steps the slot maps of ``_slot_factors`` on vec(Y),
+    and ``power_runs`` takes each run of vacuum slots (f and g both average to
+    zero) that costs more stepped than as a power as one power of the vacuum
+    map.  Agrees with the dense engine pairing whenever the dense cap allows,
+    and with ``walk_stream_states``.
     """
     u, v = model.check_vector(u), model.check_vector(v)
     x = model.check_x(x)
     favgs, gavgs = slot_averages(f, h, n), slot_averages(g, h, n)
     ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
-    factors = _slot_factors(model, h)
     d, m = model.d, model.m
-    transfer, madds, calls = pick_engine(d, 1 + m, 1 + m, 1, 1)
-    vacuum = ~(favgs.F.any(axis=1) | gavgs.F.any(axis=1))
-    runs = power_runs(np.where(vacuum, 0, -1), d, madds, 0, calls)
-    if transfer or runs:
-        table = _slot_table(model, factors, (1 + m) ** 2 if transfer else 1)
-    if transfer:
-        Y = x.reshape(-1)
+    # A slot forms its map at one pair of hats and applies it once.
+    terms = 1 + m + bool(model.beta_corruption)
+    maps, vacuum_map, step = step_maps(_slot_factors(model, h), d, 1 + m, terms, 1, 1)
 
-        def chunk(lo: int, hi: int):
-            T = transfer_matrices(table, ghats[lo:hi], fhats[lo:hi])
-            return lambda k, y: T[k] @ y
-    else:
-        Y, chunk = x, _sandwich_chunks(model, factors, ghats, fhats)
-    stop = n
-    for a, b in reversed(runs):
-        for Y in _sweep(Y, chunk, b, stop):
+    def chunk(lo: int, hi: int):
+        return maps(ghats[lo:hi], fhats[lo:hi])
+
+    vacuum = ~(favgs.F.any(axis=1) | gavgs.F.any(axis=1))
+    y, stop = x.reshape(-1), n
+    for a, b in reversed(power_runs(vacuum, d, step)):
+        for y in _sweep(y, chunk, b, stop):
             pass
-        Y = (np.linalg.matrix_power(table[0], b - a) @ Y.reshape(-1)).reshape(Y.shape)
+        y = np.linalg.matrix_power(vacuum_map(), b - a) @ y
         stop = a
-    for Y in _sweep(Y, chunk, 0, stop):
+    for y in _sweep(y, chunk, 0, stop):
         pass
-    return complex(np.vdot(v, Y.reshape(d, d) @ u))
+    return complex(np.vdot(v, y.reshape(d, d) @ u))
 
 
 def walk_norm_sq(model: GkslModel, x, u, f: TestFunction, h: float, n: int) -> float:

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,16 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from qrw import linalg
-from qrw.linalg import dagger, herm_eigen, op_norm, power_runs, psd_trig, sandwich, superoperator
+from qrw.linalg import (
+    dagger,
+    herm_eigen,
+    op_norm,
+    power_runs,
+    psd_trig,
+    sandwich,
+    step_maps,
+    superoperator,
+)
 
 
 def _rand_complex(rng, *shape):
@@ -219,15 +230,15 @@ class TestSuperoperator:
 
 
 class TestPowerRuns:
-    def test_maximal_runs_of_one_label(self):
-        labels = np.array([0] * 100 + [-1] * 3 + [0] * 100 + [1] * 100 + [-1] * 50)
-        assert power_runs(labels, 1, 1.0) == [(0, 100), (103, 203), (203, 303)]
+    def test_maximal_runs(self):
+        vacuum = np.array([True] * 100 + [False] * 3 + [True] * 200 + [False] * 50 + [True] * 30)
+        assert power_runs(vacuum, 1, (1.0, 1)) == [(0, 100), (103, 303), (353, 383)]
 
     def test_short_runs_are_stepped(self):
-        # d = 1: S^r costs 2 bit_length(r) products, r steps cost r.
-        labels = np.array([0] * 8 + [-1] + [0] * 9)
-        assert power_runs(labels, 1, 1.0) == [(9, 18)]
-        assert power_runs(np.full(5, -1), 1, 1.0) == []
+        # d = 1: S^r costs 2 bit_length(r) products, r steps cost r, plus a call each.
+        vacuum = np.array([True] * 8 + [False] + [True] * 9)
+        assert power_runs(vacuum, 1, (1.0, 1)) == [(9, 18)]
+        assert power_runs(np.zeros(5, dtype=bool), 1, (1.0, 1)) == []
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_loop_at_d16_up_to_4096(self, m):
@@ -235,8 +246,8 @@ class TestPowerRuns:
         # the 3 products that build M: at d = 16 the walk steps every run of up to
         # 4096 slots, and the oracle every run of up to 2048 steps.
         d = 16
-        assert not any(linalg._power_pays(d, r, 2 * (1 + m) * d**3, 0) for r in range(1, 4097))
-        assert not any(linalg._power_pays(d, r, 8 * (2 + m) * d**3, 3) for r in range(1, 2049))
+        assert not any(linalg._power_pays(d, r, (2 * (1 + m) * d**3, 1)) for r in range(1, 4097))
+        assert not any(linalg._power_pays(d, r, (8 * (2 + m) * d**3, 1), 3) for r in range(1, 2049))
 
 
 class TestEngineRule:
@@ -261,15 +272,85 @@ class TestEngineRule:
         # With the call charge on the sandwich steps of each engine: the walk
         # steps every run of up to 4096 slots, the oracle every run of up to
         # 2048 steps (at m = 3 by a margin of about 4%).
-        _, madds, calls = self.walk(16, m)
-        assert not any(linalg._power_pays(16, r, madds, 0, calls) for r in range(1, 4097))
-        _, madds, calls = self.oracle(16, m)
-        assert not any(linalg._power_pays(16, r, madds, 3, calls) for r in range(1, 2049))
+        _, *step = self.walk(16, m)
+        assert not any(linalg._power_pays(16, r, step) for r in range(1, 4097))
+        _, *step = self.oracle(16, m)
+        assert not any(linalg._power_pays(16, r, step, 3) for r in range(1, 2049))
 
     def test_d4_powers_from_short_runs(self):
         # study-small's shape, d = 4 and m = 2: the walk takes vacuum runs of 11
         # or more slots as powers, the oracle runs of 3 or more steps.
-        _, madds, calls = self.walk(4, 2)
-        assert [linalg._power_pays(4, r, madds, 0, calls) for r in (10, 11)] == [False, True]
-        _, madds, calls = self.oracle(4, 2)
-        assert [linalg._power_pays(4, r, madds, 3, calls) for r in (2, 3)] == [False, True]
+        _, *step = self.walk(4, 2)
+        assert [linalg._power_pays(4, r, step) for r in (10, 11)] == [False, True]
+        _, *step = self.oracle(4, 2)
+        assert [linalg._power_pays(4, r, step, 3) for r in (2, 3)] == [False, True]
+
+
+def _bilinear_factors(rng, d, hats, terms):
+    """Random sandwich factors of ``terms`` terms, left conj-linear in ghat, right linear in fhat."""
+    A, B = _rand_complex(rng, hats, d, terms * d), _rand_complex(rng, hats, terms, d, d)
+    asked = []
+
+    def factors(ghat, fhat):
+        asked.extend([ghat, fhat])
+        return np.tensordot(ghat.conj(), A, axes=1), np.tensordot(fhat, B, axes=1)
+
+    return factors, asked, np.linalg.norm(A) * np.linalg.norm(B)
+
+
+class TestStepMaps:
+    @staticmethod
+    def engine(factors, d, hats, terms, transfer):
+        """step_maps with its form fixed to sandwich factors or transfer matrices."""
+        with mock.patch.object(linalg, "pick_engine", lambda *args: (transfer, 1.0, 1)):
+            return step_maps(factors, d, hats, terms, 1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        hats=st.integers(1, 4),
+        terms=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forms_agree(self, d, hats, terms, seed):
+        # Both forms step vec(Y) by the sandwich of the factors at hats with
+        # entry 0 = 1, and the engine asks for no other hats.
+        rng = np.random.default_rng(seed)
+        factors, asked, scale = _bilinear_factors(rng, d, hats, terms)
+        ghat, fhat = _rand_complex(rng, 6, hats), _rand_complex(rng, 6, hats)
+        ghat[:, 0] = fhat[:, 0] = 1.0
+        y = _rand_complex(rng, d * d)
+        left, right = factors(ghat, fhat)
+        want = [sandwich(left[p], y.reshape(d, d), right[p]).reshape(-1) for p in range(6)]
+        bound = (1e-13 * scale * np.linalg.norm(y)
+                 * np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1))
+        for transfer in (False, True):
+            maps, _, step = self.engine(factors, d, hats, terms, transfer)
+            assert step == (1.0, 1)
+            got = maps(ghat, fhat)
+            for p in range(6):
+                assert np.linalg.norm(got(p, y) - want[p]) <= bound[p]
+        assert all((hat[:, 0] == 1).all() for hat in asked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        hats=st.integers(1, 4),
+        terms=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vacuum_is_superoperator_at_a0(self, d, hats, terms, seed):
+        # The vacuum map is superoperator of the factors at (1, 0), bit for
+        # bit; the sandwich form builds it at its first call only.
+        rng = np.random.default_rng(seed)
+        factors, asked, _ = _bilinear_factors(rng, d, hats, terms)
+        a0 = np.eye(1, hats)
+        want = superoperator(*factors(a0, a0))[0]
+        for transfer in (False, True):
+            del asked[:]
+            _, vacuum, _ = self.engine(factors, d, hats, terms, transfer)
+            built = len(asked)
+            assert built == (2 if transfer else 0)
+            assert np.array_equal(vacuum(), want)
+            assert np.array_equal(vacuum(), want)
+            assert len(asked) == (built if transfer else 2)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from qrw import linalg, oracle
 from qrw.functions import TestFunction
-from qrw.linalg import dagger, op_norm, power_runs, sandwich, superoperator, transfer_matrices
+from qrw.linalg import dagger, op_norm, sandwich, step_maps, superoperator
 from qrw.model import (
+    GkslModel,
     amplitude_damping,
     delta,
     delta_dag,
@@ -19,7 +20,7 @@ from qrw.model import (
 )
 from qrw.oracle import (
     OracleRefinementError,
-    _generator_factors,
+    _rate_factors,
     flow_matrix_element,
     flow_matrix_element_fixed,
     weak_generator,
@@ -94,7 +95,7 @@ class TestWeakGenerator:
         gv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         fv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         pair = np.vdot(gv, fv)
-        left, right = _generator_factors(model, gv[None], fv[None], [pair])
+        left, right = _rate_factors(model, 1)(np.append(1.0, gv)[None], np.append(1.0, fv)[None])
         gen = weak_generator(model, Y, gv, fv)
         scale = max(1.0, op_norm(gen))
         assert op_norm(sandwich(left[0], Y, right[0]) - gen - pair * Y) <= 1e-12 * scale
@@ -107,19 +108,24 @@ class TestWeakGenerator:
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_table_contracts_to_rate_superoperator(self, d, m, seed):
-        # sum_{jj'} conj(ghat_j) fhat_j' Theta_{jj'} is the superoperator of
-        # structure_factors at (ghat, fhat) plus sum_{i>=1} conj(ghat_i) fhat_i,
-        # for hats that need not start with 1.
+        # At d <= 4 the engine steps the rate by transfer matrices: at hats
+        # (1, g), (1, f) each is the superoperator of structure_factors plus
+        # sum_{i>=1} conj(g_i) f_i.
         rng = np.random.default_rng(seed)
         model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
-        table = oracle._generator_table(model, (1 + m) ** 2)
+        assert linalg.pick_engine(d, 2 + m, 1 + m, 2, 4)[0]
+        maps, _, _ = step_maps(_rate_factors(model, 5), d, 1 + m, 2 + m, 2, 4)
         ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
+        ghat[:, 0] = fhat[:, 0] = 1.0
         pairing = np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)
         want = (superoperator(*structure_factors(model, ghat, fhat))
                 + pairing[:, None, None] * np.eye(d * d))
-        got = transfer_matrices(table, ghat, fhat)
-        scale = np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1) * (1 + model.norm_R**2)
-        assert (np.linalg.norm(got - want, axis=(1, 2)) <= 1e-13 * d * scale).all()
+        y = _rand_x(rng, d).reshape(-1)
+        step = maps(ghat, fhat)
+        got = np.stack([step(p, y) for p in range(5)])
+        scale = (np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1)
+                 * (1 + model.norm_R**2) * np.linalg.norm(y))
+        assert (np.linalg.norm(got - want @ y, axis=1) <= 1e-13 * d * scale).all()
 
 
 class TestFlowMatrixElement:
@@ -208,9 +214,9 @@ class TestFlowMatrixElement:
         assert slope >= 3.8, (slope, errs)
 
     def test_vacuum_power_matches_rk4_loop(self, monkeypatch):
-        # f is zero on [0.1, 0.2] and g vanishes below 0.3, so the vacuum steps
-        # below 0.2 span two grid segments, and those above 0.6 a third; each
-        # run is M^r for the RK4 polynomial M, against the loop it replaces.
+        # f is zero on [0.1, 0.2] and g vanishes below 0.3, so the vacuum
+        # pieces are [0, 0.1], [0.1, 0.2] and [0.6, 1]; each is M^r for the RK4
+        # polynomial M, against the loop it replaces.
         rng = np.random.default_rng(17)
         model = random_model(rng, 3, 2, 1.2)
         f = _tf([0.1, 0.2, 0.4, 0.6], [[0, 0], [0, 0], [0.3, -0.2j], [0, 0]])
@@ -218,23 +224,21 @@ class TestFlowMatrixElement:
         x = _rand_x(rng, 3)
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        runs = []
+        pays = []
 
-        def spy(*args, **kwargs):
-            runs.append(power_runs(*args, **kwargs))
-            return runs[-1]
+        def spy(*args):
+            pays.append(linalg._power_pays(*args))
+            return pays[-1]
 
-        monkeypatch.setattr(oracle, "power_runs", spy)
+        monkeypatch.setattr(oracle, "_power_pays", spy)
         power = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
-        assert len(runs[0]) == 3
-        monkeypatch.setattr(linalg, "_power_pays", lambda *args: False)
+        assert pays == [True] * 3
+        monkeypatch.setattr(oracle, "_power_pays", lambda *args: False)
         loop = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
-        assert runs[1] == []
         assert abs(power - loop) <= 1e-13 * abs(loop)
 
-
     def test_transfer_matches_sandwich_loop(self, monkeypatch):
-        # At d = 3 the rule takes transfer matrices and the vacuum runs as
+        # At d = 3 the rule takes transfer matrices and the vacuum pieces as
         # powers.  A constant cost makes nothing strictly cheaper, which forces
         # the sandwich factors at every step, as walk_stream_states uses them.
         rng = np.random.default_rng(19)
@@ -247,15 +251,63 @@ class TestFlowMatrixElement:
         chosen = []
 
         def spy(*args):
-            chosen.append(linalg.pick_engine(*args))
+            chosen.append(pick_engine(*args))
             return chosen[-1]
 
-        monkeypatch.setattr(oracle, "pick_engine", spy)
+        pick_engine = linalg.pick_engine
+        monkeypatch.setattr(linalg, "pick_engine", spy)
         transfer = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
         monkeypatch.setattr(linalg, "_cost", lambda madds, calls: 0.0)
         loop = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
         assert [transfer for transfer, _, _ in chosen] == [True, False]
         assert abs(transfer - loop) <= 1e-13 * abs(loop)
+
+    @pytest.mark.parametrize("f, g", [
+        # g jumps from 0 to 0.2i where its support starts, at 0.2.
+        (_tf([0.0, 0.4, 1.0], [[0.0], [0.3 - 0.1j], [0.1]]), _tf([0.2, 0.7], [[0.2j], [0.0]])),
+        # f jumps from 0.3 to 0 where its support ends, at 0.5.
+        (_tf([0.0, 0.5], [[0.2], [0.3]]), _tf([0.0, 1.0], [[0.1], [0.1j]])),
+    ])
+    def test_jump_inside_converges_at_fourth_order(self, f, g):
+        # Read from inside each piece, the passes converge at fourth order and
+        # the walk approaches the flow at first order.
+        model = random_model(np.random.default_rng(3), 2, 1, 1.0)
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        u, v = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+        passes = [flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, s)
+                  for s in (128, 256, 512, 1024)]
+        diffs = np.abs(np.diff(passes))
+        assert (diffs[1:] <= diffs[:-1] / 10).all(), diffs
+        flow = flow_matrix_element(model, x, u, v, f, g, 1.0)
+        ns = np.array([256 * 2**k for k in range(5)])
+        errs = [abs(walk_matrix_element(model, x, u, v, f, g, 1 / n, n) - flow) for n in ns]
+        order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
+        assert 0.9 <= order <= 1.1, (order, errs)
+
+
+class TestNoiseCoordinates:
+    # The paper's noise space is coordinate-free: a unitary W on it, taking
+    # R_i to sum_j W_ij R_j and f, g to W f, W g, changes neither the walk nor
+    # the flow.
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4, 8]), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_on_noise_changes_nothing(self, d, m, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
+        W, _ = np.linalg.qr(_rand_x(rng, m))
+        rotated = GkslModel(d=d, m=m, R=np.einsum("ij,ajb->aib", W, model.R.reshape(d, m, d))
+                            .reshape(d * m, d))
+        f, g = (_tf(np.sort(rng.uniform(0.0, 1.0, 3)), 0.5 * _rand_x(rng, 3)[:, :m]) for _ in range(2))
+        f2, g2 = (TestFunction(fn.breakpoints, fn.values @ W.T) for fn in (f, g))
+        x = _rand_x(rng, d)
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        scale = op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v)
+        for value in (lambda *a: walk_matrix_element(*a, 1 / 512, 512),
+                      lambda *a: flow_matrix_element(*a, 1.0)):
+            want = value(model, x, u, v, f, g)
+            got = value(rotated, x, u, v, f2, g2)
+            assert abs(got - want) <= 1e-11 * max(abs(want), scale)
 
 
 class TestInputChecks:

@@ -18,7 +18,7 @@ from qrw.fock import (
     project_Ph,
     projection_deficiency,
 )
-from qrw.linalg import dagger, op_norm, power_runs, superoperator, transfer_matrices
+from qrw.linalg import dagger, op_norm, power_runs, step_maps, superoperator
 from qrw.model import GkslModel, StepKernel, amplitude_damping, random_model, semigroup
 from qrw.walk import (
     DenseCapError,
@@ -433,10 +433,11 @@ class TestStreamingEngine:
         chosen = []
 
         def spy(*args):
-            chosen.append(linalg.pick_engine(*args))
+            chosen.append(pick_engine(*args))
             return chosen[-1]
 
-        with mock.patch.object(walk, "pick_engine", spy):
+        pick_engine = linalg.pick_engine
+        with mock.patch.object(linalg, "pick_engine", spy):
             got = walk_matrix_element(model, x, u, v, f, g, h, n)
         assert chosen[0][0]
         favgs, gavgs = functions.slot_averages(f, h, n), functions.slot_averages(g, h, n)
@@ -463,19 +464,31 @@ class TestStreamingEngine:
         assert walk_matrix_element(model, x, u, v, f, g, 1 / n, n) == want
 
     @settings(max_examples=30, deadline=None)
-    @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_table_contracts_to_slot_superoperator(self, d, m, seed):
-        # sum_{jj'} conj(ghat_j) fhat_j' B_{jj'} is the superoperator of the slot
-        # factors at (ghat, fhat), for hats that need not start with 1.
+    @given(
+        d=st.integers(1, 4),
+        m=st.integers(1, 3),
+        corruption=st.sampled_from([0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_contracts_to_slot_superoperator(self, d, m, corruption, seed):
+        # At d <= 4 the engine steps the slots by transfer matrices: at hats
+        # (1, G), (1, F) each is the superoperator of the slot factors, which
+        # carry the corruption as one more term.
         rng = np.random.default_rng(seed)
-        model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
+        R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
+        model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
         factors = walk._slot_factors(model, float(rng.uniform(0.01, 1.0)))
-        table = walk._slot_table(model, factors, (1 + m) ** 2)
+        terms = 1 + m + bool(corruption)
+        assert linalg.pick_engine(d, terms, 1 + m, 1, 1)[0]
+        maps, _, _ = step_maps(factors, d, 1 + m, terms, 1, 1)
         ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
-        want = superoperator(*factors(ghat, fhat))
-        got = transfer_matrices(table, ghat, fhat)
-        scale = np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1)
-        assert (np.linalg.norm(got - want, axis=(1, 2)) <= 1e-13 * d * scale).all()
+        ghat[:, 0] = fhat[:, 0] = 1.0
+        y = _rand_x(rng, d).reshape(-1)
+        step = maps(ghat, fhat)
+        got = np.stack([step(p, y) for p in range(5)])
+        want = superoperator(*factors(ghat, fhat)) @ y
+        scale = np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1) * np.linalg.norm(y)
+        assert (np.linalg.norm(got - want, axis=1) <= 1e-13 * d * scale).all()
 
     @settings(max_examples=60, deadline=None)
     @given(
