@@ -26,6 +26,7 @@ __all__ = [
     "power_runs",
     "psd_trig",
     "sandwich",
+    "sandwich_terms",
     "superoperator",
     "transfer_matrices",
 ]
@@ -142,6 +143,21 @@ def sandwich(left: np.ndarray, y: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left @ (y @ right).reshape(-1, y.shape[-1])
 
 
+def sandwich_terms(left: np.ndarray, right: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``sandwich`` of every row of (P, d, J d), (P, J, d, d) factors with every ys (..., d, d).
+
+    Returns a (..., P, d, d) view.  The J terms are added one at a time in
+    order, so a term whose factors are zero in a row adds exact zeros to it.
+    """
+    P, d = len(right), ys.shape[-1]
+    L = left.reshape(P, d, -1, d)  # [p, a, j, c]
+    cols = np.moveaxis(ys.reshape(-1, d, d), 1, 0).reshape(d, -1)  # [c, (batch, e)]
+    out = np.zeros((P, cols.size // d, d), dtype=complex)  # [p, (a, batch), b]
+    for j in range(right.shape[1]):
+        out += (L[:, :, j].reshape(P * d, d) @ cols).reshape(P, -1, d) @ right[:, j]
+    return np.moveaxis(out.reshape(P, d, -1, d), 2, 0).reshape(ys.shape[:-2] + (P, d, d))
+
+
 def superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The d^2 x d^2 matrix of y -> sandwich(left, y, right) on row-major vec(y).
 
@@ -187,22 +203,20 @@ def pick_engine(d: int, terms: int, hats: int, points: int, applies: int) -> tup
     return (transfer, *(transfer_step if transfer else sandwich_step))
 
 
-def step_maps(factors, d: int, hats: int, terms: int, points: int, applies: int):
+def step_maps(factors, hats: int, points: int, applies: int):
     """The stepping engine of the walk and the oracle: maps on vec(Y) bilinear in two hats.
 
     ``factors(ghat, fhat) -> (left, right)`` gives, per row of the (P, hats)
-    hats, the ``terms`` sandwich factors of one map Y -> sum_t L_t Y R_t on
-    d x d matrices, L_t conj-linear in ghat and R_t linear in fhat.  The
-    engine asks only for hats whose entry 0 is 1, and uses up each result
-    before its next call.  Such a map has two forms on row-major vec(Y):
-
-    * its sandwich factors, applied by ``sandwich`` to the d x d view of
-      vec(Y) in 2 numpy calls and 2 terms d^3 multiply-adds;
-    * one d^2 x d^2 transfer matrix, applied in one call and d^4
-      multiply-adds.  It is the contraction by ``transfer_matrices`` of the
-      table B_{jj'} of the maps at the unit hats (e_j, e_j'), hats^2 d^4 per
-      map.  The table is ``superoperator`` of the factors at a_0 = (1, 0) and
-      a_i = (1, e_i), taken to the unit hats by e_i = a_i - a_0.
+    hats, the sandwich factors of one map Y -> sum_t L_t Y R_t on d x d
+    matrices, L_t conj-linear in ghat and R_t linear in fhat; d and the term
+    count are read from the factors at a_0 = (1, 0).  The engine asks only for
+    hats whose entry 0 is 1, and uses up each result before its next call.
+    Such a map has two forms on row-major vec(Y): its sandwich factors,
+    applied by ``sandwich`` to the d x d view of vec(Y), and one d^2 x d^2
+    transfer matrix, the contraction by ``transfer_matrices`` of the table
+    B_{jj'} of the maps at the unit hats (e_j, e_j').  The table is
+    ``superoperator`` of the factors at a_0 and a_i = (1, e_i), taken to the
+    unit hats by e_i = a_i - a_0.
 
     A step forms its maps at ``points`` pairs of hats and applies them
     ``applies`` times; ``pick_engine`` takes the form whose step costs less.
@@ -211,10 +225,11 @@ def step_maps(factors, d: int, hats: int, terms: int, points: int, applies: int)
     (a_0, a_0), built at its first call; and the (multiply-adds, calls) of
     one step.
     """
-    transfer, madds, calls = pick_engine(d, terms, hats, points, applies)
-    step = (madds, calls)
     corners = np.eye(hats)
     corners[:, 0] = 1.0  # row j is a_j
+    terms, d = factors(corners[:1], corners[:1])[1].shape[1::2]  # right is (1, terms, d, d)
+    transfer, madds, calls = pick_engine(d, terms, hats, points, applies)
+    step = (madds, calls)
     if transfer:
         table = superoperator(*factors(corners.repeat(hats, axis=0), np.tile(corners, (hats, 1))))
         blocks = table.reshape(hats, hats, d * d, d * d)

@@ -8,7 +8,9 @@ else is derived from R:
 * the structure maps      Theta = [[L, delta_dag], [delta, 0]], written once as
   ``structure_factors``; L, delta, delta_dag are its blocks at unit hats,
 * the step unitary        U(h) = exp(sqrt(h) Rtilde)  on system (x) (C + noise),
-* the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h),
+* the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
+  ``beta_factors``, and the oracle's rate ``rate_factors``, Theta plus <g, f>:
+  the walk and the oracle step these factors and build none of their own,
 * the exact semigroup     T_t = exp(tL) through a vectorized superoperator.
 
 ``semigroup`` is the only caller of ``scipy.linalg.expm`` and imports it when
@@ -20,7 +22,8 @@ direction.  The equivalent flat matrix uses the global left-factor-major
 flattening (system index slow): flat[a(1+m)+j, b(1+m)+j'] = blocks[j,j',a,b].
 
 ``GkslModel.beta_corruption`` is a test hook: a nonzero value perturbs the
-vacuum block of beta(h) so that negative-control validation runs fail.
+vacuum block of beta(h) so that negative-control validation runs fail.  Only
+``beta_factors`` reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, dagger, op_norm, psd_trig, sandwich, superoperator
+from .linalg import as_matrix, as_vector, dagger, op_norm, psd_trig, sandwich_terms, superoperator
 
 __all__ = [
     "BlockOperator",
@@ -39,9 +42,11 @@ __all__ = [
     "amplitude_damping",
     "beta",
     "beta_blocks",
+    "beta_factors",
     "defect",
     "lindblad",
     "random_model",
+    "rate_factors",
     "semigroup",
     "structure_factors",
     "structure_maps",
@@ -244,6 +249,28 @@ def _write_k_factors(model: GkslModel, ghat, fhat, left, right) -> None:
     np.subtract(half, D, out=right[:P, 1])
 
 
+def rate_factors(model: GkslModel, rows: int):
+    """factors(ghat, fhat) of the oracle's rate G_s, at most ``rows`` hats a call.
+
+    ``structure_factors`` with <g, f> = sum_{i>=1} conj(ghat_i) fhat_i added
+    to its K factor.  Every hat the engine asks for has c = 1, so the factors
+    of vacuum hats are built once, for ``rows`` rows or the (1+m)^2 of the
+    engine's table, and each call writes only K and K' into its first rows
+    and returns views of them.
+    """
+    vac = np.eye(1, 1 + model.m).repeat(max(rows, (1 + model.m) ** 2), axis=0)
+    rows = structure_factors(model, vac, vac)
+    diag = np.arange(model.d)
+
+    def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        left, right = (part[:len(ghat)] for part in rows)
+        _write_k_factors(model, ghat, fhat, left, right)
+        left[:, diag, diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]
+        return left, right
+
+    return factors
+
+
 def unit_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """All (1+m)^2 pairs of unit hats (ghat, fhat) = (e_j, e_j'), row p = j (1+m) + j'.
 
@@ -260,17 +287,13 @@ def structure_maps(model: GkslModel, x) -> BlockOperator:
     The conservation entry is identically zero here (trivial representation,
     no gauge term), but the slot is carried so walk code sees full blocks.
     """
-    x = model.check_x(x)
-    left, right = structure_factors(model, *unit_pairs(model.m))
-    blocks = np.stack([sandwich(lj, x, rj) for lj, rj in zip(left, right)])
-    return BlockOperator(model.d, model.m, blocks.reshape((1 + model.m,) * 2 + x.shape))
+    blocks = sandwich_terms(*structure_factors(model, *unit_pairs(model.m)), model.check_x(x))
+    return BlockOperator(model.d, model.m, blocks.reshape((1 + model.m,) * 2 + blocks.shape[1:]))
 
 
 def lindblad(model: GkslModel, x) -> np.ndarray:
-    """L(x) = R*(x (x) 1)R - (1/2)R*Rx - (1/2)xR*R: ``structure_factors`` at ghat = fhat = e_0."""
-    vac = np.eye(1, 1 + model.m)
-    left, right = structure_factors(model, vac, vac)
-    return sandwich(left[0], model.check_x(x), right[0])
+    """L(x) = R*(x (x) 1)R - (1/2)R*Rx - (1/2)xR*R: the vacuum block of Theta."""
+    return structure_maps(model, x).vacuum_part
 
 
 def delta(model: GkslModel, x) -> np.ndarray:
@@ -314,18 +337,44 @@ class StepKernel:
         return cls(model=model, U=U)
 
 
+def beta_factors(kernel: StepKernel):
+    """factors(ghat, fhat) -> (left, right): sandwich factors of the slot maps at (P, 1+m) hats.
+
+    Row p is the map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y)
+    = sum_l Vg_l* Y Vf_l, where V_l is the block of V = U(h)(1 (x) hat) on slot
+    direction l.  Per input direction j, cols holds the blocks U^{(l,j)} of
+    U(h) stacked over l and rows the blocks U^{(l,j)}* side by side, so
+    right = [Vf_0; ...; Vf_m] and left = [Vg_0* | ... | Vg_m*] are linear in
+    the hats.  A nonzero ``model.beta_corruption`` c adds c x to the vacuum
+    block of beta, so it is one more, last, term c conj(ghat_0) fhat_0 Y.
+    """
+    d, m, c = kernel.model.d, kernel.model.m, kernel.model.beta_corruption
+    U = kernel.U.blocks  # [l, j, a, b]
+    cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
+    rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
+    eye = np.eye(d)
+
+    def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        right = (fhat @ cols).reshape(-1, 1 + m, d, d)
+        left = (ghat.conj() @ rows).reshape(-1, d, (1 + m) * d)
+        if c:
+            left = np.concatenate([left, c * ghat[:, :1, None].conj() * eye], axis=2)
+            right = np.concatenate([right, fhat[:, :1, None, None] * eye], axis=1)
+        return left, right
+
+    return factors
+
+
 def beta_blocks(kernel: StepKernel, xs: np.ndarray) -> np.ndarray:
     """Batched beta(h, xs) = U(h)* (xs (x) 1) U(h) as blocks of shape (..., 1+m, 1+m, d, d).
 
-    Block (j, j') is sum_l U^(l,j)* xs U^(l,j') over the blocks U^(l,j) of
-    U(h).  A nonzero ``model.beta_corruption`` c adds c xs to block (0, 0).
+    ``beta_factors`` at ``unit_pairs``: block (j, j') is sum_l U^(l,j)* xs U^(l,j'),
+    and the corruption term adds exact zeros off block (0, 0).
     """
-    U = kernel.U.blocks  # [l, j, a, b]
     xs = np.asarray(xs, dtype=complex)
-    out = np.einsum("ljca,...ce,lkeb->...jkab", U.conj(), xs, U, optimize=True)
-    if kernel.model.beta_corruption:
-        out[..., 0, 0, :, :] += kernel.model.beta_corruption * xs
-    return out
+    m = kernel.model.m
+    out = sandwich_terms(*beta_factors(kernel)(*unit_pairs(m)), xs)
+    return out.reshape(xs.shape[:-2] + (1 + m, 1 + m) + xs.shape[-2:])
 
 
 def u_h(model: GkslModel, h: float) -> BlockOperator:

@@ -12,18 +12,19 @@ Heisenberg picture: Y = x at time t, dY/dtau = G_{t-tau}(Y) down to time 0,
 and m_t(x) = <v, Y u>, with G_s the bracket plus <g(s), f(s)>.  The bracket
 is <ghat, Theta(Y) fhat> at ghat = (1, g(s)), fhat = (1, f(s)), bilinear in
 the hats, so G_s is stepped by ``linalg.step_maps``, the walk's engine, on
-the factors of ``model.structure_factors`` with the pairing added to K.  RK4
-runs piece by piece between the breakpoints of f and g, reading f and g at
-each piece's ends as the limits from inside it, so a jump of either costs no
-order.  Where f = g = 0 on a piece the rate is the constant L, and its RK4
-steps go through one power of the polynomial sum_{k<=4} (dt L)^k / k! of its
-d^2 x d^2 matrix where that is cheaper.
-The module imports nothing from ``walk.py``; the two meet only in ``model``
-and ``linalg``.  ``tests/test_oracle.py`` cross-validates it two ways:
-``TestVacuumCheck`` pairs the walk at f = g = 0 with the exact semigroup, and
-``TestFineWalkReference`` compares the walk at a far finer step than any
-study's with this ODE value.  There the sandwich loop, forced through the cost
-rule, is also the cross-check of the transfer matrices and the powers.
+``model.rate_factors``: those of ``structure_factors`` with the pairing added
+to K.  RK4 runs piece by piece between the breakpoints of f and g, reading f
+and g at each piece's ends as the limits from inside it, so a jump of either
+costs no order.  Where f = g = 0 on a piece the rate is the constant L, and
+its RK4 steps go through one power of the polynomial sum_{k<=4} (dt L)^k / k!
+of its d^2 x d^2 matrix where that is cheaper.
+The module imports nothing from ``walk.py`` and no private name of ``model``;
+the two meet only in ``model`` and ``linalg``.  ``tests/test_oracle.py``
+cross-validates it two ways: ``TestVacuumCheck`` pairs the walk at f = g = 0
+with the exact semigroup, and ``TestFineWalkReference`` compares the walk at a
+far finer step than any study's with this ODE value.  There the sandwich loop,
+forced through the cost rule, is also the cross-check of the transfer matrices
+and the powers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .functions import TestFunction, _sorted_distinct
 from .linalg import CHUNK, _power_pays, as_vector, sandwich, step_maps
-from .model import GkslModel, _write_k_factors, structure_factors
+from .model import GkslModel, rate_factors, structure_factors
 
 __all__ = [
     "OracleRefinementError",
@@ -56,29 +57,6 @@ class OracleRefinementError(RuntimeError):
 def _pairing(model: GkslModel, u, v, Y) -> complex:
     """<v, Y u>, the weak functional of the flow at time 0."""
     return complex(np.vdot(model.check_vector(v), Y @ model.check_vector(u)))
-
-
-def _rate_factors(model: GkslModel, rows: int):
-    """factors(ghat, fhat) of the rate G_s for ``linalg.step_maps``, at most ``rows`` hats a call.
-
-    ``structure_factors`` with <g, f> = sum_{i>=1} conj(ghat_i) fhat_i added
-    to its K factor.  Every hat the engine asks for has c = 1, so the factors
-    of vacuum hats are built once, for ``rows`` rows or the (1+m)^2 of the
-    engine's table, and each call writes only K and K' into its first rows
-    and returns views of them.
-    """
-    d, m = model.d, model.m
-    vac = np.eye(1, 1 + m).repeat(max(rows, (1 + m) ** 2), axis=0)
-    rows = structure_factors(model, vac, vac)
-    diag = np.arange(d)
-
-    def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        left, right = (part[:len(ghat)] for part in rows)
-        _write_k_factors(model, ghat, fhat, left, right)
-        left[:, diag, diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]
-        return left, right
-
-    return factors
 
 
 def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
@@ -160,13 +138,13 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     _check_pass(t, steps)
     if t == 0:
         return _pairing(model, u, v, x)
-    d, m = model.d, model.m
+    d = model.d
     pieces = _pieces(f, g, t, steps)[::-1]
     counts = np.array([k for _, _, k in pieces])
     # A chunk of k RK4 steps reads its rates at 2 k + 1 points; a step forms
     # the rates at 2 new points and applies them 4 times.
-    factors = _rate_factors(model, 2 * min(CHUNK, int(counts.max())) + 1)
-    maps, vacuum, step = step_maps(factors, d, 1 + m, 2 + m, 2, 4)
+    factors = rate_factors(model, 2 * min(CHUNK, int(counts.max())) + 1)
+    maps, vacuum, step = step_maps(factors, 1 + model.m, 2, 4)
     # Each piece has its own points, so a node between two pieces is read from
     # inside each of them.
     times = np.concatenate([_points(a, b, k) for a, b, k in pieces])

@@ -3,25 +3,26 @@
 The walk over n slots of width h is the composition of per-slot step
 homomorphisms: slot n is applied to the observable first, and each step
 turns a system operator Y into the block family beta(h, Y) acting on the
-system and one fresh slot copy of C + noise.  Two engines evaluate it:
+system and one fresh slot copy of C + noise.  Two engines step the sandwich
+factors of ``model.beta_factors``, where beta is written once:
 
 * a dense engine that materializes operators and states on
-  system (x) (C + noise)^(x)n from the blocks of beta as plain arrays,
-  feasible while d (1+m)^n stays under the one cap ``DENSE_CAP``;
+  system (x) (C + noise)^(x)n from the factors at unit hats (``beta_blocks``)
+  or at (e_j, fhat), feasible while d (1+m)^n stays under the cap ``DENSE_CAP``;
 * a streaming engine that contracts each slot against the hatted slot
   vectors (1, F_k) of the test functions immediately after its step.
   Slots are never revisited (the walk is adapted), so the immediate
   contraction is exact, and the working set is independent of n.  The slot
-  map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y) is bilinear in
-  the hats; ``walk_matrix_element`` steps it by ``linalg.step_maps`` (sandwich
-  factors or transfer matrices, whichever its cost rule finds cheaper), and
-  takes each run of vacuum slots off supp f u supp g as a matrix power where
-  ``linalg.power_runs`` finds that cheaper.  ``walk_stream_states`` keeps
-  every state and steps every slot by its sandwich factors.  Agreement of the
-  engines thus checks the materialized beta blocks against the slot-by-slot
-  contraction with the hatted vectors, including its chunking and its slot
-  order, and agreement of the two streaming paths checks the transfer
-  matrices and the powers.
+  map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y) is the factors
+  at the slot's hats; ``walk_matrix_element`` steps it by ``linalg.step_maps``
+  (sandwich factors or transfer matrices, whichever its cost rule finds
+  cheaper), and takes each run of vacuum slots off supp f u supp g as a matrix
+  power where ``linalg.power_runs`` finds that cheaper.  ``walk_stream_states``
+  steps every slot by its sandwich factors.  Agreement of the engines thus
+  checks the contraction with the hatted vectors, its chunking and its slot
+  order, and agreement of the two streaming paths checks the transfer matrices
+  and the powers; beta itself is checked against U(h)* (x (x) 1) U(h) in
+  ``TestBeta`` of ``tests/test_model.py``.
 
 Matrix elements pair against per-slot projections of exponential vectors,
 i.e. the unnormalized product of (1, F_k); tail overlaps beyond t = n h are
@@ -42,8 +43,8 @@ from .fock import (
     slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import CHUNK, dagger, op_norm, power_runs, sandwich, step_maps
-from .model import GkslModel, StepKernel, beta_blocks
+from .linalg import CHUNK, dagger, op_norm, power_runs, sandwich, sandwich_terms, step_maps
+from .model import GkslModel, StepKernel, beta_blocks, beta_factors
 
 __all__ = [
     "DenseCapError",
@@ -66,6 +67,8 @@ class DenseCapError(ValueError):
 
 
 def _check_cap(d: int, m: int, n: int) -> None:
+    if n < 1:
+        raise ValueError("need n >= 1")
     if d * (1 + m) ** n > DENSE_CAP:
         raise DenseCapError(
             f"dense dimension d(1+m)^n = {d * (1 + m) ** n} exceeds cap {DENSE_CAP}"
@@ -97,8 +100,6 @@ def walk_dense_operator(model: GkslModel, x, h: float, n: int) -> np.ndarray:
     application adjoining one fresh (slower) slot leg.
     """
     x = model.check_x(x)
-    if n < 1:
-        raise ValueError("need n >= 1")
     _check_cap(model.d, model.m, n)
     kernel = StepKernel.build(model, h)
     d, m = model.d, model.m
@@ -115,9 +116,12 @@ def step_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np
     """beta blocks contracted against a hatted slot vector on the input side.
 
     For ys of shape (..., d, d) returns (..., 1+m, d, d):
-    out[..., j] = sum_j' beta^{(j, j')}(ys) fhat[j'].
+    out[..., j] = sum_j' beta^{(j, j')}(ys) fhat[j'], the slot maps of
+    ``beta_factors`` at the hats (e_j, fhat).
     """
-    return np.einsum("...jkab,k->...jab", beta_blocks(kernel, ys), fhat)
+    units = np.eye(1 + kernel.model.m)
+    factors = beta_factors(kernel)(units, np.tile(fhat, (len(units), 1)))
+    return sandwich_terms(*factors, np.asarray(ys, dtype=complex))
 
 
 def defect_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
@@ -150,46 +154,15 @@ def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float,
     """
     x = model.check_x(x)
     u = model.check_vector(u)
-    if n < 1:
-        raise ValueError("need n >= 1")
     _check_cap(model.d, model.m, n)
     kernel = StepKernel.build(model, h)
-    avgs = slot_averages(f, h, n)
-    hats = [avgs.hatted(k) for k in range(n)]
+    hats = slot_averages(f, h, n).hatted(slice(None))
     return _prefix_state(kernel, x[None], hats, u)
 
 
 # ---------------------------------------------------------------------------
 # Streaming engine
 # ---------------------------------------------------------------------------
-
-
-def _slot_factors(model: GkslModel, h: float):
-    """factors(ghat, fhat) -> (left, right): sandwich factors of the slot maps at (P, 1+m) hats.
-
-    Row p is the map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y)
-    = sum_l Vg_l* Y Vf_l, where V_l is the block of V = U(h)(1 (x) hat) on slot
-    direction l.  Per input direction j, cols holds the blocks U^{(l,j)} of
-    U(h) stacked over l and rows the blocks U^{(l,j)}* side by side, so
-    right = [Vf_0; ...; Vf_m] and left = [Vg_0* | ... | Vg_m*] are linear in
-    the hats.  A nonzero ``model.beta_corruption`` c adds c x to the vacuum
-    block of beta, so it is one more term c conj(ghat_0) fhat_0 Y.
-    """
-    d, m, c = model.d, model.m, model.beta_corruption
-    U = StepKernel.build(model, h).U.blocks  # [l, j, a, b]
-    cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
-    rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
-    eye = np.eye(d)
-
-    def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        right = (fhat @ cols).reshape(-1, 1 + m, d, d)
-        left = (ghat.conj() @ rows).reshape(-1, d, (1 + m) * d)
-        if c:
-            left = np.concatenate([left, c * ghat[:, :1, None].conj() * eye], axis=2)
-            right = np.concatenate([right, fhat[:, :1, None, None] * eye], axis=1)
-        return left, right
-
-    return factors
 
 
 def _sweep(Y, chunk, start: int, stop: int):
@@ -220,7 +193,7 @@ def walk_stream_states(model: GkslModel, x, favgs: SlotAverages,
     x = model.check_x(x)
     if favgs.n != gavgs.n or favgs.h != gavgs.h:
         raise ValueError("slot averages of f and g must share (h, n)")
-    factors = _slot_factors(model, favgs.h)
+    factors = beta_factors(StepKernel.build(model, favgs.h))
     ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
 
     def chunk(lo: int, hi: int):
@@ -234,7 +207,7 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
                         h: float, n: int) -> complex:
     """<v (x) projected e(g), p_{nh}(x) u (x) projected e(f)> by streaming.
 
-    ``linalg.step_maps`` steps the slot maps of ``_slot_factors`` on vec(Y),
+    ``linalg.step_maps`` steps the slot maps of ``model.beta_factors`` on vec(Y),
     and ``power_runs`` takes each run of vacuum slots (f and g both average to
     zero) that costs more stepped than as a power as one power of the vacuum
     map.  Agrees with the dense engine pairing whenever the dense cap allows,
@@ -244,10 +217,9 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     x = model.check_x(x)
     favgs, gavgs = slot_averages(f, h, n), slot_averages(g, h, n)
     ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
-    d, m = model.d, model.m
+    d = model.d
     # A slot forms its map at one pair of hats and applies it once.
-    terms = 1 + m + bool(model.beta_corruption)
-    maps, vacuum_map, step = step_maps(_slot_factors(model, h), d, 1 + m, terms, 1, 1)
+    maps, vacuum_map, step = step_maps(beta_factors(StepKernel.build(model, h)), 1 + model.m, 1, 1)
 
     def chunk(lo: int, hi: int):
         return maps(ghats[lo:hi], fhats[lo:hi])
@@ -359,15 +331,12 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     the residual of the decomposition identity itself.  A slot whose
     truncation tail exceeds ``TAIL_LIMIT`` raises ``TruncationError``.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     _check_cap(model.d, model.m, n)
     x = model.check_x(x)
     u = model.check_vector(u)
     m = model.m
     kernel = StepKernel.build(model, h)
-    avgs = slot_averages(f, h, n)
-    hats = [avgs.hatted(k) for k in range(n)]
+    hats = slot_averages(f, h, n).hatted(slice(None))
     space = IntervalSpace(m=m, G=G, N=N, h=h)
 
     tails, es, qs = [], [], []

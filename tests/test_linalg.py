@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from qrw import linalg
 from qrw.linalg import (
+    as_matrix,
     dagger,
     herm_eigen,
     op_norm,
@@ -303,7 +304,7 @@ class TestStepMaps:
     def engine(factors, d, hats, terms, transfer):
         """step_maps with its form fixed to sandwich factors or transfer matrices."""
         with mock.patch.object(linalg, "pick_engine", lambda *args: (transfer, 1.0, 1)):
-            return step_maps(factors, d, hats, terms, 1, 1)
+            return step_maps(factors, hats, 1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -343,14 +344,30 @@ class TestStepMaps:
         # The vacuum map is superoperator of the factors at (1, 0), bit for
         # bit; the sandwich form builds it at its first call only.
         rng = np.random.default_rng(seed)
-        factors, asked, _ = _bilinear_factors(rng, d, hats, terms)
+        factors, _, _ = _bilinear_factors(rng, d, hats, terms)
         a0 = np.eye(1, hats)
         want = superoperator(*factors(a0, a0))[0]
         for transfer in (False, True):
-            del asked[:]
-            _, vacuum, _ = self.engine(factors, d, hats, terms, transfer)
-            built = len(asked)
-            assert built == (2 if transfer else 0)
-            assert np.array_equal(vacuum(), want)
-            assert np.array_equal(vacuum(), want)
-            assert len(asked) == (built if transfer else 2)
+            with mock.patch.object(linalg, "superoperator", wraps=superoperator) as built:
+                _, vacuum, _ = self.engine(factors, d, hats, terms, transfer)
+                assert built.call_count == (1 if transfer else 0)
+                assert np.array_equal(vacuum(), want)
+                assert np.array_equal(vacuum(), want)
+                assert built.call_count == 1
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("as_matrix_1d", r"expected a 2-d matrix, got shape \(3,\)"),
+    ("as_matrix_inf", "matrix has non-finite entries"),
+    ("herm_eigen", r"herm_eigen needs a square matrix, got \(2, 3\)"),
+    ("psd_trig", "psd_trig needs h > 0"),
+])
+def test_input_checks(entry, message):
+    calls = {
+        "as_matrix_1d": lambda: as_matrix(np.zeros(3)),
+        "as_matrix_inf": lambda: as_matrix([[1.0, np.inf]]),
+        "herm_eigen": lambda: herm_eigen(np.zeros((2, 3))),
+        "psd_trig": lambda: psd_trig(np.eye(2), 0.0),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[entry]()

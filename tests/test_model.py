@@ -503,3 +503,20 @@ class TestStepKernel:
             assert op_norm(
                 BlockOperator(model.d, model.m, batched[i]).flat - single.flat
             ) <= 1e-13
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("GkslModel_d", "need d >= 1 and m >= 1"),
+    ("GkslModel_R", r"R shape \(3, 2\), expected \(2, 2\)"),
+    ("BlockOperator", r"blocks shape \(2, 2, 2, 3\), expected \(2, 2, 2, 2\)"),
+    ("StepKernel.build", "step kernel needs h > 0"),
+])
+def test_input_checks(entry, message):
+    calls = {
+        "GkslModel_d": lambda: GkslModel(d=0, m=1, R=np.zeros((0, 0))),
+        "GkslModel_R": lambda: GkslModel(d=2, m=1, R=np.zeros((3, 2))),
+        "BlockOperator": lambda: BlockOperator(d=2, m=1, blocks=np.zeros((2, 2, 2, 3))),
+        "StepKernel.build": lambda: StepKernel.build(amplitude_damping(1.0), 0.0),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[entry]()

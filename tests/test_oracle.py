@@ -15,12 +15,12 @@ from qrw.model import (
     delta_dag,
     lindblad,
     random_model,
+    rate_factors,
     semigroup,
     structure_factors,
 )
 from qrw.oracle import (
     OracleRefinementError,
-    _rate_factors,
     flow_matrix_element,
     flow_matrix_element_fixed,
     weak_generator,
@@ -95,7 +95,7 @@ class TestWeakGenerator:
         gv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         fv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         pair = np.vdot(gv, fv)
-        left, right = _rate_factors(model, 1)(np.append(1.0, gv)[None], np.append(1.0, fv)[None])
+        left, right = rate_factors(model, 1)(np.append(1.0, gv)[None], np.append(1.0, fv)[None])
         gen = weak_generator(model, Y, gv, fv)
         scale = max(1.0, op_norm(gen))
         assert op_norm(sandwich(left[0], Y, right[0]) - gen - pair * Y) <= 1e-12 * scale
@@ -114,7 +114,7 @@ class TestWeakGenerator:
         rng = np.random.default_rng(seed)
         model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
         assert linalg.pick_engine(d, 2 + m, 1 + m, 2, 4)[0]
-        maps, _, _ = step_maps(_rate_factors(model, 5), d, 1 + m, 2 + m, 2, 4)
+        maps, _, _ = step_maps(rate_factors(model, 5), 1 + m, 2, 4)
         ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
         ghat[:, 0] = fhat[:, 0] = 1.0
         pairing = np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)

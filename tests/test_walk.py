@@ -19,7 +19,15 @@ from qrw.fock import (
     projection_deficiency,
 )
 from qrw.linalg import dagger, op_norm, power_runs, step_maps, superoperator
-from qrw.model import GkslModel, StepKernel, amplitude_damping, random_model, semigroup
+from qrw.model import (
+    GkslModel,
+    StepKernel,
+    amplitude_damping,
+    beta_blocks,
+    beta_factors,
+    random_model,
+    semigroup,
+)
 from qrw.walk import (
     DenseCapError,
     check_composition_table,
@@ -112,6 +120,22 @@ class TestTestFunction:
     def test_non_finite_breakpoints_rejected(self, bp):
         with pytest.raises(ValueError, match="non-finite breakpoints"):
             TF(np.array(bp), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("bp, vals, message", [
+        ([0.0], [[1.0]], "need at least two breakpoints"),
+        ([0.0, 0.5, 0.5], [[1.0]] * 3, "breakpoints must be strictly ascending"),
+        ([0.0, 1.0, 0.5], [[1.0]] * 3, "breakpoints must be strictly ascending"),
+        ([0.0, 1.0], [[1.0]], "one value row per breakpoint required"),
+        ([0.0, 1.0], [[np.nan], [0.0]], "non-finite values"),
+    ])
+    def test_invalid_inputs_rejected(self, bp, vals, message):
+        with pytest.raises(ValueError, match=message):
+            TF(np.array(bp), np.array(vals))
+
+    def test_one_d_values_are_one_channel(self):
+        f = TF(np.array([0.0, 1.0]), np.array([0.0, 2.0j]))
+        assert f.values.shape == (2, 1) and f.channels == 1
+        assert f(0.25)[0] == pytest.approx(0.5j)
 
     @given(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0), max_size=12))
     def test_sorted_distinct_matches_unique(self, xs):
@@ -227,6 +251,28 @@ class TestDenseEngine:
             beta(model, SIGMA_X, 0.3).flat,
             atol=1e-13,
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        m=st.integers(1, 3),
+        batch=st.integers(1, 3),
+        corruption=st.sampled_from([0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_leg_outputs_contract_beta_blocks(self, d, m, batch, corruption, seed):
+        # step_leg_outputs takes beta_factors at the hats (e_j, fhat): it is
+        # beta_blocks contracted with fhat on the input side.
+        rng = np.random.default_rng(seed)
+        R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
+        model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
+        kernel = StepKernel.build(model, float(rng.uniform(0.01, 1.0)))
+        ys = np.stack([_rand_x(rng, d) for _ in range(batch)])
+        fhat = np.append(1.0, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        want = np.einsum("...jkab,k->...jab", beta_blocks(kernel, ys), fhat)
+        got = step_leg_outputs(kernel, ys, fhat)
+        scale = np.linalg.norm(fhat) * max(op_norm(y) for y in ys)
+        assert np.abs(got - want).max() <= 1e-13 * scale
 
     def test_cap(self, monkeypatch):
         # d (1+m)^n = 2 * 2^12 = 8192 exceeds DENSE_CAP = 4096; both dense entry
@@ -477,10 +523,10 @@ class TestStreamingEngine:
         rng = np.random.default_rng(seed)
         R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
         model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
-        factors = walk._slot_factors(model, float(rng.uniform(0.01, 1.0)))
+        factors = beta_factors(StepKernel.build(model, float(rng.uniform(0.01, 1.0))))
         terms = 1 + m + bool(corruption)
         assert linalg.pick_engine(d, terms, 1 + m, 1, 1)[0]
-        maps, _, _ = step_maps(factors, d, 1 + m, terms, 1, 1)
+        maps, _, _ = step_maps(factors, 1 + m, 1, 1)
         ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
         ghat[:, 0] = fhat[:, 0] = 1.0
         y = _rand_x(rng, d).reshape(-1)
@@ -830,3 +876,26 @@ class TestVectorInputs:
         for bad in ([1.0, 2.0, 3.0], [[1.0], [0.0]], [np.inf, 0.0]):
             with pytest.raises(ValueError):
                 self.model.check_vector(bad)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("walk_dense_operator", "need n >= 1"),
+    ("walk_dense_state", "need n >= 1"),
+    ("walk_stream_states_n", r"slot averages of f and g must share \(h, n\)"),
+    ("walk_stream_states_h", r"slot averages of f and g must share \(h, n\)"),
+])
+def test_input_checks(entry, message):
+    model, zero = amplitude_damping(1.0), TF.zero(1)
+
+    def stream(h_g, n_g):
+        gavgs = functions.slot_averages(zero, h_g, n_g)
+        return walk_stream_states(model, SIGMA_X, functions.slot_averages(zero, 0.1, 4), gavgs)
+
+    calls = {
+        "walk_dense_operator": lambda: walk_dense_operator(model, SIGMA_X, 0.1, 0),
+        "walk_dense_state": lambda: walk_dense_state(model, SIGMA_X, [1.0, 0.0], zero, 0.1, 0),
+        "walk_stream_states_n": lambda: stream(0.1, 5),
+        "walk_stream_states_h": lambda: stream(0.2, 4),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[entry]()
