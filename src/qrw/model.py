@@ -347,16 +347,23 @@ def beta_factors(kernel: StepKernel):
     right = [Vf_0; ...; Vf_m] and left = [Vg_0* | ... | Vg_m*] are linear in
     the hats.  A nonzero ``model.beta_corruption`` c adds c x to the vacuum
     block of beta, so it is one more, last, term c conj(ghat_0) fhat_0 Y.
+
+    Like ``rate_factors``, each call writes into two buffers that the closure
+    owns, grown to the most rows asked for so far, and returns views of them.
     """
     d, m, c = kernel.model.d, kernel.model.m, kernel.model.beta_corruption
     U = kernel.U.blocks  # [l, j, a, b]
     cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
     rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
     eye = np.eye(d)
+    buffers = [np.empty((0, cols.shape[1]), dtype=complex), np.empty((0, rows.shape[1]), dtype=complex)]
 
     def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        right = (fhat @ cols).reshape(-1, 1 + m, d, d)
-        left = (ghat.conj() @ rows).reshape(-1, d, (1 + m) * d)
+        P = len(ghat)
+        if P > len(buffers[0]):
+            buffers[:] = (np.empty((P, part.shape[1]), dtype=complex) for part in (cols, rows))
+        right = np.matmul(fhat, cols, out=buffers[0][:P]).reshape(-1, 1 + m, d, d)
+        left = np.matmul(ghat.conj(), rows, out=buffers[1][:P]).reshape(-1, d, (1 + m) * d)
         if c:
             left = np.concatenate([left, c * ghat[:, :1, None].conj() * eye], axis=2)
             right = np.concatenate([right, fhat[:, :1, None, None] * eye], axis=1)

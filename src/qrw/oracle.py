@@ -18,6 +18,14 @@ and g at each piece's ends as the limits from inside it, so a jump of either
 costs no order.  Where f = g = 0 on a piece the rate is the constant L, and
 its RK4 steps go through one power of the polynomial sum_{k<=4} (dt L)^k / k!
 of its d^2 x d^2 matrix where that is cheaper.
+
+The value carries an accuracy contract, stated at ``flow_matrix_element``:
+its error is at most tol * S, S = ||x|| ||u|| ||v|| exp((||f||^2 + ||g||^2)
+/ 2) >= |m_t(x)|, read off RK4's step-doubling estimate |Y_2k - Y_k| / 15,
+which needs each pass to halve every step of the one before (``_pieces``).
+The passes start at 16 steps, so a study pays for the accuracy its ladder
+needs rather than for a fixed budget.
+
 The module imports nothing from ``walk.py`` and no private name of ``model``;
 the two meet only in ``model`` and ``linalg``.  ``tests/test_oracle.py``
 cross-validates it two ways: ``TestVacuumCheck`` pairs the walk at f = g = 0
@@ -32,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import TestFunction, _sorted_distinct
-from .linalg import CHUNK, _power_pays, as_vector, sandwich, step_maps
+from .linalg import CHUNK, _power_pays, as_vector, op_norm, sandwich, step_maps
 from .model import GkslModel, rate_factors, structure_factors
 
 __all__ = [
@@ -42,8 +50,14 @@ __all__ = [
     "weak_generator",
 ]
 
-REFINEMENT_TOL = 1e-8
+REFINEMENT_TOL = 1e-10
+# The default first pass of flow_matrix_element, and the coarsest split into
+# pieces that the passes of a doubling chain refine (``_pieces``).
+BASE_STEPS = 16
 MAX_STEPS = 2**16
+# The factor within which |Y_2k - Y_k| / 15 reads the error of the pass of 2k
+# steps, either way; tests/test_oracle.py::TestAccuracyContract pins it.
+ESTIMATE_MARGIN = 4
 
 
 class OracleRefinementError(RuntimeError):
@@ -74,11 +88,21 @@ def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
 
 def _pieces(f: TestFunction, g: TestFunction, t: float, steps: int) -> list[tuple[float, float, int]]:
     """(a, b, k) for the pieces [a, b] of [0, t] between the interior
-    breakpoints of f and g, each cut into k equal steps, >= steps in all."""
+    breakpoints of f and g, each cut into k equal steps, >= steps in all.
+
+    Write steps = s 2^j with j the most halvings that leave an integer
+    s >= BASE_STEPS; a piece gets 2^j max(1, ceil(s (b - a) / t)) steps.  So
+    from BASE_STEPS on, the pass of twice as many steps halves every step of
+    this one, piece by piece, as RK4's step-doubling error estimate needs.
+    """
     kinks = np.concatenate([f.breakpoints, g.breakpoints])
     kinks = _sorted_distinct(kinks[(kinks > 0) & (kinks < t)])
     edges = np.concatenate([[0.0], kinks, [t]]).tolist()
-    return [(a, b, max(1, int(np.ceil((b - a) / t * steps)))) for a, b in zip(edges[:-1], edges[1:])]
+    scale = 1
+    while steps % 2 == 0 and steps // 2 >= BASE_STEPS:
+        steps, scale = steps // 2, 2 * scale
+    return [(a, b, scale * max(1, int(np.ceil((b - a) / t * steps))))
+            for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _points(a: float, b: float, k: int) -> np.ndarray:
@@ -114,11 +138,13 @@ def _rk4_polynomial(A: np.ndarray) -> np.ndarray:
     return M
 
 
-def _check_pass(t: float, steps: int) -> None:
+def _check_pass(t: float, steps: int, tol: float | None = None) -> None:
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"need a finite t >= 0, got {t}")
     if steps < 1:
         raise ValueError(f"need steps >= 1, got {steps}")
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"need a finite tol > 0, got {tol}")
 
 
 def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
@@ -173,24 +199,32 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
 
 
 def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
-                        t: float, steps: int = 256) -> complex:
-    """m_t(x) with automatic step refinement.
+                        t: float, steps: int = BASE_STEPS, *, tol: float = REFINEMENT_TOL) -> complex:
+    """m_t(x) to within tol * S, with S = ||x|| ||u|| ||v|| exp((||f||^2 + ||g||^2) / 2).
 
-    Doubles the step budget, up to MAX_STEPS, until two consecutive passes
-    agree to REFINEMENT_TOL relative to max(1, |m_t|); a stall, or a
-    starting budget above MAX_STEPS, raises OracleRefinementError with the
-    last residual.
+    ||x|| is the operator norm and ||f||^2 the integral of |f|^2 over [0, t],
+    so S = ||x|| ||u e(f_t])|| ||v e(g_t])|| and, j_t being a *-homomorphism,
+    |m_t(x)| <= S: the tolerance scales with x, u and v, and is never
+    absolute.  Doubles the step budget from ``steps`` (16 by default) up to
+    MAX_STEPS.  |Y_2k - Y_k| / 15, RK4's step-doubling estimate, reads the
+    error of the pass of 2k steps to within ESTIMATE_MARGIN either way, so
+    that pass is returned, as it is, once ESTIMATE_MARGIN times its estimate
+    is at most tol * S.  A stall, or a starting budget above MAX_STEPS, raises
+    OracleRefinementError with the last |Y_2k - Y_k|.
     """
-    _check_pass(t, steps)
+    _check_pass(t, steps, tol)
+    x, u, v = model.check_x(x), model.check_vector(u), model.check_vector(v)
     if t == 0:
-        return _pairing(model, u, v, model.check_x(x))
-    steps = max(64, int(steps))
+        return _pairing(model, u, v, x)
+    bound = (tol * op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v)
+             * np.exp((f.l2_norm_sq(0.0, t) + g.l2_norm_sq(0.0, t)) / 2))
+    steps = int(steps)
     prev, residual = None, float("inf")
     while steps <= MAX_STEPS:
         cur = flow_matrix_element_fixed(model, x, u, v, f, g, t, steps)
         if prev is not None:
             residual = abs(cur - prev)
-            if residual <= REFINEMENT_TOL * max(1.0, abs(cur)):
+            if ESTIMATE_MARGIN * residual / 15 <= bound:
                 return cur
         prev = cur
         steps *= 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qrw.linalg import dagger, op_norm
+from qrw.linalg import CHUNK, dagger, op_norm, sandwich_terms
 from qrw.model import (
     BlockOperator,
     GkslModel,
@@ -16,6 +16,7 @@ from qrw.model import (
     amplitude_damping,
     beta,
     beta_blocks,
+    beta_factors,
     defect,
     delta,
     delta_dag,
@@ -26,6 +27,7 @@ from qrw.model import (
     structure_maps,
     trig_estimates,
     u_h,
+    unit_pairs,
 )
 from qrw.oracle import weak_generator
 
@@ -503,6 +505,31 @@ class TestStepKernel:
             assert op_norm(
                 BlockOperator(model.d, model.m, batched[i]).flat - single.flat
             ) <= 1e-13
+
+    def test_factors_reuse_their_buffers(self):
+        # Each call of one beta_factors closure writes into buffers of its own
+        # and returns views of them, so the walk allocates nothing per chunk.
+        # A call with more rows than any before grows them, and calls after it
+        # still match factors from a fresh closure.
+        rng = np.random.default_rng(53)
+        model = random_model(rng, 3, 2, 1.0)
+        kernel = StepKernel.build(model, 0.1)
+        factors = beta_factors(kernel)
+
+        def hats(rows):
+            return tuple(np.hstack([np.ones((rows, 1)), _rand_x(rng, max(rows, 2))[:rows, :2]])
+                         for _ in range(2))
+
+        factors(*hats(1))
+        xs = np.stack([_rand_x(rng, 3) for _ in range(2)])
+        grown = sandwich_terms(*factors(*unit_pairs(2)), xs)
+        assert np.array_equal(grown.reshape(2, 3, 3, 3, 3), beta_blocks(kernel, xs))
+        small = hats(3)
+        for got, want in zip(factors(*small), beta_factors(kernel)(*small)):
+            assert np.array_equal(got, want)
+        first = factors(*hats(CHUNK))
+        second = factors(*hats(CHUNK))
+        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
 
 
 @pytest.mark.parametrize("entry, message", [

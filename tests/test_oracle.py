@@ -213,6 +213,19 @@ class TestFlowMatrixElement:
         slope = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope >= 3.8, (slope, errs)
 
+    @settings(max_examples=30, deadline=None)
+    @given(inner=st.lists(st.floats(0.001, 0.999), max_size=6, unique=True),
+           start=st.integers(16, 40))
+    def test_doubling_halves_every_step(self, inner, start):
+        # Step doubling reads the error of a pass only if the next pass halves
+        # every one of its steps, on every piece, however short.
+        f = _tf([0.0, *sorted(inner), 1.0], np.zeros((len(inner) + 2, 1)))
+        counts = [np.array([k for _, _, k in oracle._pieces(f, TestFunction.zero(1), 1.0, start * 2**j)])
+                  for j in range(4)]
+        for j, (coarse, fine) in enumerate(zip(counts, counts[1:])):
+            assert coarse.sum() >= start * 2**j
+            assert (fine == 2 * coarse).all()
+
     def test_vacuum_power_matches_rk4_loop(self, monkeypatch):
         # f is zero on [0.1, 0.2] and g vanishes below 0.3, so the vacuum
         # pieces are [0, 0.1], [0.1, 0.2] and [0.6, 1]; each is M^r for the RK4
@@ -334,6 +347,11 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="finite t >= 0"):
             fn(*self.ARGS, t, 64)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+    def test_tol_not_positive_and_finite_raises(self, tol):
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            flow_matrix_element(*self.ARGS, 1.0, tol=tol)
+
 
 class TestRefinement:
     def _record(self, monkeypatch, value_of_steps):
@@ -346,10 +364,10 @@ class TestRefinement:
         monkeypatch.setattr(oracle, "flow_matrix_element_fixed", fake)
         return calls
 
-    def _flow(self, steps=256):
+    def _flow(self, steps=256, scale=1.0, **kwargs):
         zero = TestFunction.zero(1)
-        return flow_matrix_element(amplitude_damping(), P1, [1, 0], [1, 0], zero, zero,
-                                   1.0, steps=steps)
+        return flow_matrix_element(amplitude_damping(), P1, [scale, 0], [scale, 0], zero, zero,
+                                   1.0, steps=steps, **kwargs)
 
     def test_start_above_cap_raises(self, monkeypatch):
         calls = self._record(monkeypatch, float)
@@ -366,11 +384,94 @@ class TestRefinement:
         assert err.value.residual == oracle.MAX_STEPS / 2
 
     def test_tolerance_relative_to_value(self, monkeypatch):
-        # The two passes differ by 0.5: far above REFINEMENT_TOL in absolute
-        # terms, but 5e-13 relative to the value.
-        calls = self._record(monkeypatch, lambda steps: 1e12 + 256.0 / steps)
-        assert self._flow() == 1e12 + 0.5
-        assert calls == [256, 512]
+        # The tolerance is tol * S with S = ||x|| ||u|| ||v|| exp((||f||^2 +
+        # ||g||^2) / 2) >= |m_t|, here 2^40 with u = v = 2^20 e_0.  Passes k
+        # and 2k differ by 15 * 2^13 / k, so ESTIMATE_MARGIN = 4 times the
+        # estimate of the error of pass 2k is 2^15 / k.  That first falls to
+        # tol * S = 110 at k = 512, and to 1100 at k = 32 for tol = 1e-9; the
+        # pass of 2k steps is returned as it is.
+        calls = self._record(monkeypatch, lambda steps: 2.0**40 + 15 * 2.0**14 / steps)
+        assert self._flow(steps=16, scale=2.0**20) == 2.0**40 + 240.0
+        assert calls == [16 * 2**k for k in range(7)]
+        calls.clear()
+        assert self._flow(steps=16, scale=2.0**20, tol=1e-9) == 2.0**40 + 3840.0
+        assert calls == [16, 32, 64]
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 2), which=st.sampled_from([0, 1, 2]),
+           power=st.sampled_from([-20, 10]), seed=st.integers(0, 2**32 - 1))
+    def test_scaling_an_input_scales_the_value_exactly(self, d, m, which, power, seed):
+        # A power of two scales x, u or v exactly in floating point, and with it
+        # the value and S, so the passes stay the same and the value scales exactly.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
+        f, g = (_tf(np.sort(rng.uniform(0.0, 1.0, 3)), 0.5 * _rand_x(rng, 3)[:, :m]) for _ in range(2))
+        xuv = [_rand_x(rng, d), _rand_x(rng, d)[0], _rand_x(rng, d)[0]]
+        scaled = list(xuv)
+        scaled[which] = 2.0**power * xuv[which]
+        fixed = oracle.flow_matrix_element_fixed
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for args in (xuv, scaled):
+                calls = []
+                patch.setattr(oracle, "flow_matrix_element_fixed",
+                              lambda *a, calls=calls: calls.append(a[-1]) or fixed(*a))
+                runs.append((flow_matrix_element(model, *args, f, g, 1.0), calls))
+        (want, want_calls), (got, got_calls) = runs
+        assert got_calls == want_calls
+        assert got == 2.0**power * want
+
+
+def _study_input(seed, d, m, support):
+    """Inputs in the shape of the benchmark's convergence studies: ||R|| = ||x|| = 1,
+    unit u and v, and f, g on 4 knots in ``support`` with values of size 0.25."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, d, m, 1.0)
+    x = _rand_x(rng, d)
+    u, v = (w / np.linalg.norm(w) for w in _rand_x(rng, d)[:2])
+    fns = []
+    for _ in range(2):
+        knots = np.concatenate([[support[0]], np.sort(rng.uniform(*support, 2)), [support[1]]])
+        vals = 0.25 * _rand_x(rng, max(4, m))[:4, :m] / np.sqrt(m)
+        if support != (0.0, 1.0):
+            vals[[0, -1]] = 0.0
+        fns.append(_tf(knots, vals))
+    return model, x / op_norm(x), u, v, *fns
+
+
+def _jump_input():
+    """g jumps from 0 to 0.2i at 0.2, where its support starts."""
+    model = random_model(np.random.default_rng(3), 2, 1, 1.0)
+    f = _tf([0.0, 0.4, 1.0], [[0.0], [0.3 - 0.1j], [0.1]])
+    g = _tf([0.2, 0.7], [[0.2j], [0.0]])
+    return model, np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]), np.array([0.6, 0.8]), f, g
+
+
+class TestAccuracyContract:
+    # flow_matrix_element returns a pass within tol * S of the flow, and the
+    # estimate it accepts on, |Y_2k - Y_k| / 15, reads the error of pass 2k.
+    # The reference is a 4096-step pass, within about 1e-13 of an 8192-step one.
+    CASES = {**{f"study-d4-seed{seed}": (seed, 4, 2, (0.1, 0.6)) for seed in range(1, 11)},
+             "study-d16": (1, 16, 3, (0.0, 1.0)), "jump": None}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_error_within_tol_times_scale(self, case, monkeypatch):
+        args = _jump_input() if self.CASES[case] is None else _study_input(*self.CASES[case])
+        model, x, u, v, f, g = args
+        scale = (op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v)
+                 * np.exp((f.l2_norm_sq(0.0, 1.0) + g.l2_norm_sq(0.0, 1.0)) / 2))
+        fixed = oracle.flow_matrix_element_fixed
+        ref = fixed(*args, 1.0, 4096)
+        passes = []
+        monkeypatch.setattr(oracle, "flow_matrix_element_fixed",
+                            lambda *a: passes.append(fixed(*a)) or passes[-1])
+        for tol in (1e-8, 1e-10, 1e-12):
+            passes.clear()
+            value = flow_matrix_element(*args, 1.0, tol=tol)
+            err, estimate = abs(value - ref), abs(passes[-1] - passes[-2]) / 15
+            assert err <= tol * scale, (tol, err, scale)
+            margin = oracle.ESTIMATE_MARGIN
+            assert 1 / margin <= estimate / err <= margin, (tol, estimate, err)
 
 
 class TestWeakFunctional:
