@@ -26,10 +26,9 @@ g = TF([0.2, 0.5, 0.7], [[0.0], [0.2j], [0.0]])
 f1 = TF([0.0, 0.5, 1.0], [[0.0], [0.3j], [0.1]])
 zero = TF.zero(1)
 
-# Nonzero f and g at d = 2: both engines step by transfer matrices; the oracle
-# runs at a tolerance tighter than its default.
+# Nonzero f and g at d = 2: both engines step by transfer matrices.
 walk.walk_matrix_element(gksl, x, u, v, f, g, 0.25, 4)
-oracle.flow_matrix_element(gksl, x, u, v, f, g, 1.0, tol=1e-12)
+oracle.flow_matrix_element(gksl, x, u, v, f, g, 1.0)
 walk.walk_matrix_element(damping, flip, u, u, f1, f1, 1 / 64, 64)
 oracle.flow_matrix_element_fixed(damping, flip, u, u, f1, f1, 1.0, 64)
 # f = g = 0 over 1024 slots and steps: both engines take matrix powers.

@@ -347,11 +347,6 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="finite t >= 0"):
             fn(*self.ARGS, t, 64)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
-    def test_tol_not_positive_and_finite_raises(self, tol):
-        with pytest.raises(ValueError, match="finite tol > 0"):
-            flow_matrix_element(*self.ARGS, 1.0, tol=tol)
-
 
 class TestRefinement:
     def _record(self, monkeypatch, value_of_steps):
@@ -364,10 +359,10 @@ class TestRefinement:
         monkeypatch.setattr(oracle, "flow_matrix_element_fixed", fake)
         return calls
 
-    def _flow(self, steps=256, scale=1.0, **kwargs):
+    def _flow(self, steps=256, scale=1.0):
         zero = TestFunction.zero(1)
         return flow_matrix_element(amplitude_damping(), P1, [scale, 0], [scale, 0], zero, zero,
-                                   1.0, steps=steps, **kwargs)
+                                   1.0, steps=steps)
 
     def test_start_above_cap_raises(self, monkeypatch):
         calls = self._record(monkeypatch, float)
@@ -383,18 +378,29 @@ class TestRefinement:
         assert calls == [256 * 2**k for k in range(len(calls))]
         assert err.value.residual == oracle.MAX_STEPS / 2
 
+    @pytest.mark.parametrize("start", [1, 5, 15])
+    def test_start_below_base_is_raised_to_it(self, monkeypatch, start):
+        # Below BASE_STEPS two passes can give every piece the same steps, so
+        # that their difference reads 0; the chain starts at BASE_STEPS instead.
+        calls = self._record(monkeypatch, float)
+        with pytest.raises(OracleRefinementError):
+            self._flow(steps=start)
+        assert calls == [oracle.BASE_STEPS * 2**k for k in range(len(calls))]
+
     def test_tolerance_relative_to_value(self, monkeypatch):
         # The tolerance is tol * S with S = ||x|| ||u|| ||v|| exp((||f||^2 +
         # ||g||^2) / 2) >= |m_t|, here 2^40 with u = v = 2^20 e_0.  Passes k
         # and 2k differ by 15 * 2^13 / k, so ESTIMATE_MARGIN = 4 times the
         # estimate of the error of pass 2k is 2^15 / k.  That first falls to
-        # tol * S = 110 at k = 512, and to 1100 at k = 32 for tol = 1e-9; the
-        # pass of 2k steps is returned as it is.
+        # tol * S = 110 at k = 512 for tol = 1e-10, and to 1100 at k = 32 for
+        # tol = 1e-9; the pass of 2k steps is returned as it is.
         calls = self._record(monkeypatch, lambda steps: 2.0**40 + 15 * 2.0**14 / steps)
+        assert oracle.REFINEMENT_TOL == 1e-10
         assert self._flow(steps=16, scale=2.0**20) == 2.0**40 + 240.0
         assert calls == [16 * 2**k for k in range(7)]
         calls.clear()
-        assert self._flow(steps=16, scale=2.0**20, tol=1e-9) == 2.0**40 + 3840.0
+        monkeypatch.setattr(oracle, "REFINEMENT_TOL", 1e-9)
+        assert self._flow(steps=16, scale=2.0**20) == 2.0**40 + 3840.0
         assert calls == [16, 32, 64]
 
     @settings(max_examples=20, deadline=None)
@@ -447,19 +453,24 @@ def _jump_input():
     return model, np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]), np.array([0.6, 0.8]), f, g
 
 
+def _scale(model, x, u, v, f, g):
+    """S = ||x|| ||u|| ||v|| exp((||f||^2 + ||g||^2) / 2) over [0, 1]."""
+    return (op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v)
+            * np.exp((f.l2_norm_sq(0.0, 1.0) + g.l2_norm_sq(0.0, 1.0)) / 2))
+
+
 class TestAccuracyContract:
-    # flow_matrix_element returns a pass within tol * S of the flow, and the
-    # estimate it accepts on, |Y_2k - Y_k| / 15, reads the error of pass 2k.
-    # The reference is a 4096-step pass, within about 1e-13 of an 8192-step one.
+    # flow_matrix_element returns a pass within REFINEMENT_TOL * S of the flow,
+    # and the estimate it accepts on, |Y_2k - Y_k| / 15, reads the error of
+    # pass 2k.  The reference is a 4096-step pass, within about 1e-13 of an
+    # 8192-step one.
     CASES = {**{f"study-d4-seed{seed}": (seed, 4, 2, (0.1, 0.6)) for seed in range(1, 11)},
              "study-d16": (1, 16, 3, (0.0, 1.0)), "jump": None}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_error_within_tol_times_scale(self, case, monkeypatch):
         args = _jump_input() if self.CASES[case] is None else _study_input(*self.CASES[case])
-        model, x, u, v, f, g = args
-        scale = (op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v)
-                 * np.exp((f.l2_norm_sq(0.0, 1.0) + g.l2_norm_sq(0.0, 1.0)) / 2))
+        scale = _scale(*args)
         fixed = oracle.flow_matrix_element_fixed
         ref = fixed(*args, 1.0, 4096)
         passes = []
@@ -467,11 +478,23 @@ class TestAccuracyContract:
                             lambda *a: passes.append(fixed(*a)) or passes[-1])
         for tol in (1e-8, 1e-10, 1e-12):
             passes.clear()
-            value = flow_matrix_element(*args, 1.0, tol=tol)
+            monkeypatch.setattr(oracle, "REFINEMENT_TOL", tol)
+            value = flow_matrix_element(*args, 1.0)
             err, estimate = abs(value - ref), abs(passes[-1] - passes[-2]) / 15
             assert err <= tol * scale, (tol, err, scale)
             margin = oracle.ESTIMATE_MARGIN
             assert 1 / margin <= estimate / err <= margin, (tol, estimate, err)
+
+    def test_start_of_one_step_with_short_pieces(self):
+        # Kinks at 0.3 and 0.6 leave every piece at most t / 2 long, so passes
+        # of 1 and 2 steps would both give each piece one step and agree
+        # exactly; started at 1, the chain must still reach the contract.
+        args = _study_input(2, 4, 2, (0.0, 1.0))
+        f = _tf([0.0, 0.3, 0.6, 1.0], [[0.2, -0.1j], [0.1j, 0.2], [-0.2, 0.1], [0.1, 0.0]])
+        args = (*args[:4], f, f)
+        ref = flow_matrix_element_fixed(*args, 1.0, 4096)
+        value = flow_matrix_element(*args, 1.0, steps=1)
+        assert abs(value - ref) <= oracle.REFINEMENT_TOL * _scale(*args)
 
 
 class TestWeakFunctional:
