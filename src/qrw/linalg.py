@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "CHUNK",
     "HermEigen",
+    "apply_table",
     "as_matrix",
     "as_vector",
     "dagger",
@@ -26,9 +27,9 @@ __all__ = [
     "power_runs",
     "psd_trig",
     "sandwich",
-    "sandwich_terms",
     "superoperator",
     "transfer_matrices",
+    "unit_table",
 ]
 
 # Slots (walk) or RK4 steps (oracle) whose sandwich factors are built at
@@ -143,21 +144,6 @@ def sandwich(left: np.ndarray, y: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left @ (y @ right).reshape(-1, y.shape[-1])
 
 
-def sandwich_terms(left: np.ndarray, right: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``sandwich`` of every row of (P, d, J d), (P, J, d, d) factors with every ys (..., d, d).
-
-    Returns a (..., P, d, d) view.  The J terms are added one at a time in
-    order, so a term whose factors are zero in a row adds exact zeros to it.
-    """
-    P, d = len(right), ys.shape[-1]
-    L = left.reshape(P, d, -1, d)  # [p, a, j, c]
-    cols = np.moveaxis(ys.reshape(-1, d, d), 1, 0).reshape(d, -1)  # [c, (batch, e)]
-    out = np.zeros((P, cols.size // d, d), dtype=complex)  # [p, (a, batch), b]
-    for j in range(right.shape[1]):
-        out += (L[:, :, j].reshape(P * d, d) @ cols).reshape(P, -1, d) @ right[:, j]
-    return np.moveaxis(out.reshape(P, d, -1, d), 2, 0).reshape(ys.shape[:-2] + (P, d, d))
-
-
 def superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The d^2 x d^2 matrix of y -> sandwich(left, y, right) on row-major vec(y).
 
@@ -170,14 +156,37 @@ def superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape(left.shape[:-2] + (d * d, d * d))
 
 
-def transfer_matrices(table: np.ndarray, ghat: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """sum_{j j'} conj(ghat_j) fhat_j' table[j (1+m) + j'] for each row of the (P, 1+m) hats.
+def unit_table(factors, hats: int) -> np.ndarray:
+    """The (hats, hats, d^2, d^2) ``superoperator`` of a factor family at the unit hats.
 
-    ``table`` holds the (1+m)^2 matrices of a map bilinear in (conj ghat, fhat),
-    one per pair of unit hats; the P maps cost one (P, (1+m)^2) @ ((1+m)^2, d^4) product.
+    ``factors(ghat, fhat) -> (left, right)`` gives the sandwich factors of one
+    map per row of the hats, bilinear in (conj ghat, fhat).  Block (j, j') is
+    the map at (e_j, e_j'), and block (0, 0) the vacuum map; the map at any
+    hats is their ``transfer_matrices`` contraction.
+    """
+    units = np.eye(hats)
+    table = superoperator(*factors(units.repeat(hats, axis=0), np.tile(units, (hats, 1))))
+    return table.reshape((hats, hats) + table.shape[1:])
+
+
+def apply_table(table: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Every (..., d^2, d^2) block of ``table`` applied to every ys (..., d, d) in one matmul.
+
+    Returns ys.shape[:-2] + table.shape[:-2] + (d, d).
+    """
+    d = ys.shape[-1]
+    out = ys.reshape(-1, d * d) @ table.reshape(-1, d * d).T
+    return out.reshape(ys.shape[:-2] + table.shape[:-2] + (d, d))
+
+
+def transfer_matrices(table: np.ndarray, ghat: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """sum_{j j'} conj(ghat_j) fhat_j' table[j, j'] for each row of the (P, 1+m) hats.
+
+    ``table`` is the ``unit_table`` of a map bilinear in (conj ghat, fhat); the P
+    maps cost one (P, (1+m)^2) @ ((1+m)^2, d^4) product.
     """
     pairs = (ghat.conj()[:, :, None] * fhat[:, None, :]).reshape(len(ghat), -1)
-    return (pairs @ table.reshape(len(table), -1)).reshape((len(ghat),) + table.shape[1:])
+    return (pairs @ table.reshape(pairs.shape[1], -1)).reshape((len(ghat),) + table.shape[2:])
 
 
 def _cost(madds: float, calls: float) -> float:
@@ -209,38 +218,31 @@ def step_maps(factors, hats: int, points: int, applies: int):
     ``factors(ghat, fhat) -> (left, right)`` gives, per row of the (P, hats)
     hats, the sandwich factors of one map Y -> sum_t L_t Y R_t on d x d
     matrices, L_t conj-linear in ghat and R_t linear in fhat; d and the term
-    count are read from the factors at a_0 = (1, 0).  The engine asks only for
-    hats whose entry 0 is 1, and uses up each result before its next call.
-    Such a map has two forms on row-major vec(Y): its sandwich factors,
-    applied by ``sandwich`` to the d x d view of vec(Y), and one d^2 x d^2
-    transfer matrix, the contraction by ``transfer_matrices`` of the table
-    B_{jj'} of the maps at the unit hats (e_j, e_j').  The table is
-    ``superoperator`` of the factors at a_0 and a_i = (1, e_i), taken to the
-    unit hats by e_i = a_i - a_0.
+    count are read from the factors at the vacuum pair (e_0, e_0).  The engine
+    uses up each result before its next call.  Such a map has two forms on
+    row-major vec(Y): its sandwich factors, applied by ``sandwich`` to the
+    d x d view of vec(Y), and one d^2 x d^2 transfer matrix, the contraction
+    by ``transfer_matrices`` of its ``unit_table``.
 
     A step forms its maps at ``points`` pairs of hats and applies them
     ``applies`` times; ``pick_engine`` takes the form whose step costs less.
     Returns ``maps(ghat, fhat) -> step(p, y)``, which applies the map of row p
     to vec(Y) y; ``vacuum()``, the d^2 x d^2 matrix of the map at
-    (a_0, a_0), built at its first call; and the (multiply-adds, calls) of
-    one step.
+    (e_0, e_0), block (0, 0) of the table, which the sandwich form builds at
+    its first call; and the (multiply-adds, calls) of one step.
     """
-    corners = np.eye(hats)
-    corners[:, 0] = 1.0  # row j is a_j
-    terms, d = factors(corners[:1], corners[:1])[1].shape[1::2]  # right is (1, terms, d, d)
+    e0 = np.eye(1, hats)
+    terms, d = factors(e0, e0)[1].shape[1::2]  # right is (1, terms, d, d)
     transfer, madds, calls = pick_engine(d, terms, hats, points, applies)
     step = (madds, calls)
     if transfer:
-        table = superoperator(*factors(corners.repeat(hats, axis=0), np.tile(corners, (hats, 1))))
-        blocks = table.reshape(hats, hats, d * d, d * d)
-        blocks[1:] -= blocks[0]
-        blocks[:, 1:] -= blocks[:, :1]
+        table = unit_table(factors, hats)
 
         def maps(ghat: np.ndarray, fhat: np.ndarray):
             T = transfer_matrices(table, ghat, fhat)
             return lambda p, y: T[p] @ y
 
-        return maps, lambda: table[0], step
+        return maps, lambda: table[0, 0], step
 
     square = (d, d)
 
@@ -248,7 +250,7 @@ def step_maps(factors, hats: int, points: int, applies: int):
         left, right = factors(ghat, fhat)
         return lambda p, y: sandwich(left[p], y.reshape(square), right[p]).ravel()
 
-    return maps, cache(lambda: superoperator(*factors(corners[:1], corners[:1]))[0]), step
+    return maps, cache(lambda: unit_table(factors, hats)[0, 0]), step
 
 
 def _power_pays(d: int, r: int, step: tuple[float, float], setup: int = 0) -> bool:

@@ -6,7 +6,8 @@ single noise operator R mapping the system into system (x) noise.  Everything
 else is derived from R:
 
 * the structure maps      Theta = [[L, delta_dag], [delta, 0]], written once as
-  ``structure_factors``; L, delta, delta_dag are its blocks at unit hats,
+  ``structure_factors``; L, delta, delta_dag are blocks of its
+  ``linalg.unit_table``, the one builder of the unit-hat blocks of a map,
 * the step unitary        U(h) = exp(sqrt(h) Rtilde)  on system (x) (C + noise),
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
   ``beta_factors``, and the oracle's rate ``rate_factors``, Theta plus <g, f>:
@@ -29,10 +30,11 @@ vacuum block of beta(h) so that negative-control validation runs fail.  Only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, dagger, op_norm, psd_trig, sandwich_terms, superoperator
+from .linalg import apply_table, as_matrix, as_vector, dagger, op_norm, psd_trig, unit_table
 
 __all__ = [
     "BlockOperator",
@@ -52,7 +54,6 @@ __all__ = [
     "structure_maps",
     "trig_estimates",
     "u_h",
-    "unit_pairs",
 ]
 
 # Scaling exponents of the four block parts: vacuum, annihilation row,
@@ -219,23 +220,19 @@ def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndar
     delta_dag_i(x) = R_i* x - x R_i* at (0, i).
     """
     P, d, m = len(ghat), model.d, model.m
-    chans = model.channels  # (m, d, d)
-    c = (ghat[:, :1].conj() * fhat[:, :1])[:, :, None]
-    left = np.empty((P, d, 2 + m, d), dtype=complex)  # [p, a, j, b]: factor j side by side
-    left[:, :, 1] = np.eye(d)
-    np.multiply(c[..., None], chans.conj().transpose(2, 0, 1), out=left[:, :, 2:])
+    left = np.empty((P, d, (2 + m) * d), dtype=complex)  # factor j in columns j d to (j + 1) d
+    left[:, :, d:2 * d] = np.eye(d)
     right = np.empty((P, 2 + m, d, d), dtype=complex)
-    right[:, 0], right[:, 2:] = np.eye(d), chans
-    left = left.reshape(P, d, -1)
+    right[:, 0], right[:, 2:] = np.eye(d), model.channels
     _write_k_factors(model, ghat, fhat, left, right)
     return left, right
 
 
 def _write_k_factors(model: GkslModel, ghat, fhat, left, right) -> None:
-    """Write K and K' of ``structure_factors`` at the (P, 1+m) hats into rows :P of its factors.
+    """Write the factors of ``structure_factors`` that depend on the (P, 1+m) hats into rows :P.
 
-    The other factors depend on the hats only through c = conj(ghat_0) fhat_0,
-    so rows built for hats of the same c become the factors of these hats.
+    These are K, K' and c R_i*; the others, 1 and R_i, are constant, so rows
+    built for any hats become the factors of these hats.
     """
     chans = model.channels
     dags = chans.conj().transpose(0, 2, 1)
@@ -247,16 +244,16 @@ def _write_k_factors(model: GkslModel, ghat, fhat, left, right) -> None:
     P, d = len(D), model.d
     np.add(half, D, out=left[:P, :, :d])
     np.subtract(half, D, out=right[:P, 1])
+    np.multiply(c, dags.transpose(1, 0, 2).reshape(d, -1), out=left[:P, :, 2 * d:])
 
 
 def rate_factors(model: GkslModel, rows: int):
     """factors(ghat, fhat) of the oracle's rate G_s, at most ``rows`` hats a call.
 
     ``structure_factors`` with <g, f> = sum_{i>=1} conj(ghat_i) fhat_i added
-    to its K factor.  Every hat the engine asks for has c = 1, so the factors
-    of vacuum hats are built once, for ``rows`` rows or the (1+m)^2 of the
-    engine's table, and each call writes only K and K' into its first rows
-    and returns views of them.
+    to its K factor.  The factors are built once, for ``rows`` rows or the
+    (1+m)^2 of ``linalg.unit_table``, and each call writes those that depend
+    on the hats into its first rows and returns views of them.
     """
     vac = np.eye(1, 1 + model.m).repeat(max(rows, (1 + model.m) ** 2), axis=0)
     rows = structure_factors(model, vac, vac)
@@ -271,24 +268,14 @@ def rate_factors(model: GkslModel, rows: int):
     return factors
 
 
-def unit_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (1+m)^2 pairs of unit hats (ghat, fhat) = (e_j, e_j'), row p = j (1+m) + j'.
-
-    Row 0 is the vacuum pair (e_0, e_0).  A map bilinear in (conj ghat, fhat)
-    is known from its values at these rows (``linalg.transfer_matrices``).
-    """
-    units = np.eye(1 + m)
-    return np.repeat(units, 1 + m, axis=0), np.tile(units, (1 + m, 1))
-
-
 def structure_maps(model: GkslModel, x) -> BlockOperator:
-    """Theta(x) = [[L(x), delta_dag(x)], [delta(x), 0]] from ``structure_factors`` at unit hats.
+    """Theta(x) = [[L(x), delta_dag(x)], [delta(x), 0]]: ``structure_factors``' unit table at x.
 
     The conservation entry is identically zero here (trivial representation,
     no gauge term), but the slot is carried so walk code sees full blocks.
     """
-    blocks = sandwich_terms(*structure_factors(model, *unit_pairs(model.m)), model.check_x(x))
-    return BlockOperator(model.d, model.m, blocks.reshape((1 + model.m,) * 2 + blocks.shape[1:]))
+    table = unit_table(partial(structure_factors, model), 1 + model.m)
+    return BlockOperator(model.d, model.m, apply_table(table, model.check_x(x)))
 
 
 def lindblad(model: GkslModel, x) -> np.ndarray:
@@ -319,6 +306,7 @@ class StepKernel:
     its parts are vacuum C, creation sqrt(h) R D, annihilation -sqrt(h) D R*
     and conservation C'.  D is carried on the |R| side and transported
     through R f(R*R) = f(RR*) R, so two eigendecompositions build U(h).
+    ``table``, the blocks of beta(h, .), is built at its first use.
     """
 
     model: GkslModel
@@ -335,6 +323,11 @@ class StepKernel:
             vacuum=cos_sys, creation=rd, annihilation=-dagger(rd), conservation=cos_env
         )
         return cls(model=model, U=U)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The ``unit_table`` of ``beta_factors``: block (j, j') is Y -> beta^{(j,j')}(h, Y)."""
+        return unit_table(beta_factors(self), 1 + self.model.m)
 
 
 def beta_factors(kernel: StepKernel):
@@ -375,13 +368,10 @@ def beta_factors(kernel: StepKernel):
 def beta_blocks(kernel: StepKernel, xs: np.ndarray) -> np.ndarray:
     """Batched beta(h, xs) = U(h)* (xs (x) 1) U(h) as blocks of shape (..., 1+m, 1+m, d, d).
 
-    ``beta_factors`` at ``unit_pairs``: block (j, j') is sum_l U^(l,j)* xs U^(l,j'),
-    and the corruption term adds exact zeros off block (0, 0).
+    ``kernel.table`` at xs: block (j, j') is sum_l U^(l,j)* xs U^(l,j'), and
+    the corruption term adds exact zeros off block (0, 0).
     """
-    xs = np.asarray(xs, dtype=complex)
-    m = kernel.model.m
-    out = sandwich_terms(*beta_factors(kernel)(*unit_pairs(m)), xs)
-    return out.reshape(xs.shape[:-2] + (1 + m, 1 + m) + xs.shape[-2:])
+    return apply_table(kernel.table, np.asarray(xs, dtype=complex))
 
 
 def u_h(model: GkslModel, h: float) -> BlockOperator:
@@ -484,10 +474,8 @@ def defect(model: GkslModel, x, h: float) -> tuple[BlockOperator, DefectReport]:
 
 
 def lindblad_superoperator(model: GkslModel) -> np.ndarray:
-    """Matrix of x -> L(x) on row-major vec(x): ``superoperator`` of the factors of ``lindblad``."""
-    vac = np.eye(1, 1 + model.m)
-    left, right = structure_factors(model, vac, vac)
-    return superoperator(left[0], right[0])
+    """Matrix of x -> L(x) on row-major vec(x): block (0, 0) of ``structure_maps``' unit table."""
+    return unit_table(partial(structure_factors, model), 1 + model.m)[0, 0]
 
 
 def semigroup(model: GkslModel, x, t: float) -> np.ndarray:

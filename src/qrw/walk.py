@@ -7,8 +7,10 @@ system and one fresh slot copy of C + noise.  Two engines step the sandwich
 factors of ``model.beta_factors``, where beta is written once:
 
 * a dense engine that materializes operators and states on
-  system (x) (C + noise)^(x)n from the factors at unit hats (``beta_blocks``)
-  or at (e_j, fhat), feasible while d (1+m)^n stays under the cap ``DENSE_CAP``;
+  system (x) (C + noise)^(x)n, feasible while d (1+m)^n stays under the cap
+  ``DENSE_CAP``.  It steps the kernel's ``table``, the ``linalg.unit_table``
+  of the factors, built once per kernel: ``beta_blocks`` applies it to vec(Y)
+  in one matmul, and ``step_leg_outputs`` first contracts it with (e_j, fhat);
 * a streaming engine that contracts each slot against the hatted slot
   vectors (1, F_k) of the test functions immediately after its step.
   Slots are never revisited (the walk is adapted), so the immediate
@@ -43,7 +45,8 @@ from .fock import (
     slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import CHUNK, dagger, op_norm, power_runs, sandwich, sandwich_terms, step_maps
+from .linalg import (CHUNK, apply_table, dagger, op_norm, power_runs, sandwich, step_maps,
+                     transfer_matrices)
 from .model import GkslModel, StepKernel, beta_blocks, beta_factors
 
 __all__ = [
@@ -116,12 +119,12 @@ def step_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np
     """beta blocks contracted against a hatted slot vector on the input side.
 
     For ys of shape (..., d, d) returns (..., 1+m, d, d):
-    out[..., j] = sum_j' beta^{(j, j')}(ys) fhat[j'], the slot maps of
-    ``beta_factors`` at the hats (e_j, fhat).
+    out[..., j] = sum_j' beta^{(j, j')}(ys) fhat[j'], the slot maps at the
+    hats (e_j, fhat): ``kernel.table`` contracted by ``transfer_matrices``.
     """
     units = np.eye(1 + kernel.model.m)
-    factors = beta_factors(kernel)(units, np.tile(fhat, (len(units), 1)))
-    return sandwich_terms(*factors, np.asarray(ys, dtype=complex))
+    legs = transfer_matrices(kernel.table, units, np.tile(fhat, (len(units), 1)))
+    return apply_table(legs, np.asarray(ys, dtype=complex))
 
 
 def defect_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Every name a qrw module exports in ``__all__`` exists, the oracle stays off the
-walk, beta is written in model alone, and qrw loads and runs a convergence study
-on numpy alone (``cold_run.py``)."""
+walk, beta is written in model alone, only linalg builds superoperators, and qrw
+loads and runs a convergence study on numpy alone (``cold_run.py``)."""
 
 import ast
 import importlib
@@ -55,6 +55,16 @@ def test_beta_is_written_in_model_only():
                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("model")
                for alias in node.names if alias.name.startswith("_")]
     assert not private
+
+
+def test_only_linalg_builds_superoperators():
+    # linalg.unit_table is the one builder of the unit-hat blocks of every
+    # bilinear map, so no other module calls superoperator.
+    src = Path(__file__).resolve().parents[1] / "src" / "qrw"
+    callers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+               and "superoperator" in {getattr(node.func, name, None) for name in ("id", "attr")}}
+    assert callers <= {"linalg.py"}
 
 
 # Runs in a fresh interpreter: the test modules of fock and model import scipy

@@ -290,13 +290,11 @@ class TestEngineRule:
 def _bilinear_factors(rng, d, hats, terms):
     """Random sandwich factors of ``terms`` terms, left conj-linear in ghat, right linear in fhat."""
     A, B = _rand_complex(rng, hats, d, terms * d), _rand_complex(rng, hats, terms, d, d)
-    asked = []
 
     def factors(ghat, fhat):
-        asked.extend([ghat, fhat])
         return np.tensordot(ghat.conj(), A, axes=1), np.tensordot(fhat, B, axes=1)
 
-    return factors, asked, np.linalg.norm(A) * np.linalg.norm(B)
+    return factors, np.linalg.norm(A) * np.linalg.norm(B)
 
 
 class TestStepMaps:
@@ -314,12 +312,10 @@ class TestStepMaps:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_forms_agree(self, d, hats, terms, seed):
-        # Both forms step vec(Y) by the sandwich of the factors at hats with
-        # entry 0 = 1, and the engine asks for no other hats.
+        # Both forms step vec(Y) by the sandwich of the factors at any hats.
         rng = np.random.default_rng(seed)
-        factors, asked, scale = _bilinear_factors(rng, d, hats, terms)
+        factors, scale = _bilinear_factors(rng, d, hats, terms)
         ghat, fhat = _rand_complex(rng, 6, hats), _rand_complex(rng, 6, hats)
-        ghat[:, 0] = fhat[:, 0] = 1.0
         y = _rand_complex(rng, d * d)
         left, right = factors(ghat, fhat)
         want = [sandwich(left[p], y.reshape(d, d), right[p]).reshape(-1) for p in range(6)]
@@ -331,7 +327,6 @@ class TestStepMaps:
             got = maps(ghat, fhat)
             for p in range(6):
                 assert np.linalg.norm(got(p, y) - want[p]) <= bound[p]
-        assert all((hat[:, 0] == 1).all() for hat in asked)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -344,7 +339,7 @@ class TestStepMaps:
         # The vacuum map is superoperator of the factors at (1, 0), bit for
         # bit; the sandwich form builds it at its first call only.
         rng = np.random.default_rng(seed)
-        factors, _, _ = _bilinear_factors(rng, d, hats, terms)
+        factors, _ = _bilinear_factors(rng, d, hats, terms)
         a0 = np.eye(1, hats)
         want = superoperator(*factors(a0, a0))[0]
         for transfer in (False, True):

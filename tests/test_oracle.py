@@ -108,24 +108,29 @@ class TestWeakGenerator:
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_table_contracts_to_rate_superoperator(self, d, m, seed):
-        # At d <= 4 the engine steps the rate by transfer matrices: at hats
-        # (1, g), (1, f) each is the superoperator of structure_factors plus
-        # sum_{i>=1} conj(g_i) f_i.
+        # At d <= 4 the engine steps the rate by transfer matrices: at any hats,
+        # the pairs of unit hats (c = 0 but at (e_0, e_0)) among them, each is
+        # the superoperator of structure_factors plus sum_{i>=1} conj(g_i) f_i,
+        # and so is the superoperator of rate_factors itself.
         rng = np.random.default_rng(seed)
         model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
         assert linalg.pick_engine(d, 2 + m, 1 + m, 2, 4)[0]
-        maps, _, _ = step_maps(rate_factors(model, 5), 1 + m, 2, 4)
-        ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
-        ghat[:, 0] = fhat[:, 0] = 1.0
+        units = np.eye(1 + m)
+        ghat = np.vstack([_rand_x(rng, 5 + m)[:5, :1 + m], units.repeat(1 + m, axis=0)])
+        fhat = np.vstack([_rand_x(rng, 5 + m)[:5, :1 + m], np.tile(units, (1 + m, 1))])
+        P = len(ghat)
+        maps, _, _ = step_maps(rate_factors(model, P), 1 + m, 2, 4)
         pairing = np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)
         want = (superoperator(*structure_factors(model, ghat, fhat))
                 + pairing[:, None, None] * np.eye(d * d))
         y = _rand_x(rng, d).reshape(-1)
         step = maps(ghat, fhat)
-        got = np.stack([step(p, y) for p in range(5)])
+        got = np.stack([step(p, y) for p in range(P)])
+        direct = superoperator(*rate_factors(model, P)(ghat, fhat)) @ y
         scale = (np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1)
                  * (1 + model.norm_R**2) * np.linalg.norm(y))
-        assert (np.linalg.norm(got - want @ y, axis=1) <= 1e-13 * d * scale).all()
+        for values in (got, direct):
+            assert (np.linalg.norm(values - want @ y, axis=1) <= 1e-13 * d * scale).all()
 
 
 class TestFlowMatrixElement:
