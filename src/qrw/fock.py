@@ -64,12 +64,11 @@ __all__ = [
     "projection_deficiency",
     "slot_coordinates",
     "slot_exp_data",
-    "space_for",
 ]
 
 DEFAULT_CUTOFF = 6
-ESCALATED_CUTOFF = 8
 TAIL_LIMIT = 1e-8
+SAFETY = 4.0  # ``passed`` of a lemma or F-term check allows this factor on its bound
 
 
 class TruncationError(ValueError):
@@ -327,25 +326,6 @@ def _checked_tail(space: IntervalSpace, cells) -> float:
     return tail
 
 
-def space_for(f: TestFunction, h: float, m: int, G: int, start: float = 0.0,
-              N: int = DEFAULT_CUTOFF) -> IntervalSpace:
-    """Build an interval space for f, escalating the cutoff if the tail is large.
-
-    Raises ``TruncationError`` if the tail still exceeds ``TAIL_LIMIT`` at the
-    escalated cutoff.
-    """
-    return _space_for_cells(f.cell_averages(start, start + h, G), h, m, G, N)
-
-
-def _space_for_cells(cells, h: float, m: int, G: int, N: int) -> IntervalSpace:
-    """``space_for`` on one slot's cell averages."""
-    space = IntervalSpace(m=m, G=G, N=N, h=h)
-    if exp_tail_bound(space, cells) > TAIL_LIMIT and N < ESCALATED_CUTOFF:
-        space = IntervalSpace(m=m, G=G, N=ESCALATED_CUTOFF, h=h)
-    _checked_tail(space, cells)
-    return space
-
-
 # ---------------------------------------------------------------------------
 # Projection onto the slot space
 # ---------------------------------------------------------------------------
@@ -368,17 +348,21 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     Exponential vectors factor over intervals, so with e_k = e(f_[k]) the
     squared norm prod_k ||e_k||^2 - prod_k ||P_h e_k||^2 is, free of that
     subtraction, sum_k (prod_{j<k} ||P_h e_j||^2) ||q_k||^2 (prod_{j>k} ||e_j||^2)
-    with q_k = (1 - P_h) e_k, all norms from the closed form ``slot_exp_data``.
+    with q_k = (1 - P_h) e_k, all norms from the closed form ``slot_exp_data``
+    at cutoff N.  A slot whose truncation tail exceeds ``TAIL_LIMIT`` raises
+    ``TruncationError``, as in every other check.
     """
     if h <= 0 or t < 0:
         raise ValueError("need h > 0 and t >= 0")
     n = int(round(t / h))
     if abs(n * h - t) > 1e-9 * max(1.0, t):
         raise ValueError("t must be an integer multiple of h")
+    space = IntervalSpace(m=m, G=G, N=N, h=h)
     loss, proj = 0.0, 1.0
     for k in range(n):
         cells = f.cell_averages(k * h, (k + 1) * h, G)
-        hat, q_sq = slot_exp_data(_space_for_cells(cells, h, m, G, N), cells)
+        _checked_tail(space, cells)
+        hat, q_sq = slot_exp_data(space, cells)
         proj_k = np.vdot(hat, hat).real
         loss = loss * (proj_k + q_sq) + proj * q_sq
         proj *= proj_k
@@ -627,12 +611,12 @@ def _lemma_rhs(space: IntervalSpace, l: int, mode: str, coeff, u, v, f: TestFunc
 
 def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
                       g: TestFunction | None = None, v=None, mode: str = "a",
-                      start: float = 0.0, safety: float = 4.0) -> LemmaResult:
+                      start: float = 0.0) -> LemmaResult:
     """One of the eight basic-vs-fundamental comparison estimates.
 
     Mode "a" compares ||(h^eps N^l - Lambda^l) u e(f)|| against the stated
     bound; mode "b" compares the magnitude of the matrix element against
-    v e(g).  ``passed`` applies the safety factor on the right-hand side,
+    v e(g).  ``passed`` applies the factor ``SAFETY`` on the right-hand side,
     ``passed_raw`` does not; both include the truncation/grid slack.
 
     Every vector met is s e_K(c) or a_dag(phi) e_K(c), c = sqrt(h/G) cells
@@ -690,5 +674,5 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
         rhs=float(rhs),
         slack=float(slack),
         passed_raw=bool(lhs <= rhs + slack),
-        passed=bool(lhs <= safety * rhs + slack),
+        passed=bool(lhs <= SAFETY * rhs + slack),
     )

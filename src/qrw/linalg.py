@@ -227,14 +227,15 @@ def step_maps(factors, hats: int, points: int, applies: int):
     A step forms its maps at ``points`` pairs of hats and applies them
     ``applies`` times; ``pick_engine`` takes the form whose step costs less.
     Returns ``maps(ghat, fhat) -> step(p, y)``, which applies the map of row p
-    to vec(Y) y; ``vacuum()``, the d^2 x d^2 matrix of the map at
-    (e_0, e_0), block (0, 0) of the table, which the sandwich form builds at
-    its first call; and the (multiply-adds, calls) of one step.
+    to vec(Y) y; ``vacuum()``, the d^2 x d^2 ``superoperator`` of the map at
+    (e_0, e_0), built at its first call in either form; and the
+    (multiply-adds, calls) of one step.
     """
     e0 = np.eye(1, hats)
     terms, d = factors(e0, e0)[1].shape[1::2]  # right is (1, terms, d, d)
     transfer, madds, calls = pick_engine(d, terms, hats, points, applies)
     step = (madds, calls)
+    vacuum = cache(lambda: superoperator(*factors(e0, e0))[0])
     if transfer:
         table = unit_table(factors, hats)
 
@@ -242,7 +243,7 @@ def step_maps(factors, hats: int, points: int, applies: int):
             T = transfer_matrices(table, ghat, fhat)
             return lambda p, y: T[p] @ y
 
-        return maps, lambda: table[0, 0], step
+        return maps, vacuum, step
 
     square = (d, d)
 
@@ -250,7 +251,7 @@ def step_maps(factors, hats: int, points: int, applies: int):
         left, right = factors(ghat, fhat)
         return lambda p, y: sandwich(left[p], y.reshape(square), right[p]).ravel()
 
-    return maps, cache(lambda: unit_table(factors, hats)[0, 0]), step
+    return maps, vacuum, step
 
 
 def _power_pays(d: int, r: int, step: tuple[float, float], setup: int = 0) -> bool:

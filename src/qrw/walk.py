@@ -8,9 +8,9 @@ factors of ``model.beta_factors``, where beta is written once:
 
 * a dense engine that materializes operators and states on
   system (x) (C + noise)^(x)n, feasible while d (1+m)^n stays under the cap
-  ``DENSE_CAP``.  It steps the kernel's ``table``, the ``linalg.unit_table``
-  of the factors, built once per kernel: ``beta_blocks`` applies it to vec(Y)
-  in one matmul, and ``step_leg_outputs`` first contracts it with (e_j, fhat);
+  ``DENSE_CAP``.  Its one kernel is ``model.beta_blocks``: the operator reads
+  the blocks, and the state and the F term contract them with fhat
+  (``step_leg_outputs``);
 * a streaming engine that contracts each slot against the hatted slot
   vectors (1, F_k) of the test functions immediately after its step.
   Slots are never revisited (the walk is adapted), so the immediate
@@ -19,12 +19,14 @@ factors of ``model.beta_factors``, where beta is written once:
   at the slot's hats; ``walk_matrix_element`` steps it by ``linalg.step_maps``
   (sandwich factors or transfer matrices, whichever its cost rule finds
   cheaper), and takes each run of vacuum slots off supp f u supp g as a matrix
-  power where ``linalg.power_runs`` finds that cheaper.  ``walk_stream_states``
-  steps every slot by its sandwich factors.  Agreement of the engines thus
-  checks the contraction with the hatted vectors, its chunking and its slot
-  order, and agreement of the two streaming paths checks the transfer matrices
-  and the powers; beta itself is checked against U(h)* (x (x) 1) U(h) in
-  ``TestBeta`` of ``tests/test_model.py``.
+  power where ``linalg.power_runs`` finds that cheaper.  At zero
+  ``linalg._cost`` nothing is strictly cheaper, so every slot goes by its
+  sandwich factors and no run is a power.
+
+Agreement of the engines checks the contraction with the hatted vectors, its
+chunking and its slot order; agreement of the streaming engine with its
+zero-cost run checks the transfer matrices and the powers.  beta itself is
+checked against U(h)* (x (x) 1) U(h) in ``TestBeta`` of ``tests/test_model.py``.
 
 Matrix elements pair against per-slot projections of exponential vectors,
 i.e. the unnormalized product of (1, F_k); tail overlaps beyond t = n h are
@@ -38,6 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (
+    SAFETY,
     IntervalSpace,
     _checked_tail,
     basic_operator_flat,
@@ -45,8 +48,7 @@ from .fock import (
     slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import (CHUNK, apply_table, dagger, op_norm, power_runs, sandwich, step_maps,
-                     transfer_matrices)
+from .linalg import CHUNK, dagger, op_norm, power_runs, step_maps
 from .model import GkslModel, StepKernel, beta_blocks, beta_factors
 
 __all__ = [
@@ -59,7 +61,6 @@ __all__ = [
     "walk_dense_state",
     "walk_matrix_element",
     "walk_norm_sq",
-    "walk_stream_states",
 ]
 
 DENSE_CAP = 4096
@@ -120,11 +121,9 @@ def step_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np
 
     For ys of shape (..., d, d) returns (..., 1+m, d, d):
     out[..., j] = sum_j' beta^{(j, j')}(ys) fhat[j'], the slot maps at the
-    hats (e_j, fhat): ``kernel.table`` contracted by ``transfer_matrices``.
+    hats (e_j, fhat).
     """
-    units = np.eye(1 + kernel.model.m)
-    legs = transfer_matrices(kernel.table, units, np.tile(fhat, (len(units), 1)))
-    return apply_table(legs, np.asarray(ys, dtype=complex))
+    return np.einsum("...jkab,k->...jab", beta_blocks(kernel, ys), fhat)
 
 
 def defect_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
@@ -168,42 +167,21 @@ def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float,
 # ---------------------------------------------------------------------------
 
 
-def _sweep(Y, chunk, start: int, stop: int):
-    """Yield the streaming states Y_{stop-1}, ..., Y_start that follow Y_stop = Y.
+def _sweep(y, maps, ghats, fhats, start: int, stop: int):
+    """The streaming state vec(Y_start) that follows vec(Y_stop) = y.
 
     Y_{k-1} = sum_{j j'} conj(ghat_k[j]) fhat_k[j'] beta^{(j,j')}(h, Y_k):
     slot k is contracted between the hatted vectors of g (output side) and
     f (input side) immediately after its step, which is exact because later
-    steps never touch slot k again.  ``chunk(lo, hi)`` gives step(k, Y), the
-    map of slot lo + k, and is called CHUNK slots at a time.
+    steps never touch slot k again.  ``maps``, of ``linalg.step_maps``, forms
+    the slot maps CHUNK slots at a time.
     """
     for hi in range(stop, start, -CHUNK):
         lo = max(start, hi - CHUNK)
-        step = chunk(lo, hi)
+        step = maps(ghats[lo:hi], fhats[lo:hi])
         for k in range(hi - lo - 1, -1, -1):
-            Y = step(k, Y)
-            yield Y
-
-
-def walk_stream_states(model: GkslModel, x, favgs: SlotAverages,
-                       gavgs: SlotAverages) -> np.ndarray:
-    """All streaming states [Y_n = x, Y_{n-1}, ..., Y_0], shape (n+1, d, d), slot by slot.
-
-    Always steps every slot by ``linalg.sandwich`` on its factors: the
-    cross-check of the engine, transfer matrices and matrix powers of
-    ``walk_matrix_element``.
-    """
-    x = model.check_x(x)
-    if favgs.n != gavgs.n or favgs.h != gavgs.h:
-        raise ValueError("slot averages of f and g must share (h, n)")
-    factors = beta_factors(StepKernel.build(model, favgs.h))
-    ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
-
-    def chunk(lo: int, hi: int):
-        left, right = factors(ghats[lo:hi], fhats[lo:hi])
-        return lambda k, Y: sandwich(left[k], Y, right[k])
-
-    return np.stack([x, *_sweep(x, chunk, 0, favgs.n)])
+            y = step(k, y)
+    return y
 
 
 def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
@@ -214,7 +192,7 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     and ``power_runs`` takes each run of vacuum slots (f and g both average to
     zero) that costs more stepped than as a power as one power of the vacuum
     map.  Agrees with the dense engine pairing whenever the dense cap allows,
-    and with ``walk_stream_states``.
+    and with itself at zero ``linalg._cost``, where no slot takes a shortcut.
     """
     u, v = model.check_vector(u), model.check_vector(v)
     x = model.check_x(x)
@@ -223,19 +201,13 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     d = model.d
     # A slot forms its map at one pair of hats and applies it once.
     maps, vacuum_map, step = step_maps(beta_factors(StepKernel.build(model, h)), 1 + model.m, 1, 1)
-
-    def chunk(lo: int, hi: int):
-        return maps(ghats[lo:hi], fhats[lo:hi])
-
     vacuum = ~(favgs.F.any(axis=1) | gavgs.F.any(axis=1))
     y, stop = x.reshape(-1), n
     for a, b in reversed(power_runs(vacuum, d, step)):
-        for y in _sweep(y, chunk, b, stop):
-            pass
+        y = _sweep(y, maps, ghats, fhats, b, stop)
         y = np.linalg.matrix_power(vacuum_map(), b - a) @ y
         stop = a
-    for y in _sweep(y, chunk, 0, stop):
-        pass
+    y = _sweep(y, maps, ghats, fhats, 0, stop)
     return complex(np.vdot(v, y.reshape(d, d) @ u))
 
 
@@ -313,7 +285,7 @@ def _pad_legs(vec: np.ndarray, m: int, k: int) -> np.ndarray:
 
 
 def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
-                G: int = 8, N: int = 4, safety: float = 4.0) -> FTermResult:
+                G: int = 8, N: int = 4) -> FTermResult:
     """The projection-loss term of the walk decomposition, with its bound.
 
     With W_k the walk over slots 1..k (W_0 the identity), D_k the one-step
@@ -382,7 +354,7 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
         value_sq=value_sq,
         bound=float(bound),
         slack=float(slack),
-        passed=bool(value_sq <= safety * bound + slack),
+        passed=bool(value_sq <= SAFETY * bound + slack),
         passed_raw=bool(value_sq <= bound + slack),
         decomposition_residual=residual,
     )

@@ -1,6 +1,7 @@
 """Every name a qrw module exports in ``__all__`` exists, the oracle stays off the
-walk, beta is written in model alone, only linalg builds superoperators, and qrw
-loads and runs a convergence study on numpy alone (``cold_run.py``)."""
+walk, beta is written in model alone, only linalg builds superoperators, the walk
+forms no map itself, and qrw loads and runs a convergence study on numpy alone
+(``cold_run.py``)."""
 
 import ast
 import importlib
@@ -65,6 +66,21 @@ def test_only_linalg_builds_superoperators():
                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
                and "superoperator" in {getattr(node.func, name, None) for name in ("id", "attr")}}
     assert callers <= {"linalg.py"}
+
+
+def test_walk_forms_no_map_itself():
+    # The dense engine reads beta through model.beta_blocks and the streaming
+    # engine through linalg.step_maps, so walk.py names no map-forming kernel.
+    path = Path(__file__).resolve().parents[1] / "src" / "qrw" / "walk.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+    assert not names & {"sandwich", "superoperator", "transfer_matrices", "apply_table"}
 
 
 # Runs in a fresh interpreter: the test modules of fock and model import scipy

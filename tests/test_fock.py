@@ -26,9 +26,9 @@ from qrw.fock import (
     projection_deficiency,
     slot_coordinates,
     slot_exp_data,
-    space_for,
 )
 from qrw.fock import (
+    SAFETY,
     TAIL_LIMIT,
     LemmaResult,
     NormDiffResult,
@@ -105,18 +105,6 @@ class TestExpVector:
         nsq = 0.1 * 0.25
         want = nsq**5 * np.exp(nsq) / math.factorial(5)
         assert exp_tail_bound(space, cells) == pytest.approx(want, rel=1e-12)
-
-    def test_space_for_escalates(self):
-        # Tail 4.3e-8 at N=6 is above TAIL_LIMIT, 5.0e-11 at N=8 below it.
-        f = TestFunction.constant([1.2], 0.0, 1.0)
-        space = space_for(f, 0.2, m=1, G=8, N=6)
-        assert space.N == 8
-
-    def test_space_for_raises_when_escalation_is_not_enough(self):
-        # Tail 5.4e-6 even at the escalated cutoff N=8.
-        f = TestFunction.constant([2.2], 0.0, 1.0)
-        with pytest.raises(TruncationError):
-            space_for(f, 0.2, m=1, G=8, N=6)
 
     def test_recursive_matches_product_formula(self):
         # prod_alpha c_alpha^{n_alpha} / sqrt(n_alpha!) on each multiset row.
@@ -294,6 +282,15 @@ class TestProjection:
         with pytest.raises(ValueError, match="need h > 0 and t >= 0"):
             projection_deficiency(f, t, h, m=1, G=4, N=6)
 
+    def test_deficiency_raises_above_tail_limit(self):
+        # The tail at N=6, 4.35e-8, is just above TAIL_LIMIT: the check raises,
+        # as every other one does, instead of raising the cutoff.
+        f = TestFunction.constant([1.2], 0.0, 1.0)
+        space = IntervalSpace(m=1, G=8, N=6, h=0.2)
+        assert TAIL_LIMIT < exp_tail_bound(space, f.cell_averages(0.0, 0.2, 8)) < 5 * TAIL_LIMIT
+        with pytest.raises(TruncationError):
+            projection_deficiency(f, 0.2, 0.2, m=1, G=8, N=6)
+
     def test_deficiency_matches_slot_by_slot_complement(self):
         # At the lemma grid (dim 74,613), sqrt(||e||^2 - ||P_h e||^2) would lose
         # ~5e-11 relative to cancellation; the reference sums the telescoped
@@ -301,8 +298,8 @@ class TestProjection:
         f = _rand_function(np.random.default_rng(1), 2, 1.0)
         h, m, G, N = 1 / 16, 2, 8, 6
         loss, proj = 0.0, 1.0
+        space = IntervalSpace(m=m, G=G, N=N, h=h)
         for k in range(16):
-            space = space_for(f, h, m, G, start=k * h, N=N)
             e = exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G))
             pe = project_Ph(space, e)
             q_sq = _norm_sq(e - pe)
@@ -636,8 +633,7 @@ def test_invalid_kind_raises_value_error(entry, kind):
         calls[entry]()
 
 
-def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", start=0.0,
-                           safety=4.0):
+def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", start=0.0):
     """check_N_vs_Lambda in the full space: scale N^l - Lambda^l applied to u e(f).
 
     Also returns the size ||coeff|| ||u|| ||e(f)|| (times ||v|| ||e(g)|| in
@@ -670,7 +666,7 @@ def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", star
         slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
             float(np.linalg.norm(v)), 1.0)
     rhs = _lemma_rhs(space, l, mode, coeff, u, v, f, g, start, ef_norm, eg_norm)
-    ref = LemmaResult(l, mode, lhs, rhs, slack, lhs <= rhs + slack, lhs <= safety * rhs + slack)
+    ref = LemmaResult(l, mode, lhs, rhs, slack, lhs <= rhs + slack, lhs <= SAFETY * rhs + slack)
     return ref, size
 
 

@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra kernels."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -286,6 +287,22 @@ class TestEngineRule:
         _, *step = self.oracle(4, 2)
         assert [linalg._power_pays(4, r, step, 3) for r in (2, 3)] == [False, True]
 
+    def test_zero_cost_takes_no_transfer_matrix_and_no_power(self):
+        # The cross-checks of the walk and the oracle patch _cost to 0, so that
+        # nothing is strictly cheaper: every step goes by sandwich factors and
+        # every run is stepped.  Were a tie to pick the fast path, those checks
+        # would compare a path with itself.
+        runs = (1, 2, 3, 10, 11, 64, 65, 1000, 4096)
+        with mock.patch.object(linalg, "_cost", lambda madds, calls: 0.0):
+            for d, terms, hats in itertools.product((1, 2, 3, 4, 8, 16), range(1, 6), range(1, 5)):
+                for points, applies in ((1, 1), (2, 4)):
+                    transfer, *step = linalg.pick_engine(d, terms, hats, points, applies)
+                    assert not transfer
+                    for r, setup in itertools.product(runs, (0, 3)):
+                        assert not linalg._power_pays(d, r, step, setup)
+                    assert power_runs(np.ones(max(runs), dtype=bool), d, step) == []
+                    assert power_runs(np.array([True] * 11 + [False] + [True] * 64), d, step) == []
+
 
 def _bilinear_factors(rng, d, hats, terms):
     """Random sandwich factors of ``terms`` terms, left conj-linear in ghat, right linear in fhat."""
@@ -337,7 +354,8 @@ class TestStepMaps:
     )
     def test_vacuum_is_superoperator_at_a0(self, d, hats, terms, seed):
         # The vacuum map is superoperator of the factors at (1, 0), bit for
-        # bit; the sandwich form builds it at its first call only.
+        # bit; either form builds it once, at its first call, and never reads
+        # the transfer form's table for it.
         rng = np.random.default_rng(seed)
         factors, _ = _bilinear_factors(rng, d, hats, terms)
         a0 = np.eye(1, hats)
@@ -345,10 +363,13 @@ class TestStepMaps:
         for transfer in (False, True):
             with mock.patch.object(linalg, "superoperator", wraps=superoperator) as built:
                 _, vacuum, _ = self.engine(factors, d, hats, terms, transfer)
-                assert built.call_count == (1 if transfer else 0)
+                table_builds = built.call_count
+                assert table_builds == (1 if transfer else 0)
                 assert np.array_equal(vacuum(), want)
+                assert built.call_count == table_builds + 1
+                assert built.call_args.args[0].shape[0] == 1
                 assert np.array_equal(vacuum(), want)
-                assert built.call_count == 1
+                assert built.call_count == table_builds + 1
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -257,8 +257,8 @@ class TestFlowMatrixElement:
 
     def test_transfer_matches_sandwich_loop(self, monkeypatch):
         # At d = 3 the rule takes transfer matrices and the vacuum pieces as
-        # powers.  A constant cost makes nothing strictly cheaper, which forces
-        # the sandwich factors at every step, as walk_stream_states uses them.
+        # powers.  A zero cost makes nothing strictly cheaper, which forces the
+        # sandwich factors at every step, as in the walk's cross-checks.
         rng = np.random.default_rng(19)
         model = random_model(rng, 3, 2, 1.2)
         f = _tf([0.1, 0.2, 0.4, 0.6], [[0, 0], [0, 0], [0.3, -0.2j], [0, 0]])

@@ -39,7 +39,6 @@ from qrw.walk import (
     walk_dense_state,
     walk_matrix_element,
     walk_norm_sq,
-    walk_stream_states,
 )
 
 TF = functions.TestFunction
@@ -68,6 +67,12 @@ def _rand_tf(rng, channels, t_end, height=0.6, points=4):
         -height, height, (points, channels)
     )
     return TF(times, vals)
+
+
+def _slot_by_slot(*args):
+    """walk_matrix_element at zero cost: every slot by its sandwich factors, no run as a power."""
+    with mock.patch.object(linalg, "_cost", lambda madds, calls: 0.0):
+        return walk_matrix_element(*args)
 
 
 def _within_tail(f, space, n):
@@ -252,28 +257,6 @@ class TestDenseEngine:
             atol=1e-13,
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        d=st.integers(1, 4),
-        m=st.integers(1, 3),
-        batch=st.integers(1, 3),
-        corruption=st.sampled_from([0.0, 1e-3]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_leg_outputs_contract_beta_blocks(self, d, m, batch, corruption, seed):
-        # step_leg_outputs takes beta_factors at the hats (e_j, fhat): it is
-        # beta_blocks contracted with fhat on the input side.
-        rng = np.random.default_rng(seed)
-        R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
-        model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
-        kernel = StepKernel.build(model, float(rng.uniform(0.01, 1.0)))
-        ys = np.stack([_rand_x(rng, d) for _ in range(batch)])
-        fhat = np.append(1.0, rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        want = np.einsum("...jkab,k->...jab", beta_blocks(kernel, ys), fhat)
-        got = step_leg_outputs(kernel, ys, fhat)
-        scale = np.linalg.norm(fhat) * max(op_norm(y) for y in ys)
-        assert np.abs(got - want).max() <= 1e-13 * scale
-
     def test_cap(self, monkeypatch):
         # d (1+m)^n = 2 * 2^12 = 8192 exceeds DENSE_CAP = 4096; both dense entry
         # points raise before any kernel (or array) is built.
@@ -401,9 +384,10 @@ class TestStreamingEngine:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_engine_equivalence_property(self, d, m, n, h, corruption, seed):
-        # The dense engine contracts the closed-form beta blocks, the stream
-        # engine the dilation form U(h)* (Y (x) 1) U(h); a nonzero corruption
-        # enters each through its own code.
+        # Both engines step model.beta_factors, which carry a nonzero corruption
+        # as one more term: the dense engine by the blocks of beta_blocks, the
+        # stream engine at each slot's hats.  Agreement checks the contraction
+        # with the hatted vectors, its chunking and its slot order.
         rng = np.random.default_rng(seed)
         R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
         model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
@@ -429,7 +413,7 @@ class TestStreamingEngine:
     def test_vacuum_runs_match_slot_by_slot(self, d, m, starts, ends, corruption, seed):
         # f on [starts[0], ends[0]] and g on [starts[1], ends[1]] leave runs of
         # 300 or more vacuum slots at both ends, which walk_matrix_element takes
-        # as matrix powers and walk_stream_states steps slot by slot.
+        # as matrix powers and the zero-cost run steps slot by slot.
         rng = np.random.default_rng(seed)
         R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
         model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
@@ -449,7 +433,7 @@ class TestStreamingEngine:
             got = walk_matrix_element(model, x, u, v, f, g, h, n)
         assert found[0]
         favgs, gavgs = functions.slot_averages(f, h, n), functions.slot_averages(g, h, n)
-        want = complex(np.vdot(v, walk_stream_states(model, x, favgs, gavgs)[-1] @ u))
+        want = _slot_by_slot(model, x, u, v, f, g, h, n)
         hats = np.prod(np.linalg.norm(favgs.hatted(slice(None)), axis=1)
                        * np.linalg.norm(gavgs.hatted(slice(None)), axis=1))
         scale = op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v) * hats * (1 + corruption) ** n
@@ -465,7 +449,7 @@ class TestStreamingEngine:
     )
     def test_transfer_matches_slot_by_slot(self, d, m, n, corruption, seed):
         # f and g are nonzero on all of [0, 1], so at d <= 4 every slot goes
-        # through a transfer matrix, and walk_stream_states steps the same slots
+        # through a transfer matrix, and the zero-cost run steps the same slots
         # by sandwiches; n = 63, 64, 65 and 130 put chunk ends on either side of
         # CHUNK = 64.
         rng = np.random.default_rng(seed)
@@ -488,7 +472,7 @@ class TestStreamingEngine:
         assert chosen[0][0]
         favgs, gavgs = functions.slot_averages(f, h, n), functions.slot_averages(g, h, n)
         assert (favgs.F != 0).all() and (gavgs.F != 0).all()
-        want = complex(np.vdot(v, walk_stream_states(model, x, favgs, gavgs)[-1] @ u))
+        want = _slot_by_slot(model, x, u, v, f, g, h, n)
         hats = np.prod(np.linalg.norm(favgs.hatted(slice(None)), axis=1)
                        * np.linalg.norm(gavgs.hatted(slice(None)), axis=1))
         scale = op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v) * hats * (1 + corruption) ** n
@@ -496,8 +480,8 @@ class TestStreamingEngine:
 
     def test_d8_keeps_the_sandwich_loop(self):
         # At d = 8 the rule keeps the sandwich factors, and with f and g nonzero
-        # everywhere no slot is a vacuum slot: the value is the cross-check's
-        # own pairing, bit for bit.
+        # everywhere no slot is a vacuum slot: the value is the zero-cost run's,
+        # bit for bit.
         rng = np.random.default_rng(29)
         model = random_model(rng, 8, 2, 1.0)
         n = 300
@@ -505,8 +489,7 @@ class TestStreamingEngine:
         x = _rand_x(rng, 8)
         u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        favgs, gavgs = functions.slot_averages(f, 1 / n, n), functions.slot_averages(g, 1 / n, n)
-        want = complex(np.vdot(v, walk_stream_states(model, x, favgs, gavgs)[-1] @ u))
+        want = _slot_by_slot(model, x, u, v, f, g, 1 / n, n)
         assert walk_matrix_element(model, x, u, v, f, g, 1 / n, n) == want
 
     @settings(max_examples=30, deadline=None)
@@ -564,22 +547,9 @@ class TestStreamingEngine:
         c = 1e-3
         bad = GkslModel(d=3, m=2, R=base.R, beta_corruption=c)
         x = _rand_x(rng, 3)
-        zero = functions.slot_averages(TF.zero(2), 0.1, 1)
-        shift = (walk_stream_states(bad, x, zero, zero)[-1]
-                 - walk_stream_states(base, x, zero, zero)[-1])
+        shift = (beta_blocks(StepKernel.build(bad, 0.1), x)[0, 0]
+                 - beta_blocks(StepKernel.build(base, 0.1), x)[0, 0])
         assert_allclose(shift, c * x, rtol=0, atol=1e-15)
-
-    def test_isometry_identity_observable(self):
-        model = amplitude_damping(1.0)
-        states = walk_stream_states(
-            model,
-            np.eye(2),
-            functions.slot_averages(TF.zero(1), 0.25, 4),
-            functions.slot_averages(TF.zero(1), 0.25, 4),
-        )
-        assert states.shape == (5, 2, 2)
-        for Y in states:
-            assert_allclose(Y, np.eye(2), atol=1e-12)
 
     def test_norm_sq_consistency(self):
         rng = np.random.default_rng(17)
@@ -600,29 +570,12 @@ class TestStreamingEngine:
         assert got <= op_norm(SIGMA_X) ** 2 * np.linalg.norm(u) ** 2 * embed_sq * (1 + 1e-9)
 
     def test_step_locality(self):
-        # Y_j of the streaming recursion never changes when slots already
-        # contracted (k <= j) are modified; and the n-slot value ignores f
-        # beyond nh.
+        # The walk is adapted: the n-slot value ignores f beyond nh.
         rng = np.random.default_rng(19)
         model = random_model(rng, 2, 1, 1.0)
         h, n = 0.2, 5
         f = _rand_tf(rng, 1, 1.0)
         g = _rand_tf(rng, 1, 1.0)
-        fa = functions.slot_averages(f, h, n)
-        ga = functions.slot_averages(g, h, n)
-        states = walk_stream_states(model, SIGMA_X, fa, ga)
-        j = 2  # Y_j sits at position n - j in the [Y_n, ..., Y_0] list
-        Fmod, Gmod = fa.F.copy(), ga.F.copy()
-        Fmod[:j] += 0.77
-        Gmod[:j] -= 0.33j
-        mod_states = walk_stream_states(
-            model,
-            SIGMA_X,
-            functions.SlotAverages(h=h, n=n, F=Fmod),
-            functions.SlotAverages(h=h, n=n, F=Gmod),
-        )
-        assert np.array_equal(states[n - j], mod_states[n - j])
-        # adaptedness of the value itself: changing f beyond nh does nothing
         f_ext = TF(
             np.concatenate([f.breakpoints, [n * h + 0.5, n * h + 1.0]]),
             np.concatenate([f.values, [[0.9], [0.0]]]),
@@ -881,21 +834,12 @@ class TestVectorInputs:
 @pytest.mark.parametrize("entry, message", [
     ("walk_dense_operator", "need n >= 1"),
     ("walk_dense_state", "need n >= 1"),
-    ("walk_stream_states_n", r"slot averages of f and g must share \(h, n\)"),
-    ("walk_stream_states_h", r"slot averages of f and g must share \(h, n\)"),
 ])
 def test_input_checks(entry, message):
     model, zero = amplitude_damping(1.0), TF.zero(1)
-
-    def stream(h_g, n_g):
-        gavgs = functions.slot_averages(zero, h_g, n_g)
-        return walk_stream_states(model, SIGMA_X, functions.slot_averages(zero, 0.1, 4), gavgs)
-
     calls = {
         "walk_dense_operator": lambda: walk_dense_operator(model, SIGMA_X, 0.1, 0),
         "walk_dense_state": lambda: walk_dense_state(model, SIGMA_X, [1.0, 0.0], zero, 0.1, 0),
-        "walk_stream_states_n": lambda: stream(0.1, 5),
-        "walk_stream_states_h": lambda: stream(0.2, 4),
     }
     with pytest.raises(ValueError, match=message):
         calls[entry]()
