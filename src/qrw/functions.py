@@ -160,7 +160,6 @@ class TestFunction:
 class SlotAverages:
     """Per-slot scaled averages F[k][i] = h^{-1/2} integral of f_i over slot k."""
 
-    h: float
     n: int
     F: np.ndarray  # (n, channels) complex
 
@@ -175,4 +174,4 @@ def slot_averages(f: TestFunction, h: float, n: int) -> SlotAverages:
     if not (np.isfinite(h) and h > 0) or n < 1:
         raise ValueError(f"need a finite h > 0 and n >= 1, got h = {h}, n = {n}")
     F = np.diff(f.antiderivative(h * np.arange(n + 1)), axis=0) / np.sqrt(h)
-    return SlotAverages(h=h, n=n, F=F)
+    return SlotAverages(n=n, F=F)

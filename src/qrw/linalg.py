@@ -169,6 +169,12 @@ def unit_table(factors, hats: int) -> np.ndarray:
     return table.reshape((hats, hats) + table.shape[1:])
 
 
+def vacuum_superoperator(factors, hats: int) -> np.ndarray:
+    """Block (0, 0) of ``unit_table`` alone: the ``superoperator`` of the family at (e_0, e_0)."""
+    e0 = np.eye(1, hats)
+    return superoperator(*factors(e0, e0))[0]
+
+
 def apply_table(table: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Every (..., d^2, d^2) block of ``table`` applied to every ys (..., d, d) in one matmul.
 
@@ -219,7 +225,8 @@ def step_maps(factors, hats: int, points: int, applies: int):
     hats, the sandwich factors of one map Y -> sum_t L_t Y R_t on d x d
     matrices, L_t conj-linear in ghat and R_t linear in fhat; d and the term
     count are read from the factors at the vacuum pair (e_0, e_0).  The engine
-    uses up each result before its next call.  Such a map has two forms on
+    uses up each result before its next call, so a family may reuse buffers
+    (``model.beta_factors``).  Such a map has two forms on
     row-major vec(Y): its sandwich factors, applied by ``sandwich`` to the
     d x d view of vec(Y), and one d^2 x d^2 transfer matrix, the contraction
     by ``transfer_matrices`` of its ``unit_table``.
@@ -227,15 +234,15 @@ def step_maps(factors, hats: int, points: int, applies: int):
     A step forms its maps at ``points`` pairs of hats and applies them
     ``applies`` times; ``pick_engine`` takes the form whose step costs less.
     Returns ``maps(ghat, fhat) -> step(p, y)``, which applies the map of row p
-    to vec(Y) y; ``vacuum()``, the d^2 x d^2 ``superoperator`` of the map at
-    (e_0, e_0), built at its first call in either form; and the
+    to vec(Y) y; ``vacuum()``, the ``vacuum_superoperator`` of the family,
+    built at its first call in either form; and the
     (multiply-adds, calls) of one step.
     """
     e0 = np.eye(1, hats)
     terms, d = factors(e0, e0)[1].shape[1::2]  # right is (1, terms, d, d)
     transfer, madds, calls = pick_engine(d, terms, hats, points, applies)
     step = (madds, calls)
-    vacuum = cache(lambda: superoperator(*factors(e0, e0))[0])
+    vacuum = cache(lambda: vacuum_superoperator(factors, hats))
     if transfer:
         table = unit_table(factors, hats)
 

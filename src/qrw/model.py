@@ -11,7 +11,8 @@ else is derived from R:
 * the step unitary        U(h) = exp(sqrt(h) Rtilde)  on system (x) (C + noise),
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
   ``beta_factors``, and the oracle's rate ``rate_factors``, Theta plus <g, f>:
-  the walk and the oracle step these factors and build none of their own,
+  the walk and the oracle step these factors and build none of their own;
+  only ``beta_factors`` reuses buffers, the others are plain functions,
 * the exact semigroup     T_t = exp(tL) through a vectorized superoperator.
 
 ``semigroup`` is the only caller of ``scipy.linalg.expm`` and imports it when
@@ -34,7 +35,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .linalg import apply_table, as_matrix, as_vector, dagger, op_norm, psd_trig, unit_table
+from .linalg import (apply_table, as_matrix, as_vector, dagger, op_norm, psd_trig, unit_table,
+                     vacuum_superoperator)
 
 __all__ = [
     "BlockOperator",
@@ -50,6 +52,7 @@ __all__ = [
     "random_model",
     "rate_factors",
     "semigroup",
+    "step_leg_outputs",
     "structure_factors",
     "structure_maps",
     "trig_estimates",
@@ -219,53 +222,30 @@ def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndar
     of Theta: L(x) at (0, 0), delta_i(x) = x R_i - R_i x at (i, 0) and
     delta_dag_i(x) = R_i* x - x R_i* at (0, i).
     """
-    P, d, m = len(ghat), model.d, model.m
-    left = np.empty((P, d, (2 + m) * d), dtype=complex)  # factor j in columns j d to (j + 1) d
-    left[:, :, d:2 * d] = np.eye(d)
-    right = np.empty((P, 2 + m, d, d), dtype=complex)
-    right[:, 0], right[:, 2:] = np.eye(d), model.channels
-    _write_k_factors(model, ghat, fhat, left, right)
-    return left, right
-
-
-def _write_k_factors(model: GkslModel, ghat, fhat, left, right) -> None:
-    """Write the factors of ``structure_factors`` that depend on the (P, 1+m) hats into rows :P.
-
-    These are K, K' and c R_i*; the others, 1 and R_i, are constant, so rows
-    built for any hats become the factors of these hats.
-    """
-    chans = model.channels
+    P, d, m, chans = len(ghat), model.d, model.m, model.channels
     dags = chans.conj().transpose(0, 2, 1)
     g0, f0 = ghat[:, :1].conj(), fhat[:, :1]
     c = (g0 * f0)[:, :, None]
     D = (np.tensordot(g0 * fhat[:, 1:], dags, axes=1)
          - np.tensordot(f0 * ghat[:, 1:].conj(), chans, axes=1))
     half = (-0.5 * c) * model.RdR
-    P, d = len(D), model.d
-    np.add(half, D, out=left[:P, :, :d])
-    np.subtract(half, D, out=right[:P, 1])
-    np.multiply(c, dags.transpose(1, 0, 2).reshape(d, -1), out=left[:P, :, 2 * d:])
+    left = np.empty((P, d, (2 + m) * d), dtype=complex)  # factor j in columns j d to (j + 1) d
+    np.add(half, D, out=left[:, :, :d])
+    left[:, :, d:2 * d] = np.eye(d)
+    np.multiply(c, dags.transpose(1, 0, 2).reshape(d, -1), out=left[:, :, 2 * d:])
+    right = np.empty((P, 2 + m, d, d), dtype=complex)
+    right[:, 0], right[:, 2:] = np.eye(d), chans
+    np.subtract(half, D, out=right[:, 1])
+    return left, right
 
 
-def rate_factors(model: GkslModel, rows: int):
-    """factors(ghat, fhat) of the oracle's rate G_s, at most ``rows`` hats a call.
-
-    ``structure_factors`` with <g, f> = sum_{i>=1} conj(ghat_i) fhat_i added
-    to its K factor.  The factors are built once, for ``rows`` rows or the
-    (1+m)^2 of ``linalg.unit_table``, and each call writes those that depend
-    on the hats into its first rows and returns views of them.
-    """
-    vac = np.eye(1, 1 + model.m).repeat(max(rows, (1 + model.m) ** 2), axis=0)
-    rows = structure_factors(model, vac, vac)
+def rate_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's rate G_s: ``structure_factors`` with <g, f> = sum_{i>=1}
+    conj(ghat_i) fhat_i added to K's diagonal."""
+    left, right = structure_factors(model, ghat, fhat)
     diag = np.arange(model.d)
-
-    def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        left, right = (part[:len(ghat)] for part in rows)
-        _write_k_factors(model, ghat, fhat, left, right)
-        left[:, diag, diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]
-        return left, right
-
-    return factors
+    left[:, diag, diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]
+    return left, right
 
 
 def structure_maps(model: GkslModel, x) -> BlockOperator:
@@ -341,8 +321,11 @@ def beta_factors(kernel: StepKernel):
     the hats.  A nonzero ``model.beta_corruption`` c adds c x to the vacuum
     block of beta, so it is one more, last, term c conj(ghat_0) fhat_0 Y.
 
-    Like ``rate_factors``, each call writes into two buffers that the closure
-    owns, grown to the most rows asked for so far, and returns views of them.
+    Each call writes into two buffers that the closure owns, grown to the most
+    rows asked for so far, and returns views of them.  It is the one factor
+    family with buffers: the walk forms slot maps for every CHUNK slots of its
+    ladder, and with fresh factors per call the study-large walk (d = 16, m = 3)
+    ran 34-56% slower.
     """
     d, m, c = kernel.model.d, kernel.model.m, kernel.model.beta_corruption
     U = kernel.U.blocks  # [l, j, a, b]
@@ -372,6 +355,20 @@ def beta_blocks(kernel: StepKernel, xs: np.ndarray) -> np.ndarray:
     the corruption term adds exact zeros off block (0, 0).
     """
     return apply_table(kernel.table, np.asarray(xs, dtype=complex))
+
+
+def step_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """beta blocks contracted against a hatted slot vector on the input side.
+
+    For ys of shape (..., d, d) returns (..., 1+m, d, d):
+    out[..., j] = sum_j' beta^{(j, j')}(ys) fhat[j'], the slot maps at the
+    hats (e_j, fhat).  ``kernel.table`` is contracted with fhat first, so only
+    the 1+m legs are applied, not all (1+m)^2 blocks of ``beta_blocks``; the
+    matmul reads the table in place, where ``np.tensordot`` copies it.
+    """
+    table = kernel.table  # (1+m, 1+m, d^2, d^2)
+    legs = fhat @ table.reshape(len(fhat), len(fhat), -1)
+    return apply_table(legs.reshape(table.shape[1:]), ys)
 
 
 def u_h(model: GkslModel, h: float) -> BlockOperator:
@@ -474,8 +471,8 @@ def defect(model: GkslModel, x, h: float) -> tuple[BlockOperator, DefectReport]:
 
 
 def lindblad_superoperator(model: GkslModel) -> np.ndarray:
-    """Matrix of x -> L(x) on row-major vec(x): block (0, 0) of ``structure_maps``' unit table."""
-    return unit_table(partial(structure_factors, model), 1 + model.m)[0, 0]
+    """Matrix of x -> L(x) on row-major vec(x): ``structure_factors`` at the vacuum hats."""
+    return vacuum_superoperator(partial(structure_factors, model), 1 + model.m)
 
 
 def semigroup(model: GkslModel, x, t: float) -> np.ndarray:

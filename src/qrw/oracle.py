@@ -16,8 +16,8 @@ the hats, so G_s is stepped by ``linalg.step_maps``, the walk's engine, on
 to K.  RK4 runs piece by piece between the breakpoints of f and g, reading f
 and g at each piece's ends as the limits from inside it, so a jump of either
 costs no order.  Where f = g = 0 on a piece the rate is the constant L, and
-its RK4 steps go through one power of the polynomial sum_{k<=4} (dt L)^k / k!
-of its d^2 x d^2 matrix where that is cheaper.
+its k steps are M^k, M the one RK4 step ``_rk4`` of L's d^2 x d^2 matrix
+applied to the identity, where that is cheaper.
 
 ``flow_matrix_element`` sizes its passes by RK4's step-doubling estimate
 |Y_2k - Y_k| / 15 of the error, which needs each pass to halve every step of
@@ -25,8 +25,8 @@ the one before (``_pieces``): it accepts once ESTIMATE_MARGIN times the
 estimate is at most REFINEMENT_TOL * S, S = ||x|| ||u|| ||v|| exp((||f||^2 +
 ||g||^2) / 2) >= |m_t(x)|.  That is an estimate, not a bound;
 ``TestAccuracyContract`` checks the error on the inputs it lists.  The passes
-start at 16 steps, so a study pays for the accuracy its ladder needs rather
-than for a fixed budget.
+always start at BASE_STEPS = 16 steps, with no option to start elsewhere, so
+a study pays for the accuracy its ladder needs rather than for a fixed budget.
 
 The module imports nothing from ``walk.py`` and no private name of ``model``;
 the two meet only in ``model`` and ``linalg``.  ``tests/test_oracle.py``
@@ -38,6 +38,8 @@ and the powers.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -53,8 +55,8 @@ __all__ = [
 ]
 
 REFINEMENT_TOL = 1e-10
-# The least first pass of flow_matrix_element, and the coarsest split into
-# pieces that the passes of a doubling chain refine (``_pieces``).
+# The first pass of flow_matrix_element, and the coarsest split into pieces
+# that the passes of a doubling chain refine (``_pieces``).
 BASE_STEPS = 16
 MAX_STEPS = 2**16
 # The factor within which |Y_2k - Y_k| / 15 reads the error of the pass of 2k
@@ -131,13 +133,16 @@ def _hats(fn: TestFunction, times: np.ndarray, firsts: np.ndarray, lasts: np.nda
     return hats
 
 
-def _rk4_polynomial(A: np.ndarray) -> np.ndarray:
-    """I + A + A^2/2 + A^3/6 + A^4/24: the RK4 step of a constant linear rate, with A = dt G."""
-    eye = np.eye(len(A))
-    M = eye + A / 4
-    for k in (3, 2, 1):
-        M = eye + (A / k) @ M
-    return M
+def _rk4(y: np.ndarray, rate, times: np.ndarray) -> np.ndarray:
+    """RK4 from y over ``times``, 2k + 1 points as ``_points`` lays them out; rate(p, y) at p."""
+    for i in range(len(times) // 2):
+        dt = times[2 * i] - times[2 * i + 2]
+        k1 = rate(2 * i, y)
+        k2 = rate(2 * i + 1, y + dt / 2 * k1)
+        k3 = rate(2 * i + 1, y + dt / 2 * k2)
+        k4 = rate(2 * i + 2, y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
 
 def _check_pass(t: float, steps: int) -> None:
@@ -156,9 +161,10 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     <v, x u> at t = 0.  The pieces between breakpoints of f and g run latest
     first.  f and g are read once on the nodes and midpoints of every piece,
     from inside the piece at its ends, and ``linalg.step_maps`` applies the
-    rates at those points CHUNK steps at a time.  A piece of k steps where
-    f = g = 0 is M^k on vec(Y), M = ``_rk4_polynomial``(dt L) with L the
-    engine's vacuum map, where ``_power_pays`` finds that cheaper than k steps.
+    rates at those points CHUNK steps at a time, each chunk's factors freed
+    before the next chunk's are formed.  A piece of k steps where f = g = 0 is
+    M^k on vec(Y), M the RK4 step of the engine's vacuum map L applied to the
+    identity, where ``_power_pays`` finds that cheaper than k steps.
     """
     x = model.check_x(x)
     _check_pass(t, steps)
@@ -167,10 +173,8 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     d = model.d
     pieces = _pieces(f, g, t, steps)[::-1]
     counts = np.array([k for _, _, k in pieces])
-    # A chunk of k RK4 steps reads its rates at 2 k + 1 points; a step forms
-    # the rates at 2 new points and applies them 4 times.
-    factors = rate_factors(model, 2 * min(CHUNK, int(counts.max())) + 1)
-    maps, vacuum, step = step_maps(factors, 1 + model.m, 2, 4)
+    # A step forms the rates at 2 new points and applies them 4 times.
+    maps, vacuum, step = step_maps(partial(rate_factors, model), 1 + model.m, 2, 4)
     # Each piece has its own points, so a node between two pieces is read from
     # inside each of them.
     times = np.concatenate([_points(a, b, k) for a, b, k in pieces])
@@ -178,51 +182,43 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     firsts = lasts - 2 * counts
     ghat, fhat = (_hats(fn, times, firsts, lasts) for fn in (g, f))
     y = x.reshape(-1)
-    for (a, b, k), first in zip(pieces, firsts.tolist()):
+    for k, first in zip(counts.tolist(), firsts.tolist()):
         pts = slice(first, first + 2 * k + 1)
         gp, fp, tp = ghat[pts], fhat[pts], times[pts]
-        # f = g = 0 on the piece: M takes 3 products of d^6.
-        if not (gp[:, 1:].any() or fp[:, 1:].any()) and _power_pays(d, k, step, 3):
-            y = np.linalg.matrix_power(_rk4_polynomial((b - a) / k * vacuum()), k) @ y
+        # f = g = 0 on the piece: M takes 4 products of d^6.
+        if not (gp[:, 1:].any() or fp[:, 1:].any()) and _power_pays(d, k, step, 4):
+            M = _rk4(np.eye(d * d), lambda _, z: vacuum() @ z, tp[:3])
+            y = np.linalg.matrix_power(M, k) @ y
             continue
-        for start in range(0, k, CHUNK):
-            stop = min(start + CHUNK, k)
-            rate = maps(gp[2 * start:2 * stop + 1], fp[2 * start:2 * stop + 1])
-            for i in range(stop - start):
-                dt = tp[2 * (start + i)] - tp[2 * (start + i) + 2]
-                k1 = rate(2 * i, y)
-                k2 = rate(2 * i + 1, y + dt / 2 * k1)
-                k3 = rate(2 * i + 1, y + dt / 2 * k2)
-                k4 = rate(2 * i + 2, y + dt * k3)
-                y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # A chunk's maps live only as the argument of its _rk4 call.
+        for start in range(0, 2 * k, 2 * CHUNK):
+            chunk = slice(start, min(start + 2 * CHUNK, 2 * k) + 1)
+            y = _rk4(y, maps(gp[chunk], fp[chunk]), tp[chunk])
     return _pairing(model, u, v, y.reshape(d, d))
 
 
 def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,
-                        t: float, steps: int = BASE_STEPS) -> complex:
+                        t: float) -> complex:
     """m_t(x), refined until its step-doubling estimate is within REFINEMENT_TOL * S.
 
     S = ||x|| ||u|| ||v|| exp((||f||^2 + ||g||^2) / 2), with ||x|| the
     operator norm and ||f||^2 the integral of |f|^2 over [0, t], is
     ||x|| ||u e(f_t])|| ||v e(g_t])||; j_t being a *-homomorphism,
     |m_t(x)| <= S, so the tolerance scales with x, u and v and is never
-    absolute.  Doubles the step budget from max(BASE_STEPS, ``steps``) up to
-    MAX_STEPS; from BASE_STEPS on, each pass halves every step of the one
-    before.  The pass of 2k steps is returned, as it is, once ESTIMATE_MARGIN
-    times |Y_2k - Y_k| / 15, RK4's estimate of its error, is at most
-    REFINEMENT_TOL * S.  The estimate is not a bound: ``TestAccuracyContract``
-    checks the error, and the estimate's ratio to it, on the inputs it lists.
-    A stall, or a starting budget above MAX_STEPS, raises
-    OracleRefinementError with the last |Y_2k - Y_k|.
+    absolute.  Doubles the step budget from BASE_STEPS up to MAX_STEPS, each
+    pass halving every step of the one before.  The pass of 2k steps is
+    returned, as it is, once ESTIMATE_MARGIN times |Y_2k - Y_k| / 15, RK4's
+    estimate of its error, is at most REFINEMENT_TOL * S.  At t = 0 every pass
+    is <v, x u>, so the second is returned.  The estimate is not a bound:
+    ``TestAccuracyContract`` checks the error, and the estimate's ratio to it,
+    on the inputs it lists.  A stall raises OracleRefinementError with the
+    last |Y_2k - Y_k|.
     """
-    _check_pass(t, steps)
+    _check_pass(t, BASE_STEPS)
     x, u, v = model.check_x(x), model.check_vector(u), model.check_vector(v)
-    if t == 0:
-        return _pairing(model, u, v, x)
     bound = (REFINEMENT_TOL * op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v)
              * np.exp((f.l2_norm_sq(0.0, t) + g.l2_norm_sq(0.0, t)) / 2))
-    steps = max(BASE_STEPS, int(steps))
-    prev, residual = None, float("inf")
+    steps, prev, residual = BASE_STEPS, None, float("inf")
     while steps <= MAX_STEPS:
         cur = flow_matrix_element_fixed(model, x, u, v, f, g, t, steps)
         if prev is not None:

@@ -8,9 +8,9 @@ factors of ``model.beta_factors``, where beta is written once:
 
 * a dense engine that materializes operators and states on
   system (x) (C + noise)^(x)n, feasible while d (1+m)^n stays under the cap
-  ``DENSE_CAP``.  Its one kernel is ``model.beta_blocks``: the operator reads
-  the blocks, and the state and the F term contract them with fhat
-  (``step_leg_outputs``);
+  ``DENSE_CAP``.  Its one kernel is ``StepKernel.table``: the operator reads
+  its blocks (``model.beta_blocks``), and the state and the F term contract
+  it with fhat first (``model.step_leg_outputs``);
 * a streaming engine that contracts each slot against the hatted slot
   vectors (1, F_k) of the test functions immediately after its step.
   Slots are never revisited (the walk is adapted), so the immediate
@@ -49,7 +49,7 @@ from .fock import (
 )
 from .functions import SlotAverages, TestFunction, slot_averages
 from .linalg import CHUNK, dagger, op_norm, power_runs, step_maps
-from .model import GkslModel, StepKernel, beta_blocks, beta_factors
+from .model import GkslModel, StepKernel, beta_blocks, beta_factors, step_leg_outputs
 
 __all__ = [
     "DenseCapError",
@@ -116,18 +116,8 @@ def walk_dense_operator(model: GkslModel, x, h: float, n: int) -> np.ndarray:
     return np.ascontiguousarray(T.transpose(2, 0, 3, 1).reshape(d * M, d * M))
 
 
-def step_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """beta blocks contracted against a hatted slot vector on the input side.
-
-    For ys of shape (..., d, d) returns (..., 1+m, d, d):
-    out[..., j] = sum_j' beta^{(j, j')}(ys) fhat[j'], the slot maps at the
-    hats (e_j, fhat).
-    """
-    return np.einsum("...jkab,k->...jab", beta_blocks(kernel, ys), fhat)
-
-
 def defect_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """Same as step_leg_outputs with beta - b (the one-step defect family)."""
+    """Same as ``model.step_leg_outputs`` with beta - b (the one-step defect family)."""
     ys = np.asarray(ys, dtype=complex)
     return step_leg_outputs(kernel, ys, fhat) - fhat[:, None, None] * ys[..., None, :, :]
 

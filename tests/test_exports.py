@@ -1,7 +1,7 @@
 """Every name a qrw module exports in ``__all__`` exists, the oracle stays off the
 walk, beta is written in model alone, only linalg builds superoperators, the walk
-forms no map itself, and qrw loads and runs a convergence study on numpy alone
-(``cold_run.py``)."""
+forms no map itself, no module imports a name it never reads, and qrw loads and
+runs a convergence study on numpy alone (``cold_run.py``)."""
 
 import ast
 import importlib
@@ -81,6 +81,31 @@ def test_walk_forms_no_map_itself():
         elif isinstance(node, ast.alias):
             names.update({node.name, node.asname})
     assert not names & {"sandwich", "superoperator", "transfer_matrices", "apply_table"}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The module-level names a file imports and never reads or lists in ``__all__``.
+
+    An import on a line marked ``# noqa: F401`` is kept on purpose and exempt.
+    """
+    text = path.read_text()
+    lines, tree = text.splitlines(), ast.parse(text)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names if "# noqa: F401" not in lines[alias.lineno - 1]}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(name.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["__all__"]
+                for name in node.value.elts)
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    files = [*(root / "src" / "qrw").glob("*.py"), *(root / "tests").glob("*.py")]
+    unused = {path.name: names for path in files if (names := _unused_imports(path))}
+    assert not unused
 
 
 # Runs in a fresh interpreter: the test modules of fock and model import scipy

@@ -245,11 +245,11 @@ class TestPowerRuns:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_loop_at_d16_up_to_4096(self, m):
         # The walk's slot cost 2(1+m)d^3 and the oracle's RK4 step 8(2+m)d^3 plus
-        # the 3 products that build M: at d = 16 the walk steps every run of up to
+        # the 4 products that build M: at d = 16 the walk steps every run of up to
         # 4096 slots, and the oracle every run of up to 2048 steps.
         d = 16
         assert not any(linalg._power_pays(d, r, (2 * (1 + m) * d**3, 1)) for r in range(1, 4097))
-        assert not any(linalg._power_pays(d, r, (8 * (2 + m) * d**3, 1), 3) for r in range(1, 2049))
+        assert not any(linalg._power_pays(d, r, (8 * (2 + m) * d**3, 1), 4) for r in range(1, 2049))
 
 
 class TestEngineRule:
@@ -273,19 +273,19 @@ class TestEngineRule:
     def test_d16_steps_every_run(self, m):
         # With the call charge on the sandwich steps of each engine: the walk
         # steps every run of up to 4096 slots, the oracle every run of up to
-        # 2048 steps (at m = 3 by a margin of about 4%).
+        # 2048 steps (at m = 3 by a margin of about 8%).
         _, *step = self.walk(16, m)
         assert not any(linalg._power_pays(16, r, step) for r in range(1, 4097))
         _, *step = self.oracle(16, m)
-        assert not any(linalg._power_pays(16, r, step, 3) for r in range(1, 2049))
+        assert not any(linalg._power_pays(16, r, step, 4) for r in range(1, 2049))
 
     def test_d4_powers_from_short_runs(self):
         # study-small's shape, d = 4 and m = 2: the walk takes vacuum runs of 11
-        # or more slots as powers, the oracle runs of 3 or more steps.
+        # or more slots as powers, the oracle runs of 4 or more steps.
         _, *step = self.walk(4, 2)
         assert [linalg._power_pays(4, r, step) for r in (10, 11)] == [False, True]
         _, *step = self.oracle(4, 2)
-        assert [linalg._power_pays(4, r, step, 3) for r in (2, 3)] == [False, True]
+        assert [linalg._power_pays(4, r, step, 4) for r in (3, 4)] == [False, True]
 
     def test_zero_cost_takes_no_transfer_matrix_and_no_power(self):
         # The cross-checks of the walk and the oracle patch _cost to 0, so that
@@ -298,7 +298,7 @@ class TestEngineRule:
                 for points, applies in ((1, 1), (2, 4)):
                     transfer, *step = linalg.pick_engine(d, terms, hats, points, applies)
                     assert not transfer
-                    for r, setup in itertools.product(runs, (0, 3)):
+                    for r, setup in itertools.product(runs, (0, 4)):
                         assert not linalg._power_pays(d, r, step, setup)
                     assert power_runs(np.ones(max(runs), dtype=bool), d, step) == []
                     assert power_runs(np.array([True] * 11 + [False] + [True] * 64), d, step) == []

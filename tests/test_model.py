@@ -24,6 +24,7 @@ from qrw.model import (
     lindblad_superoperator,
     random_model,
     semigroup,
+    step_leg_outputs,
     structure_maps,
     trig_estimates,
     u_h,
@@ -404,6 +405,29 @@ class TestBeta:
         assert not np.any(shift[:, ~moved])
         for x, s00 in zip(xs, shift[:, 0, 0]):
             assert op_norm(s00 - corruption * x) <= 1e-10 * op_norm(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        m=st.integers(1, 3),
+        h=st.floats(1e-4, 2.0),
+        batch=st.integers(1, 3),
+        corruption=st.sampled_from([0.0, -0.4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_leg_outputs_contract_beta_blocks(self, d, m, h, batch, corruption, seed):
+        # step_leg_outputs contracts beta's table with fhat before it applies
+        # the 1+m legs; that equals all (1+m)^2 blocks contracted with fhat.
+        rng = np.random.default_rng(seed)
+        R = random_model(rng, d, m, float(rng.uniform(0.0, 2.0))).R
+        kernel = StepKernel.build(GkslModel(d=d, m=m, R=R, beta_corruption=corruption), h)
+        ys = np.stack([_rand_x(rng, d) for _ in range(batch)])
+        fhat = np.append(1.0, _rand_x(rng, m)[0])
+        want = np.einsum("...jkab,k->...jab", beta_blocks(kernel, ys), fhat)
+        got = step_leg_outputs(kernel, ys, fhat)
+        assert got.shape == (batch, 1 + m, d, d)
+        scale = (1 + m) * (1 + abs(corruption)) * np.linalg.norm(ys) * np.linalg.norm(fhat)
+        assert np.linalg.norm(got - want) <= 1e-13 * scale
 
     def test_corruption_hook_breaks_homomorphism(self):
         base = amplitude_damping(1.0)

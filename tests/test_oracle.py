@@ -1,5 +1,8 @@
 """Tests for the weak-ODE flow oracle and its cross-validations."""
 
+import weakref
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,7 +80,7 @@ class TestWeakGenerator:
         u = np.array([0.6, 0.8])
         v = np.array([1.0, -0.5])
         eps = 1e-4
-        m_eps = flow_matrix_element(model, P1, u, v, f, f, eps, steps=64)
+        m_eps = flow_matrix_element(model, P1, u, v, f, f, eps)
         m_0 = complex(np.vdot(v, P1 @ u))
         fd = (m_eps - m_0) / eps
         gen = weak_generator(model, P1, np.array([c]), np.array([c]))
@@ -95,7 +98,7 @@ class TestWeakGenerator:
         gv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         fv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         pair = np.vdot(gv, fv)
-        left, right = rate_factors(model, 1)(np.append(1.0, gv)[None], np.append(1.0, fv)[None])
+        left, right = rate_factors(model, np.append(1.0, gv)[None], np.append(1.0, fv)[None])
         gen = weak_generator(model, Y, gv, fv)
         scale = max(1.0, op_norm(gen))
         assert op_norm(sandwich(left[0], Y, right[0]) - gen - pair * Y) <= 1e-12 * scale
@@ -119,14 +122,14 @@ class TestWeakGenerator:
         ghat = np.vstack([_rand_x(rng, 5 + m)[:5, :1 + m], units.repeat(1 + m, axis=0)])
         fhat = np.vstack([_rand_x(rng, 5 + m)[:5, :1 + m], np.tile(units, (1 + m, 1))])
         P = len(ghat)
-        maps, _, _ = step_maps(rate_factors(model, P), 1 + m, 2, 4)
+        maps, _, _ = step_maps(partial(rate_factors, model), 1 + m, 2, 4)
         pairing = np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)
         want = (superoperator(*structure_factors(model, ghat, fhat))
                 + pairing[:, None, None] * np.eye(d * d))
         y = _rand_x(rng, d).reshape(-1)
         step = maps(ghat, fhat)
         got = np.stack([step(p, y) for p in range(P)])
-        direct = superoperator(*rate_factors(model, P)(ghat, fhat)) @ y
+        direct = superoperator(*rate_factors(model, ghat, fhat)) @ y
         scale = (np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1)
                  * (1 + model.norm_R**2) * np.linalg.norm(y))
         for values in (got, direct):
@@ -233,8 +236,8 @@ class TestFlowMatrixElement:
 
     def test_vacuum_power_matches_rk4_loop(self, monkeypatch):
         # f is zero on [0.1, 0.2] and g vanishes below 0.3, so the vacuum
-        # pieces are [0, 0.1], [0.1, 0.2] and [0.6, 1]; each is M^r for the RK4
-        # polynomial M, against the loop it replaces.
+        # pieces are [0, 0.1], [0.1, 0.2] and [0.6, 1]; each is M^r for M the
+        # RK4 step of L applied to the identity, against the loop it replaces.
         rng = np.random.default_rng(17)
         model = random_model(rng, 3, 2, 1.2)
         f = _tf([0.1, 0.2, 0.4, 0.6], [[0, 0], [0, 0], [0.3, -0.2j], [0, 0]])
@@ -279,6 +282,27 @@ class TestFlowMatrixElement:
         loop = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
         assert [transfer for transfer, _, _ in chosen] == [True, False]
         assert abs(transfer - loop) <= 1e-13 * abs(loop)
+
+    def test_each_chunk_frees_its_factors(self, monkeypatch):
+        # A pass holds one chunk's rate factors at a time: none formed for an
+        # earlier chunk is alive when the next chunk's are formed.  At d = 8
+        # the engine steps the rates by their sandwich factors, which are
+        # formed for every chunk of CHUNK steps.
+        model, x, u, v, f, g = _study_input(3, 8, 2, (0.0, 1.0))
+        assert not linalg.pick_engine(8, 4, 3, 2, 4)[0]
+        alive, refs = [], []
+
+        def spy(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            parts = rate_factors(*args)
+            refs.extend(weakref.ref(part) for part in parts)
+            return parts
+
+        monkeypatch.setattr(oracle, "CHUNK", 4)
+        monkeypatch.setattr(oracle, "rate_factors", spy)
+        flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 32)
+        assert len(alive) >= 32 // 4
+        assert alive == [0] * len(alive)
 
     @pytest.mark.parametrize("f, g", [
         # g jumps from 0 to 0.2i where its support starts, at 0.2.
@@ -341,7 +365,7 @@ class TestInputChecks:
         assert flow_matrix_element_fixed(*self.ARGS, 0.0, 64) == 1.0
 
     @pytest.mark.parametrize("steps", [0, -5])
-    @pytest.mark.parametrize("fn", [flow_matrix_element_fixed, flow_matrix_element])
+    @pytest.mark.parametrize("fn", [flow_matrix_element_fixed])
     def test_steps_below_one_raise(self, fn, steps):
         with pytest.raises(ValueError, match="steps >= 1"):
             fn(*self.ARGS, 1.0, steps)
@@ -349,8 +373,9 @@ class TestInputChecks:
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     @pytest.mark.parametrize("fn", [flow_matrix_element_fixed, flow_matrix_element])
     def test_non_finite_t_raises(self, fn, t):
+        steps = (64,) if fn is flow_matrix_element_fixed else ()
         with pytest.raises(ValueError, match="finite t >= 0"):
-            fn(*self.ARGS, t, 64)
+            fn(*self.ARGS, t, *steps)
 
 
 class TestRefinement:
@@ -364,33 +389,19 @@ class TestRefinement:
         monkeypatch.setattr(oracle, "flow_matrix_element_fixed", fake)
         return calls
 
-    def _flow(self, steps=256, scale=1.0):
+    def _flow(self, scale=1.0):
         zero = TestFunction.zero(1)
-        return flow_matrix_element(amplitude_damping(), P1, [scale, 0], [scale, 0], zero, zero,
-                                   1.0, steps=steps)
-
-    def test_start_above_cap_raises(self, monkeypatch):
-        calls = self._record(monkeypatch, float)
-        with pytest.raises(OracleRefinementError):
-            self._flow(steps=2**17)
-        assert calls == []
+        return flow_matrix_element(amplitude_damping(), P1, [scale, 0], [scale, 0], zero, zero, 1.0)
 
     def test_last_pass_capped(self, monkeypatch):
+        # The chain always starts at BASE_STEPS: below it two passes can give
+        # every piece the same steps, so that their difference reads 0.
         calls = self._record(monkeypatch, float)  # never converges
         with pytest.raises(OracleRefinementError) as err:
             self._flow()
         assert max(calls) == oracle.MAX_STEPS
-        assert calls == [256 * 2**k for k in range(len(calls))]
-        assert err.value.residual == oracle.MAX_STEPS / 2
-
-    @pytest.mark.parametrize("start", [1, 5, 15])
-    def test_start_below_base_is_raised_to_it(self, monkeypatch, start):
-        # Below BASE_STEPS two passes can give every piece the same steps, so
-        # that their difference reads 0; the chain starts at BASE_STEPS instead.
-        calls = self._record(monkeypatch, float)
-        with pytest.raises(OracleRefinementError):
-            self._flow(steps=start)
         assert calls == [oracle.BASE_STEPS * 2**k for k in range(len(calls))]
+        assert err.value.residual == oracle.MAX_STEPS / 2
 
     def test_tolerance_relative_to_value(self, monkeypatch):
         # The tolerance is tol * S with S = ||x|| ||u|| ||v|| exp((||f||^2 +
@@ -401,11 +412,11 @@ class TestRefinement:
         # tol = 1e-9; the pass of 2k steps is returned as it is.
         calls = self._record(monkeypatch, lambda steps: 2.0**40 + 15 * 2.0**14 / steps)
         assert oracle.REFINEMENT_TOL == 1e-10
-        assert self._flow(steps=16, scale=2.0**20) == 2.0**40 + 240.0
+        assert self._flow(scale=2.0**20) == 2.0**40 + 240.0
         assert calls == [16 * 2**k for k in range(7)]
         calls.clear()
         monkeypatch.setattr(oracle, "REFINEMENT_TOL", 1e-9)
-        assert self._flow(steps=16, scale=2.0**20) == 2.0**40 + 3840.0
+        assert self._flow(scale=2.0**20) == 2.0**40 + 3840.0
         assert calls == [16, 32, 64]
 
     @settings(max_examples=20, deadline=None)
@@ -493,12 +504,12 @@ class TestAccuracyContract:
     def test_start_of_one_step_with_short_pieces(self):
         # Kinks at 0.3 and 0.6 leave every piece at most t / 2 long, so passes
         # of 1 and 2 steps would both give each piece one step and agree
-        # exactly; started at 1, the chain must still reach the contract.
+        # exactly; from its start at BASE_STEPS the chain must reach the contract.
         args = _study_input(2, 4, 2, (0.0, 1.0))
         f = _tf([0.0, 0.3, 0.6, 1.0], [[0.2, -0.1j], [0.1j, 0.2], [-0.2, 0.1], [0.1, 0.0]])
         args = (*args[:4], f, f)
         ref = flow_matrix_element_fixed(*args, 1.0, 4096)
-        value = flow_matrix_element(*args, 1.0, steps=1)
+        value = flow_matrix_element(*args, 1.0)
         assert abs(value - ref) <= oracle.REFINEMENT_TOL * _scale(*args)
 
 

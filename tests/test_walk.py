@@ -26,14 +26,13 @@ from qrw.model import (
     beta_blocks,
     beta_factors,
     random_model,
-    semigroup,
+    step_leg_outputs,
 )
 from qrw.walk import (
     DenseCapError,
     check_composition_table,
     defect_leg_outputs,
     f_term_norm,
-    step_leg_outputs,
     toy_exp_embed,
     walk_dense_operator,
     walk_dense_state,
@@ -211,7 +210,7 @@ class TestToyExpEmbed:
         assert state[0] == 1.0
 
     def test_single_slot_norm(self):
-        avgs = functions.SlotAverages(h=1.0, n=1, F=np.array([[0.3]]))
+        avgs = functions.SlotAverages(n=1, F=np.array([[0.3]]))
         state = toy_exp_embed(avgs)
         assert_allclose(state, [1.0, 0.3], atol=0)
         assert np.vdot(state, state).real == pytest.approx(1.09)
