@@ -576,23 +576,21 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
     return NormDiffResult(lhs, float(rhs), float(slack), float(tail), bool(lhs <= rhs + slack))
 
 
-def _lemma_rhs(space: IntervalSpace, l: int, mode: str, coeff, u, v, f: TestFunction,
-               g: TestFunction | None, start: float, ef_norm: float, eg_norm: float) -> float:
-    h = space.h
-    sup_f = f.sup_norm(start, start + h)
-    c_f = f.slope_constant(start, start + h)
+def _lemma_rhs(h: float, l: int, mode: str, coeff, coeff_norm: float, u, v, sup_f: float,
+               c_f: float, sup_g: float | None, ef_norm: float, eg_norm: float) -> float:
+    """The stated bound, from the constants of f and g on the slot that
+    ``check_N_vs_Lambda`` computes once: sup_f, c_f, sup_g and ||coeff||."""
     u_norm = float(np.linalg.norm(u))
     if l == 1:
         base = h**1.5 * float(np.linalg.norm(coeff @ u)) * sup_f * ef_norm
     elif l == 2:
-        base = h**1.5 * op_norm(coeff) * u_norm * sup_f**2 * ef_norm
+        base = h**1.5 * coeff_norm * u_norm * sup_f**2 * ef_norm
     elif l == 3:
         base = 2 * h * float(np.linalg.norm(coeff @ u)) * sup_f * ef_norm
     else:
-        base = 2 * h * op_norm(coeff) * (c_f + sup_f**2) * u_norm * ef_norm
+        base = 2 * h * coeff_norm * (c_f + sup_f**2) * u_norm * ef_norm
     if mode == "a":
         return base
-    sup_g = g.sup_norm(start, start + h)
     v_norm = float(np.linalg.norm(v))
     if l == 1:
         return base * v_norm * eg_norm
@@ -604,7 +602,7 @@ def _lemma_rhs(space: IntervalSpace, l: int, mode: str, coeff, u, v, f: TestFunc
             * sup_f * sup_g * ef_norm**2 * eg_norm**2
         )
     return (
-        h**2 * ((sup_f + c_f) * sup_g) ** 2 * op_norm(coeff)
+        h**2 * ((sup_f + c_f) * sup_g) ** 2 * coeff_norm
         * u_norm * v_norm * ef_norm**2 * eg_norm**2
     )
 
@@ -647,11 +645,12 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     P = basic_operator_flat(l, coeff, d, space.m) @ np.kron(u, _slot_split(space, ef)[0])
     A = scale * P.reshape(d, 1 + space.m) - C @ np.array([_slot_split(space, w)[0] for w in W])
 
-    coeff_scale = max(op_norm(coeff), 1.0) * max(float(np.linalg.norm(u)), 1.0)
-    c_f = f.slope_constant(start, start + h)
+    coeff_norm = op_norm(coeff)
+    coeff_scale = max(coeff_norm, 1.0) * max(float(np.linalg.norm(u)), 1.0)
+    c_f, sup_f = f.slope_constant(start, start + h), f.sup_norm(start, start + h)
     # 1e-12 absolute floor absorbs pure roundoff in exactly matching cases.
     slack = (tail + h * c_f / space.G + 1e-12) * coeff_scale
-    eg_norm = 1.0
+    eg_norm, sup_g = 1.0, None
     if mode == "a":
         gram = (C.conj().T @ C) * _complement_gram(space, W, W)
         lhs = np.sqrt(max(np.vdot(A, A).real + np.sum(gram).real, 0.0))
@@ -662,11 +661,11 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
         # <(1 - P_h) e(g), Q_a> is <e(g), Q_a>, as Q_a is orthogonal to the slot space.
         slot = np.vdot(np.outer(v, _slot_split(space, eg)[0]), A)
         lhs = abs(slot - (v.conj() @ C) @ _complement_gram(space, [eg], W)[0])
-        c_g = g.slope_constant(start, start + h)
+        c_g, sup_g = g.slope_constant(start, start + h), g.sup_norm(start, start + h)
         slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
             float(np.linalg.norm(v)), 1.0
         )
-    rhs = _lemma_rhs(space, l, mode, coeff, u, v, f, g, start, ef_norm, eg_norm)
+    rhs = _lemma_rhs(h, l, mode, coeff, coeff_norm, u, v, sup_f, c_f, sup_g, ef_norm, eg_norm)
     return LemmaResult(
         kind=l,
         mode=mode,

@@ -6,6 +6,12 @@ them.  The class is closed under restriction to partition intervals, and all
 derived quantities the estimates need (sup norm, total slope constant, slot
 and cell averages, L2 norms) are exact for it.
 
+A function builds its read-only segment tables once, at construction: the
+slope and the cumulative integral of each segment and the channel norm at
+each breakpoint.  ``antiderivative`` (and so ``cell_averages`` and
+``slot_averages``), ``sup_norm`` and ``slope_constant`` read them for every
+whole segment, and evaluate f only at the ends of the interval asked for.
+
 Merged node lists are sorted and stripped of repeats by ``_sorted_distinct``
 rather than ``np.unique``: numpy 2.4 imports ``numpy.ma`` on the first
 ``np.unique`` call, about 30 ms of every cold start, for no gain on a handful
@@ -36,12 +42,18 @@ class TestFunction:
     ``breakpoints`` is finite and strictly ascending; ``values[k]`` is the
     value at ``breakpoints[k]`` (one complex entry per channel).  Outside the
     breakpoint range the function is zero.  Both arrays are read-only copies
-    of the inputs, so a function never changes after it is built.
+    of the inputs, so a function never changes after it is built, and neither
+    do the tables derived from them: ``slopes[k]`` and ``integrals[k]`` are
+    the slope of segment k and the integral of f up to ``breakpoints[k]``,
+    and ``node_norms[k]`` is the channel norm of ``values[k]``.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
     channels: int = field(init=False)
+    slopes: np.ndarray = field(init=False, repr=False)
+    integrals: np.ndarray = field(init=False, repr=False)
+    node_norms: np.ndarray = field(init=False, repr=False)
 
     __test__ = False  # keep pytest from collecting the class by name
 
@@ -60,10 +72,19 @@ class TestFunction:
             raise ValueError("one value row per breakpoint required")
         if not np.isfinite(vals).all():
             raise ValueError("non-finite values")
-        bp.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        steps = np.diff(bp)[:, None]
+        trapezoids = 0.5 * steps * (vals[:-1] + vals[1:])
+        tables = {
+            "breakpoints": bp,
+            "values": vals,
+            "slopes": (vals[1:] - vals[:-1]) / steps,
+            "integrals": np.concatenate([np.zeros((1, vals.shape[1]), dtype=complex),
+                                         np.cumsum(trapezoids[:-1], axis=0)]),
+            "node_norms": np.linalg.norm(vals, axis=-1),
+        }
+        for name, table in tables.items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
         object.__setattr__(self, "channels", vals.shape[1])
 
     @classmethod
@@ -96,17 +117,13 @@ class TestFunction:
         return _sorted_distinct(np.concatenate([[t0], inner, [t1]]))
 
     def antiderivative(self, t) -> np.ndarray:
-        """Exact integral of f from -inf to t, shape (..., channels): the cumulative
-        trapezoid up to the breakpoint t_k below t plus the quadratic in t - t_k."""
-        bp, vals = self.breakpoints, self.values
+        """Exact integral of f from -inf to t, shape (..., channels): ``integrals``
+        up to the breakpoint t_k below t plus the quadratic in t - t_k."""
+        bp = self.breakpoints
         t = np.clip(np.asarray(t, dtype=float), bp[0], bp[-1])
-        seg = 0.5 * np.diff(bp)[:, None] * (vals[:-1] + vals[1:])
-        cum = np.concatenate([np.zeros((1, self.channels), dtype=complex),
-                              np.cumsum(seg[:-1], axis=0)])
         idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(bp) - 2)
         s = (t - bp[idx])[..., None]
-        slope = (vals[idx + 1] - vals[idx]) / (bp[idx + 1] - bp[idx])[..., None]
-        return cum[idx] + s * vals[idx] + 0.5 * s**2 * slope
+        return self.integrals[idx] + s * self.values[idx] + 0.5 * s**2 * self.slopes[idx]
 
     def cell_averages(self, t0: float, t1: float, cells: int) -> np.ndarray:
         """Exact averages over ``cells`` equal subintervals of [t0, t1]; (cells, channels)."""
@@ -118,29 +135,43 @@ class TestFunction:
         return self.pair_overlap_integral(self, t0, t1).real
 
     # -- derived constants ----------------------------------------------------
+    def _inside(self, t0: float, t1: float) -> slice:
+        """The breakpoints strictly inside (t0, t1), as a slice of ``breakpoints``."""
+        bp = self.breakpoints
+        return slice(np.searchsorted(bp, t0, side="right"), np.searchsorted(bp, t1, side="left"))
+
     def sup_norm(self, t0: float | None = None, t1: float | None = None) -> float:
         """max_s of the channel l2 norm, over [t0, t1] if given.
 
         The norm of a linear interpolant is convex, so the maximum sits on a
-        node of the breakpoint-refined grid.
+        node of the breakpoint-refined grid: t0, t1 and the breakpoints
+        between them, whose norms are ``node_norms``.
         """
         if t0 is None:
-            nodes = self.breakpoints
-        else:
-            nodes = self._grid_on(t0, t1)
-        return float(np.max(np.linalg.norm(self(nodes), axis=-1), initial=0.0))
+            return float(np.max(self.node_norms))
+        ends = np.linalg.norm(self(np.array([t0, t1])), axis=-1)
+        return float(max(np.max(ends), np.max(self.node_norms[self._inside(t0, t1)], initial=0.0)))
 
     def slope_constant(self, t0: float | None = None, t1: float | None = None) -> float:
-        """c_f = sum over channels of the largest |slope|, over [t0, t1] if given."""
+        """c_f = sum over channels of the largest |slope|, over [t0, t1] if given.
+
+        On [t0, t1] the slopes are those of the breakpoint-refined grid: the
+        ``slopes`` of the whole segments inside, and the two end pieces by
+        finite differences from f(t0) and f(t1).
+        """
         if t0 is None:
-            nodes = self.breakpoints
-        else:
-            nodes = self._grid_on(t0, t1)
-        if len(nodes) < 2:
+            return float(np.sum(np.max(np.abs(self.slopes), axis=0)))
+        if t0 == t1:
             return 0.0
-        vals = self(nodes)
-        slopes = np.abs(np.diff(vals, axis=0) / np.diff(nodes)[:, None])
-        return float(np.sum(np.max(slopes, axis=0)))
+        inside = self._inside(t0, t1)
+        bp, vals = self.breakpoints[inside], self.values[inside]
+        f0, f1 = self(np.array([t0, t1]))
+        if len(bp) == 0:
+            slopes = [(f1 - f0) / (t1 - t0)]
+        else:
+            ends = [(vals[0] - f0) / (bp[0] - t0), (f1 - vals[-1]) / (t1 - bp[-1])]
+            slopes = np.concatenate([ends, self.slopes[inside.start:inside.stop - 1]])
+        return float(np.sum(np.max(np.abs(slopes), axis=0)))
 
     def pair_overlap_integral(self, other: "TestFunction", t0: float, t1: float) -> complex:
         """integral of <self(s), other(s)> over [t0, t1].

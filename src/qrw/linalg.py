@@ -40,7 +40,7 @@ CHUNK = 64
 # per-call overhead, not the arithmetic, sets what a slot or an RK4 rate costs.
 _CALL = 4096
 
-# Hermiticity tolerance on inputs of herm_eigen / psd_trig.
+# Hermiticity tolerance on inputs of herm_eigen.
 _HERM_TOL = 1e-12
 
 # sqrt(h * eigenvalue) below this uses the series limit sinc(0) = 1.
@@ -106,8 +106,8 @@ def herm_eigen(h) -> HermEigen:
     return HermEigen(eigenvalues=w, vectors=v.astype(complex))
 
 
-def psd_trig(p, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sinc of sqrt(h) * sqrt(p) for positive semidefinite p.
+def psd_trig(eig: HermEigen, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sinc of sqrt(h) * sqrt(p) for the positive semidefinite p with spectrum ``eig``.
 
     Returns ``(cos_part, sinc_part)`` with
 
@@ -116,11 +116,12 @@ def psd_trig(p, h: float) -> tuple[np.ndarray, np.ndarray]:
 
     evaluated eigenvalue-wise; on the kernel of p (arguments below 1e-8)
     sinc takes its series limit 1, the unique continuous extension.  Both
-    results are Hermitian and satisfy cos^2 + h * sinc * p * sinc = 1.
+    results are Hermitian and satisfy cos^2 + h * sinc * p * sinc = 1.  The
+    caller decomposes p once (``herm_eigen``) and evaluates at any number of
+    h; only the sign of the eigenvalues is checked here.
     """
     if h <= 0:
         raise ValueError("psd_trig needs h > 0")
-    eig = herm_eigen(p)
     lo = eig.eigenvalues.min(initial=0.0)
     if lo < -1e-10 * max(1.0, abs(eig.eigenvalues).max(initial=0.0)):
         raise ValueError(f"psd_trig input has negative eigenvalue {lo}")

@@ -9,6 +9,8 @@ else is derived from R:
   ``structure_factors``; L, delta, delta_dag are blocks of its
   ``linalg.unit_table``, the one builder of the unit-hat blocks of a map,
 * the step unitary        U(h) = exp(sqrt(h) Rtilde)  on system (x) (C + noise),
+  built at every h from one eigendecomposition of R*R per model,
+  ``GkslModel.spectrum``, the only caller of ``linalg.herm_eigen``,
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
   ``beta_factors``, and the oracle's rate ``rate_factors``, Theta plus <g, f>:
   the walk and the oracle step these factors and build none of their own;
@@ -35,8 +37,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .linalg import (apply_table, as_matrix, as_vector, dagger, op_norm, psd_trig, unit_table,
-                     vacuum_superoperator)
+from .linalg import (HermEigen, apply_table, as_matrix, as_vector, dagger, herm_eigen, op_norm,
+                     psd_trig, unit_table, vacuum_superoperator)
 
 __all__ = [
     "BlockOperator",
@@ -139,7 +141,7 @@ class GkslModel:
 
     The system (x) noise flattening is row a*m + i for system index a and
     noise channel i (0-based).  Immutable; all derived operators are pure
-    functions of the fields.
+    functions of the fields, and ``spectrum`` is computed at its first use.
     """
 
     d: int
@@ -167,9 +169,14 @@ class GkslModel:
     def RdR(self) -> np.ndarray:
         return dagger(self.R) @ self.R
 
-    @property
-    def RRd(self) -> np.ndarray:
-        return self.R @ dagger(self.R)
+    @cached_property
+    def spectrum(self) -> HermEigen:
+        """The eigendecomposition of R*R, checked and computed once per model.
+
+        Every U(h) is built from it (``StepKernel.build``); nothing in qrw
+        decomposes R R* or any other matrix.
+        """
+        return herm_eigen(self.RdR)
 
     @property
     def defect_constant(self) -> float:
@@ -278,15 +285,30 @@ def delta_dag(model: GkslModel, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _trig_parts(model: GkslModel, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C = cos(sqrt(h)|R|), D = sinc(sqrt(h)|R|) and C' = cos(sqrt(h)|R*|) from ``model.spectrum``.
+
+    C and D are ``psd_trig`` of R*R.  C' comes through R phi(R*R) = phi(RR*) R:
+    C' = 1 + R g(R*R) R* with g(lam) = (cos(sqrt(h lam)) - 1) / lam
+    = -(h/2) sinc^2(sqrt(h lam) / 2), so C' = 1 - (h/2) W W* with
+    W = R sinc(sqrt(h/4)|R|), and R R* is never formed.
+    """
+    cos_sys, sinc_sys = psd_trig(model.spectrum, h)
+    w = model.R @ psd_trig(model.spectrum, h / 4)[1]
+    cos_env = np.eye(model.d * model.m) - (h / 2) * (w @ dagger(w))
+    return cos_sys, sinc_sys, cos_env
+
+
 @dataclass(frozen=True, eq=False)
 class StepKernel:
     """The step unitary U(h) = exp(sqrt(h) [[0, -R*], [R, 0]]) in block form.
 
     With C = cos(sqrt(h)|R|), C' = cos(sqrt(h)|R*|) and D = sinc(sqrt(h)|R|),
     its parts are vacuum C, creation sqrt(h) R D, annihilation -sqrt(h) D R*
-    and conservation C'.  D is carried on the |R| side and transported
-    through R f(R*R) = f(RR*) R, so two eigendecompositions build U(h).
-    ``table``, the blocks of beta(h, .), is built at its first use.
+    and conservation C' (``_trig_parts``).  Every part is carried on the |R|
+    side, so a build reads the model's one eigendecomposition of R*R and
+    decomposes nothing.  ``table``, the blocks of beta(h, .), is built at its
+    first use.
     """
 
     model: GkslModel
@@ -296,8 +318,7 @@ class StepKernel:
     def build(cls, model: GkslModel, h: float) -> "StepKernel":
         if h <= 0:
             raise ValueError("step kernel needs h > 0")
-        cos_sys, sinc_sys = psd_trig(model.RdR, h)
-        cos_env, _ = psd_trig(model.RRd, h)
+        cos_sys, sinc_sys, cos_env = _trig_parts(model, h)
         rd = np.sqrt(h) * (model.R @ sinc_sys)
         U = BlockOperator.from_parts(
             vacuum=cos_sys, creation=rd, annihilation=-dagger(rd), conservation=cos_env
@@ -397,8 +418,7 @@ def trig_estimates(model: GkslModel, h: float) -> dict[str, tuple[float, float]]
     ||C' - 1|| <= h ||R||^2, ||D - 1|| <= h ||R||^2, ||C|| <= 1, ||D|| <= 1
     (the contraction bounds carry a 1e-12 roundoff allowance).
     """
-    cos_sys, sinc_sys = psd_trig(model.RdR, h)
-    cos_env, _ = psd_trig(model.RRd, h)
+    cos_sys, sinc_sys, cos_env = _trig_parts(model, h)
     eye_s = np.eye(model.d)
     eye_e = np.eye(model.d * model.m)
     r2 = model.norm_R**2

@@ -1,7 +1,8 @@
 """Every name a qrw module exports in ``__all__`` exists, the oracle stays off the
 walk, beta is written in model alone, only linalg builds superoperators, the walk
-forms no map itself, no module imports a name it never reads, and qrw loads and
-runs a convergence study on numpy alone (``cold_run.py``)."""
+forms no map itself, only the model's spectrum decomposes a matrix, no module
+imports a name it never reads, and qrw loads and runs a convergence study on
+numpy alone (``cold_run.py``)."""
 
 import ast
 import importlib
@@ -81,6 +82,28 @@ def test_walk_forms_no_map_itself():
         elif isinstance(node, ast.alias):
             names.update({node.name, node.asname})
     assert not names & {"sandwich", "superoperator", "transfer_matrices", "apply_table"}
+
+
+def _callers(tree: ast.AST, name: str, scope: str = "") -> set[str]:
+    """The dotted scopes (class and function names) of every call of ``name`` in a tree."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _callers(node, name, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call) and name in {getattr(node.func, a, None) for a in ("id", "attr")}:
+            found.add(scope)
+        found |= _callers(node, name, scope)
+    return found
+
+
+def test_only_the_model_spectrum_decomposes():
+    # U(h) at every h reads the one eigendecomposition of R*R that GkslModel
+    # caches, so no per-h eigendecomposition can come back unseen.
+    src = Path(__file__).resolve().parents[1] / "src" / "qrw"
+    callers = {f"{path.stem}.{scope}" for path in src.glob("*.py")
+               for scope in _callers(ast.parse(path.read_text()), "herm_eigen")}
+    assert callers == {"model.GkslModel.spectrum"}
 
 
 def _unused_imports(path: Path) -> list[str]:

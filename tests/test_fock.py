@@ -649,11 +649,12 @@ def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", star
     uef = np.outer(u, ef)
     scale = {1: h, 2: np.sqrt(h), 3: np.sqrt(h), 4: 1.0}[l]
     diff = scale * basic_apply(space, l, coeff, uef) - fundamental_apply(space, l, coeff, uef)
-    coeff_scale = max(op_norm(coeff), 1.0) * max(float(np.linalg.norm(u)), 1.0)
-    c_f = f.slope_constant(start, start + h)
+    coeff_norm = op_norm(coeff)
+    coeff_scale = max(coeff_norm, 1.0) * max(float(np.linalg.norm(u)), 1.0)
+    c_f, sup_f = f.slope_constant(start, start + h), f.sup_norm(start, start + h)
     slack = (tail + h * c_f / space.G + 1e-12) * coeff_scale
-    eg_norm = 1.0
-    size = op_norm(coeff) * np.linalg.norm(u) * ef_norm
+    eg_norm, sup_g = 1.0, None
+    size = coeff_norm * np.linalg.norm(u) * ef_norm
     if mode == "a":
         lhs = np.linalg.norm(diff)
     else:
@@ -662,10 +663,10 @@ def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", star
         eg_norm = np.sqrt(np.sum(np.abs(eg) ** 2))
         size *= np.linalg.norm(v) * eg_norm
         lhs = abs(np.vdot(np.outer(v, eg), diff))
-        c_g = g.slope_constant(start, start + h)
+        c_g, sup_g = g.slope_constant(start, start + h), g.sup_norm(start, start + h)
         slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
             float(np.linalg.norm(v)), 1.0)
-    rhs = _lemma_rhs(space, l, mode, coeff, u, v, f, g, start, ef_norm, eg_norm)
+    rhs = _lemma_rhs(h, l, mode, coeff, coeff_norm, u, v, sup_f, c_f, sup_g, ef_norm, eg_norm)
     ref = LemmaResult(l, mode, lhs, rhs, slack, lhs <= rhs + slack, lhs <= SAFETY * rhs + slack)
     return ref, size
 

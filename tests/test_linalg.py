@@ -126,17 +126,17 @@ class TestHermEigen:
 
 class TestPsdTrig:
     def test_zero_limit(self):
-        c, s = psd_trig(np.zeros((2, 2)), 0.5)
+        c, s = psd_trig(herm_eigen(np.zeros((2, 2))), 0.5)
         assert_allclose(c, np.eye(2), atol=1e-15)
         assert_allclose(s, np.eye(2), atol=1e-15)
 
     def test_scalar_closed_form(self):
-        c, s = psd_trig(np.array([[1.0]]), 0.25)
+        c, s = psd_trig(herm_eigen(np.array([[1.0]])), 0.25)
         assert_allclose(c, [[np.cos(0.5)]], atol=1e-14)
         assert_allclose(s, [[np.sin(0.5) / 0.5]], atol=1e-14)
 
     def test_eigenvalue_wise(self):
-        c, s = psd_trig(np.diag([0.0, 4.0]), 1.0)
+        c, s = psd_trig(herm_eigen(np.diag([0.0, 4.0])), 1.0)
         assert_allclose(c, np.diag([1.0, np.cos(2.0)]), atol=1e-14)
         assert_allclose(s, np.diag([1.0, np.sin(2.0) / 2.0]), atol=1e-14)
 
@@ -146,7 +146,7 @@ class TestPsdTrig:
             a = _rand_complex(rng, 4, 4)
             p = a @ dagger(a)
             h = float(rng.uniform(0.01, 1.0))
-            c, s = psd_trig(p, h)
+            c, s = psd_trig(herm_eigen(p), h)
             assert op_norm(c - dagger(c)) < 1e-12
             assert op_norm(s - dagger(s)) < 1e-12
             assert op_norm(c @ c + h * (s @ p @ s) - np.eye(4)) < 1e-10
@@ -160,14 +160,14 @@ class TestPsdTrig:
         h = 0.3
         root = herm_eigen(p).apply(np.sqrt)
         skew = np.block([[np.zeros((3, 3)), -root], [root, np.zeros((3, 3))]])
-        c, s = psd_trig(p, h)
+        c, s = psd_trig(herm_eigen(p), h)
         sin_block = np.sqrt(h) * (root @ s)
         want = np.block([[c, -sin_block], [sin_block, c]])
         assert op_norm(expm(np.sqrt(h) * skew) - want) < 1e-9
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            psd_trig(np.diag([-1.0, 1.0]), 0.1)
+            psd_trig(herm_eigen(np.diag([-1.0, 1.0])), 0.1)
 
 
 class TestExpm:
@@ -383,7 +383,7 @@ def test_input_checks(entry, message):
         "as_matrix_1d": lambda: as_matrix(np.zeros(3)),
         "as_matrix_inf": lambda: as_matrix([[1.0, np.inf]]),
         "herm_eigen": lambda: herm_eigen(np.zeros((2, 3))),
-        "psd_trig": lambda: psd_trig(np.eye(2), 0.0),
+        "psd_trig": lambda: psd_trig(herm_eigen(np.eye(2)), 0.0),
     }
     with pytest.raises(ValueError, match=message):
         calls[entry]()

@@ -1,5 +1,7 @@
 """Tests for the GKSL model: generator, step unitary, step homomorphism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -516,7 +518,57 @@ class TestSemigroup:
         assert op_norm(via_super - lindblad(model, x)) <= 1e-12
 
 
+def _two_eigh_unitary(model, h):
+    """U(h).flat from eigendecompositions of both R*R and R R*: cos and sinc of
+    sqrt(h)|R| on the system side, cos(sqrt(h)|R*|) decomposed on its own."""
+    def trig(p):
+        w, v = np.linalg.eigh(p)
+        x = np.sqrt(h * np.clip(w, 0.0, None))
+        safe = np.maximum(x, 1e-8)
+        sinc = np.where(x < 1e-8, 1.0, np.sin(safe) / safe)
+        return (v * np.cos(x)) @ dagger(v), (v * sinc) @ dagger(v)
+
+    R = model.R
+    cos_sys, sinc_sys = trig(dagger(R) @ R)
+    cos_env, _ = trig(R @ dagger(R))
+    rd = np.sqrt(h) * (R @ sinc_sys)
+    return BlockOperator.from_parts(cos_sys, -dagger(rd), rd, cos_env).flat
+
+
+LADDER_STEPS = [1.0 / n for n in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)]
+
+
 class TestStepKernel:
+    @pytest.mark.parametrize("d, m, norm, h", [
+        (2, 2, 0.0, 0.5),     # R = 0: U(h) is the identity
+        (2, 3, 1.3, 0.2),     # m > d: R R* has rank d < dm
+        (1, 4, 2.0, 0.7),
+        (3, 2, 4.0, 1.0),     # ||R|| sqrt(h) = 4 > pi
+        (4, 1, 5.0, 0.5),     # ||R|| sqrt(h) = 3.5 > pi, m < d
+        (4, 2, 1.0, 1e-4),
+    ])
+    def test_matches_two_eigendecompositions(self, d, m, norm, h):
+        for seed in range(5):
+            model = random_model(np.random.default_rng(seed), d, m, norm)
+            got = StepKernel.build(model, h).U.flat
+            assert op_norm(got - _two_eigh_unitary(model, h)) <= 1e-14
+
+    def test_one_eigendecomposition_per_model(self):
+        # The ladder's nine kernels read the model's one spectrum of R*R: after
+        # the first build no eigh runs, and no SVD (op_norm is np.linalg.norm(., 2)).
+        model = random_model(np.random.default_rng(61), 4, 2, 1.0)
+        spies = {name: mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name))
+                 for name in ("eigh", "svd", "norm")}
+        with spies["eigh"] as eigh, spies["svd"] as svd, spies["norm"] as norm:
+            StepKernel.build(model, LADDER_STEPS[0])
+            # The spies see the first build's hermiticity check on R*R.
+            assert eigh.call_count == 1 and norm.call_count > 0
+            norm.reset_mock()
+            for h in LADDER_STEPS[1:]:
+                StepKernel.build(model, h)
+            assert eigh.call_count == 1
+            assert svd.call_count == 0 and norm.call_count == 0
+
     def test_batched_matches_single(self):
         rng = np.random.default_rng(47)
         model = _sample_models(count=1)[0]

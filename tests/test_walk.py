@@ -147,6 +147,84 @@ class TestTestFunction:
         assert np.array_equal(functions._sorted_distinct(x), np.unique(x))
 
 
+def _refined_grid(f, t0, t1):
+    """t0, t1 and the breakpoints strictly between them, ascending and distinct."""
+    inner = f.breakpoints[(f.breakpoints > t0) & (f.breakpoints < t1)]
+    return np.unique(np.concatenate([[t0], inner, [t1]]))
+
+
+def _grid_antiderivative(f, t):
+    """The integral of f up to t, with its trapezoids and slopes formed at each call."""
+    bp, vals = f.breakpoints, f.values
+    t = np.clip(np.asarray(t, dtype=float), bp[0], bp[-1])
+    seg = 0.5 * np.diff(bp)[:, None] * (vals[:-1] + vals[1:])
+    cum = np.concatenate([np.zeros((1, f.channels), dtype=complex), np.cumsum(seg[:-1], axis=0)])
+    idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(bp) - 2)
+    s = (t - bp[idx])[..., None]
+    slope = (vals[idx + 1] - vals[idx]) / (bp[idx + 1] - bp[idx])[..., None]
+    return cum[idx] + s * vals[idx] + 0.5 * s**2 * slope
+
+
+def _grid_sup_norm(f, t0=None, t1=None):
+    nodes = f.breakpoints if t0 is None else _refined_grid(f, t0, t1)
+    return float(np.max(np.linalg.norm(f(nodes), axis=-1), initial=0.0))
+
+
+def _grid_slope_constant(f, t0=None, t1=None):
+    nodes = f.breakpoints if t0 is None else _refined_grid(f, t0, t1)
+    if len(nodes) < 2:
+        return 0.0
+    slopes = np.abs(np.diff(f(nodes), axis=0) / np.diff(nodes)[:, None])
+    return float(np.sum(np.max(slopes, axis=0)))
+
+
+class TestSegmentTables:
+    # The tables give the same bytes as evaluating f on the breakpoint-refined
+    # grid of the interval, as test functions did before they kept tables.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bp=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_tables_match_refined_grid(self, bp, channels, seed, data):
+        bp = np.sort(np.asarray(bp))
+        assume(np.all(np.diff(bp) > 1e-9))
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(-1, 1, (len(bp), channels)) + 1j * rng.uniform(-1, 1, (len(bp), channels))
+        # Zero values, some of them -0.0, as at the vacuum ends of the benchmark's f and g.
+        vals[rng.random(len(bp)) < 0.3] = 0.0
+        f = TF(bp, vals * rng.choice([-1.0, 1.0], (len(bp), 1)))
+        # On a breakpoint, inside the support, or beyond either end of it; no
+        # piece so short that its slope overflows.
+        point = st.sampled_from(bp.tolist()) | st.floats(-0.5, 1.5).filter(
+            lambda t: np.min(np.abs(bp - t)) > 1e-9)
+        t0, t1 = sorted(data.draw(st.tuples(point, point)))
+        assume(t0 == t1 or t1 - t0 > 1e-9)
+        ts = np.concatenate([[t0, t1], bp, np.linspace(-0.5, 1.5, 9)])
+        assert f.antiderivative(ts).tobytes() == _grid_antiderivative(f, ts).tobytes()
+        for t_lo, t_hi in ((t0, t1), (None, None)):
+            for got, want in ((f.sup_norm(t_lo, t_hi), _grid_sup_norm(f, t_lo, t_hi)),
+                              (f.slope_constant(t_lo, t_hi), _grid_slope_constant(f, t_lo, t_hi))):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        if t1 > t0:
+            cells = data.draw(st.integers(1, 8))
+            edges = np.linspace(t0, t1, cells + 1)
+            want = np.diff(_grid_antiderivative(f, edges), axis=0) / ((t1 - t0) / cells)
+            assert f.cell_averages(t0, t1, cells).tobytes() == want.tobytes()
+            h, n = (t1 - t0) / cells, cells
+            want = np.diff(_grid_antiderivative(f, h * np.arange(n + 1)), axis=0) / np.sqrt(h)
+            assert functions.slot_averages(f, h, n).F.tobytes() == want.tobytes()
+
+    def test_tables_are_read_only(self):
+        f = TF(np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0], [1.0, 2j], [0.0, 1.0]]))
+        assert f.slopes.shape == f.integrals.shape == (2, 2) and f.node_norms.shape == (3,)
+        for table in (f.slopes, f.integrals, f.node_norms):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+
 class TestSlotAverages:
     def test_zero(self):
         avgs = functions.slot_averages(TF.zero(2), 0.25, 4)
