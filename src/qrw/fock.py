@@ -7,15 +7,15 @@ orthonormal basis of dimension M1 = G*m (mode index alpha = cell*m + channel).
 
 The full space is the direct sum of symmetric powers Sym^n(C^M1) for
 n = 0..N.  Sector n is enumerated by sorted rows of n one-particle modes in
-lexicographic (``itertools.combinations_with_replacement``) order, and each
-row carries the integer key sum_j a_j M1^(n-1-j), which is strictly
-increasing in that order.  A state's index is a binary search of its key
-among its sector's keys, so the ladder and hop operators are built a whole
-sector at a time (append or replace a mode, sort the rows, rank them) in
-O(dim G) work with no per-state Python loop.  Coefficients are stored over
-the *orthonormal* occupation basis, so inner products are plain complex dot
-products; the multinomial symmetry factors appear in the construction of
-product vectors and ladder operators instead.
+lexicographic (``itertools.combinations_with_replacement``) order, as a tree:
+each row points to its parent (the row without its last mode) and to its
+first child.  From these pointers, each sector's table of the rows it reaches
+by inserting any one mode is a gather from the sector below's, so the ladder
+and hop operators are read off those tables a whole sector at a time in
+O(dim G) work, with no per-state Python loop and no search.  Coefficients are
+stored over the *orthonormal* occupation basis, so inner products are plain
+complex dot products; the multinomial symmetry factors appear in the
+construction of product vectors and ladder operators instead.
 
 The distinguished vectors are the vacuum (index 0) and the normalized
 constant one-particle vector of each channel ("chi"), which span the
@@ -84,27 +84,23 @@ class _Basis(NamedTuple):
     """Per-sector multiset bases; entry n of each list belongs to sector n.
 
     ``states[n]`` is an int array (dim_n, n) of sorted mode rows in
-    ``itertools.combinations_with_replacement`` order, ``keys[n]`` their
-    base-M keys (strictly ascending), ``parent[n]`` the index in sector n-1
-    of each row without its last mode, ``last[n]`` that mode (a contiguous
-    copy of the last column), ``weight[n]`` 1/sqrt(multiplicity of that
-    mode in the row), and ``offsets[n]`` the first flat index of sector n.
+    ``itertools.combinations_with_replacement`` order, ``parent[n]`` the
+    index in sector n-1 of each row without its last mode, ``last[n]`` that
+    mode (a contiguous copy of the last column), ``weight[n]``
+    1/sqrt(multiplicity of that mode in the row), ``child[n]`` (sectors below
+    the cutoff) the index in sector n+1 of each row's first child, the row
+    with its last mode repeated (mode 0 for the empty row), and
+    ``offsets[n]`` the first flat index of sector n.
     """
 
     n_modes: int
     states: list
-    keys: list
     parent: list
     last: list
     weight: list
+    child: list
     offsets: list
     dim: int
-
-
-def _keys(rows: np.ndarray, n_modes: int) -> np.ndarray:
-    """Base-M keys sum_j a_j M^(n-1-j) of sorted rows (n columns)."""
-    n = rows.shape[1]
-    return rows.astype(np.int64) @ (np.int64(n_modes) ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
 @lru_cache(maxsize=4)
@@ -114,16 +110,17 @@ def _sector_basis(n_modes: int, cutoff: int) -> _Basis:
     In lexicographic order the rows of sector n+1 sharing the prefix r (a row
     of sector n) are contiguous and end in r[-1], ..., M-1; so repeating each
     row of sector n M - r[-1] times and appending that ramp gives sector n+1
-    in order, with its parent pointers for free.  Raises ``ValueError`` if the
-    keys could overflow int64.
+    in order, with its parent and child pointers for free.  Raises
+    ``ValueError``, before allocating, if the dimension comb(M+N, N) is
+    beyond the int32 index range.
     """
-    if n_modes**cutoff > np.iinfo(np.int64).max:
-        raise ValueError(f"multiset keys M^N = {n_modes}^{cutoff} overflow int64")
+    if math.comb(n_modes + cutoff, cutoff) > np.iinfo(np.int32).max:
+        raise ValueError(f"dimension comb({n_modes}+{cutoff}, {cutoff}) overflows int32 indices")
     states = [np.zeros((1, 0), dtype=np.int32)]
-    keys = [np.zeros(1, dtype=np.int64)]
     parent = [np.zeros(0, dtype=np.intp)]
     lasts = [np.zeros(0, dtype=np.int32)]
     run = [np.ones(1, dtype=np.int64)]
+    child = []
     offsets = [0, 1]
     for n in range(cutoff):
         rows = states[n]
@@ -133,64 +130,43 @@ def _sector_basis(n_modes: int, cutoff: int) -> _Basis:
         starts = np.cumsum(counts) - counts
         last = (low[up] + np.arange(len(up)) - starts[up]).astype(np.int32)
         states.append(np.column_stack([rows[up], last]))
-        keys.append(_keys(states[-1], n_modes))
         parent.append(up)
         lasts.append(last)
+        child.append(starts)
         run.append(np.where((last == low[up]) & (n > 0), run[n][up] + 1, 1))
         offsets.append(offsets[-1] + len(up))
     weight = [1.0 / np.sqrt(r) for r in run]
-    return _Basis(n_modes, states, keys, parent, lasts, weight, offsets, offsets[-1])
+    return _Basis(n_modes, states, parent, lasts, weight, child, offsets, offsets[-1])
 
 
-def _flat_index(basis: _Basis, rows: np.ndarray) -> np.ndarray:
-    """Flat indices of sorted rows, all of one sector, by binary search on its keys."""
-    keys = basis.keys[rows.shape[1]]
-    query = _keys(rows, basis.n_modes)
-    pos = np.searchsorted(keys, query)
-    assert np.array_equal(keys[np.minimum(pos, len(keys) - 1)], query), "row outside the basis"
-    return basis.offsets[rows.shape[1]] + pos
+def _insertion_tables(basis: _Basis) -> tuple[list, list]:
+    """(dim_n, M) tables over the rows r of each sector n below the cutoff and the modes a.
+
+    ``ins[n][r, a]`` is the index in sector n+1 of r with a inserted, and
+    ``occ[n][r, a]`` the occupation of a in r.  For a >= r[-1] the new row
+    is the child of r ending in a; for a < r[-1] it is the child ending in
+    r[-1] of q = ins[n-1][parent(r), a], the prefix of r with a inserted.
+    So each sector's tables are gathers from the sector below's.
+    """
+    modes = np.arange(basis.n_modes)
+    ins = [basis.child[0][:, None] + modes]
+    occ = [np.zeros((1, basis.n_modes), dtype=np.intp)]
+    for n in range(1, len(basis.child)):
+        up, low, child = basis.parent[n], basis.last[n][:, None], basis.child[n]
+        q = ins[n - 1][up]
+        ins.append(np.where(modes < low, child[q] - basis.last[n][q] + low,
+                            child[:, None] - low + modes))
+        occ.append(occ[n - 1][up] + (modes == low))
+    return ins, occ
 
 
-def _count(rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Occupation of modes[r] in rows[r]."""
-    return np.count_nonzero(rows == modes[:, None], axis=1)
-
-
-def _sparse(dim: int, rows: list, cols: list, vals: list):
+def _sparse(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     import scipy.sparse
 
     return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (vals.ravel(), (rows.ravel(), np.broadcast_to(cols, rows.shape).ravel())),
         shape=(dim, dim), dtype=complex,
     )
-
-
-def _hop(basis: _Basis, m: int, i: int, j: int):
-    """Second quantization of (cell c, channel j) -> (cell c, channel i)."""
-    rows, cols, vals = [], [], []
-    for n in range(1, len(basis.states)):
-        states, off = basis.states[n], basis.offsets[n]
-        in_j = states % m == j
-        if i == j:
-            occ = np.count_nonzero(in_j, axis=1)
-            s = np.flatnonzero(occ)
-            rows.append(off + s)
-            cols.append(off + s)
-            vals.append(occ[s].astype(float))
-            continue
-        # One entry per distinct channel-j mode beta of a row: its first position.
-        first = np.ones(states.shape, dtype=bool)
-        first[:, 1:] = states[:, 1:] != states[:, :-1]
-        s, p = np.nonzero(first & in_j)
-        beta = states[s, p]
-        alpha = beta - j + i  # (beta // m) m + i, as beta % m == j
-        new = states[s]
-        new[np.arange(len(s)), p] = alpha
-        new.sort(axis=1)
-        rows.append(_flat_index(basis, new))
-        cols.append(off + s)
-        vals.append(np.sqrt(_count(states[s], beta)) * np.sqrt(_count(new, alpha)))
-    return _sparse(basis.dim, rows, cols, vals)
 
 
 @lru_cache(maxsize=4)
@@ -200,23 +176,27 @@ def _channel_ops(m: int, G: int, cutoff: int):
     ``create[i]`` is a_dag(chi^i) = G^{-1/2} sum_c a_dag(cell c, channel i)
     as a D x D sparse matrix; ``hop[i][j]`` is the second quantization of the
     one-particle map (cell c, channel j) -> (cell c, channel i), i.e. the
-    conservation kernel of the channel matrix unit |e_i><e_j|.  Every target
-    row is sorted and ranked whole-sector at a time: O(D G) work.
+    conservation kernel of the channel matrix unit |e_i><e_j|.  Over the rows
+    r below the cutoff and the cells c, with alpha = c m + i and
+    beta = c m + j, create[i] takes r to r + alpha and hop[i][j] takes
+    r + beta to r + alpha, so every entry is a gather from
+    ``_insertion_tables``: O(D G) work.  On i = j the entries at r + beta sum
+    to its channel-j number.
     """
     basis = _sector_basis(G * m, cutoff)
+    ins, occ = _insertion_tables(basis)
+    # Mode c m + i at [r, c, i], as flat int32 indices: scipy's own index type
+    # below the bound ``_sector_basis`` checks, so no matrix converts them.
+    ins = np.concatenate([basis.offsets[n + 1] + t for n, t in enumerate(ins)])
+    ins = ins.astype(np.int32).reshape(-1, G, m)
+    occ = (np.concatenate(occ) + 1).reshape(-1, G, m)  # occupation of a in r + a
+    root = np.sqrt(occ)
+    below = np.arange(len(ins), dtype=np.int32)[:, None]
     weight = 1.0 / np.sqrt(G)
-    create = []
-    for i in range(m):
-        rows, cols, vals = [], [], []
-        for n in range(cutoff):
-            states = basis.states[n]
-            alpha = np.tile(np.arange(G) * m + i, len(states))
-            new = np.sort(np.column_stack([np.repeat(states, G, axis=0), alpha]), axis=1)
-            rows.append(_flat_index(basis, new))
-            cols.append(basis.offsets[n] + np.repeat(np.arange(len(states)), G))
-            vals.append(weight * np.sqrt(_count(new, alpha)))
-        create.append(_sparse(basis.dim, rows, cols, vals))
-    hop = [[_hop(basis, m, i, j) for j in range(m)] for i in range(m)]
+    create = [_sparse(basis.dim, ins[..., i], below, weight * root[..., i]) for i in range(m)]
+    hop = [[_sparse(basis.dim, ins[..., i], ins[..., j],
+                    occ[..., j].astype(float) if i == j else root[..., j] * root[..., i])
+            for j in range(m)] for i in range(m)]
     return create, hop
 
 

@@ -1,7 +1,8 @@
 """Every name a qrw module exports in ``__all__`` exists, the oracle stays off the
 walk, beta is written in model alone, only linalg builds superoperators, the walk
-forms no map itself, only the model's spectrum decomposes a matrix, no module
-imports a name it never reads, and qrw loads and runs a convergence study on
+forms no map itself, only the model's spectrum decomposes a matrix, fock builds
+its ladder operators without sorting or searching, no module imports a name it
+never reads, and qrw loads and runs a convergence study on
 numpy alone (``cold_run.py``)."""
 
 import ast
@@ -104,6 +105,14 @@ def test_only_the_model_spectrum_decomposes():
     callers = {f"{path.stem}.{scope}" for path in src.glob("*.py")
                for scope in _callers(ast.parse(path.read_text()), "herm_eigen")}
     assert callers == {"model.GkslModel.spectrum"}
+
+
+def test_fock_ladder_operators_are_gathers():
+    # The ladder and hop operators index their target rows through the
+    # insertion tables, so no function in fock.py sorts rows or searches keys.
+    path = Path(__file__).resolve().parents[1] / "src" / "qrw" / "fock.py"
+    tree = ast.parse(path.read_text())
+    assert not _callers(tree, "searchsorted") | _callers(tree, "sort")
 
 
 def _unused_imports(path: Path) -> list[str]:

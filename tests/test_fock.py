@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qrw.fock import (
     _coeff_channels,
     _complement_gram,
     _inner,
+    _insertion_tables,
     _lemma_rhs,
     _sector_basis,
     _slot_split,
@@ -227,9 +229,39 @@ class TestRanking:
             assert diag.nnz == np.count_nonzero(number)
             assert np.array_equal(diag.diagonal(), number)
 
+    def test_ops_match_reference_at_lemmas_G(self):
+        # The hypothesis draws stop at G = 4; the lemmas workload runs G = 8.
+        m, G, N = 2, 8, 4
+        create, hop = _channel_ops(m, G, N)
+        ref_create, ref_hop = _reference_channel_ops(m, G, N)
+        for i in range(m):
+            assert _same_csr(create[i], ref_create[i])
+            for j in range(m):
+                assert _same_csr(hop[i][j], ref_hop[i][j])
+
+    @pytest.mark.parametrize("M, N", [(1, 4), (2, 5), (3, 4), (5, 3), (7, 2)])
+    def test_insertion_tables_match_enumeration(self, M, N):
+        rows = [list(itertools.combinations_with_replacement(range(M), n)) for n in range(N + 1)]
+        index = [{row: k for k, row in enumerate(sector)} for sector in rows]
+        ins, occ = _insertion_tables(_sector_basis(M, N))
+        assert len(ins) == len(occ) == N
+        for n in range(N):
+            assert ins[n].shape == occ[n].shape == (len(rows[n]), M)
+            for r, row in enumerate(rows[n]):
+                assert ins[n][r].tolist() == [index[n + 1][tuple(sorted(row + (a,)))]
+                                              for a in range(M)]
+                assert occ[n][r].tolist() == [row.count(a) for a in range(M)]
+
     def test_key_overflow_raises(self):
-        with pytest.raises(ValueError, match="overflow"):
-            _sector_basis(2**16, 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overflow"):
+                _sector_basis(2**16, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The guard raises before any sector is allocated.
+        assert peak < 2**20
 
 
 class TestProjection:

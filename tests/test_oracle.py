@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -475,6 +476,31 @@ def _scale(model, x, u, v, f, g):
             * np.exp((f.l2_norm_sq(0.0, 1.0) + g.l2_norm_sq(0.0, 1.0)) / 2))
 
 
+def _exact_flow(model, x, u, v, f, g, t):
+    """m_t(x) for f and g constant on their supports, with no RK4.
+
+    The rate is then constant on each piece between the breakpoints, so the
+    backward flow is one expm per piece, latest first, of the d^2 x d^2 matrix
+    of Y -> sum_i R_i* Y R_i - {R*R, Y}/2 + sum_i [conj(g_i)(Y R_i - R_i Y)
+    + f_i(R_i* Y - Y R_i*)] + <g, f> Y on row-major vec(Y), written from R
+    with kron (vec(A Y B) = (A kron B^T) vec(Y)).
+    """
+    d, one = model.d, np.eye(model.d)
+    RdR = model.RdR
+    edges = np.unique(np.concatenate([[0.0, t], f.breakpoints, g.breakpoints]))
+    edges = edges[edges <= t]
+    y = np.asarray(x, dtype=complex).reshape(-1)
+    for a, b in zip(edges[-2::-1], edges[:0:-1]):
+        fv, gv = f((a + b) / 2), g((a + b) / 2)
+        gen = np.vdot(gv, fv) * np.eye(d * d) - (np.kron(RdR, one) + np.kron(one, RdR.T)) / 2
+        for i, Ri in enumerate(model.channels):
+            gen += np.kron(Ri.conj().T, Ri.T)
+            gen += np.conj(gv[i]) * (np.kron(one, Ri.T) - np.kron(Ri, one))
+            gen += fv[i] * (np.kron(Ri.conj().T, one) - np.kron(one, Ri.conj()))
+        y = scipy.linalg.expm((b - a) * gen) @ y
+    return complex(np.vdot(v, y.reshape(d, d) @ u))
+
+
 class TestAccuracyContract:
     # flow_matrix_element returns a pass within REFINEMENT_TOL * S of the flow,
     # and the estimate it accepts on, |Y_2k - Y_k| / 15, reads the error of
@@ -500,6 +526,18 @@ class TestAccuracyContract:
             assert err <= tol * scale, (tol, err, scale)
             margin = oracle.ESTIMATE_MARGIN
             assert 1 / margin <= estimate / err <= margin, (tol, estimate, err)
+
+    @pytest.mark.parametrize("d, m", [(2, 1), (3, 2), (4, 2)])
+    def test_constant_pieces_match_exact_flow(self, d, m):
+        # f and g constant on overlapping sub-intervals make the rate constant
+        # on five pieces, so the flow is a product of five exponentials: a
+        # reference free of RK4 and of rate_factors, with <g, f> != 0 on [0.4, 0.7].
+        model, x, u, v, *_ = _study_input(d, d, m, (0.0, 1.0))
+        fv, gv = 0.5 * _rand_x(np.random.default_rng(d), 2)[:, :m]
+        args = (model, x, u, v, TestFunction.constant(fv, 0.2, 0.7),
+                TestFunction.constant(gv, 0.4, 0.9))
+        err = abs(flow_matrix_element(*args, 1.0) - _exact_flow(*args, 1.0))
+        assert err <= oracle.REFINEMENT_TOL * _scale(*args), err / _scale(*args)
 
     def test_start_of_one_step_with_short_pieces(self):
         # Kinks at 0.3 and 0.6 leave every piece at most t / 2 long, so passes
