@@ -68,7 +68,6 @@ __all__ = [
 
 DEFAULT_CUTOFF = 6
 TAIL_LIMIT = 1e-8
-SAFETY = 4.0  # ``passed`` of a lemma or F-term check allows this factor on its bound
 
 
 class TruncationError(ValueError):
@@ -83,10 +82,10 @@ class TruncationError(ValueError):
 class _Basis(NamedTuple):
     """Per-sector multiset bases; entry n of each list belongs to sector n.
 
-    ``states[n]`` is an int array (dim_n, n) of sorted mode rows in
-    ``itertools.combinations_with_replacement`` order, ``parent[n]`` the
-    index in sector n-1 of each row without its last mode, ``last[n]`` that
-    mode (a contiguous copy of the last column), ``weight[n]``
+    Sector n holds the sorted mode rows of length n in
+    ``itertools.combinations_with_replacement`` order, each given by
+    ``parent[n]``, the index in sector n-1 of the row without its last mode,
+    and ``last[n]``, that mode; ``weight[n]`` is
     1/sqrt(multiplicity of that mode in the row), ``child[n]`` (sectors below
     the cutoff) the index in sector n+1 of each row's first child, the row
     with its last mode repeated (mode 0 for the empty row), and
@@ -94,7 +93,6 @@ class _Basis(NamedTuple):
     """
 
     n_modes: int
-    states: list
     parent: list
     last: list
     weight: list
@@ -116,27 +114,24 @@ def _sector_basis(n_modes: int, cutoff: int) -> _Basis:
     """
     if math.comb(n_modes + cutoff, cutoff) > np.iinfo(np.int32).max:
         raise ValueError(f"dimension comb({n_modes}+{cutoff}, {cutoff}) overflows int32 indices")
-    states = [np.zeros((1, 0), dtype=np.int32)]
     parent = [np.zeros(0, dtype=np.intp)]
     lasts = [np.zeros(0, dtype=np.int32)]
     run = [np.ones(1, dtype=np.int64)]
     child = []
     offsets = [0, 1]
     for n in range(cutoff):
-        rows = states[n]
-        low = rows[:, -1] if n else np.zeros(1, dtype=np.int32)
+        low = lasts[n] if n else np.zeros(1, dtype=np.int32)
         counts = n_modes - low
-        up = np.repeat(np.arange(len(rows)), counts)
+        up = np.repeat(np.arange(len(low)), counts)
         starts = np.cumsum(counts) - counts
         last = (low[up] + np.arange(len(up)) - starts[up]).astype(np.int32)
-        states.append(np.column_stack([rows[up], last]))
         parent.append(up)
         lasts.append(last)
         child.append(starts)
         run.append(np.where((last == low[up]) & (n > 0), run[n][up] + 1, 1))
         offsets.append(offsets[-1] + len(up))
     weight = [1.0 / np.sqrt(r) for r in run]
-    return _Basis(n_modes, states, parent, lasts, weight, child, offsets, offsets[-1])
+    return _Basis(n_modes, parent, lasts, weight, child, offsets, offsets[-1])
 
 
 def _insertion_tables(basis: _Basis) -> tuple[list, list]:
@@ -532,7 +527,6 @@ class LemmaResult(NamedTuple):
     lhs: float
     rhs: float
     slack: float
-    passed_raw: bool
     passed: bool
 
 
@@ -594,8 +588,8 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
 
     Mode "a" compares ||(h^eps N^l - Lambda^l) u e(f)|| against the stated
     bound; mode "b" compares the magnitude of the matrix element against
-    v e(g).  ``passed`` applies the factor ``SAFETY`` on the right-hand side,
-    ``passed_raw`` does not; both include the truncation/grid slack.
+    v e(g).  ``passed`` is lhs <= rhs + slack, the slack being the
+    truncation/grid allowance.
 
     Every vector met is s e_K(c) or a_dag(phi) e_K(c), c = sqrt(h/G) cells
     (see ``_inner``): u e(f) is u (x) e_N(c), and each term M_a (x) A_a of
@@ -652,6 +646,5 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
         lhs=float(lhs),
         rhs=float(rhs),
         slack=float(slack),
-        passed_raw=bool(lhs <= rhs + slack),
-        passed=bool(lhs <= SAFETY * rhs + slack),
+        passed=bool(lhs <= rhs + slack),
     )

@@ -9,23 +9,19 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 __all__ = [
     "CHUNK",
-    "HermEigen",
     "apply_table",
     "as_matrix",
     "as_vector",
     "dagger",
-    "herm_eigen",
     "op_norm",
     "pick_engine",
     "power_runs",
-    "psd_trig",
     "sandwich",
     "superoperator",
     "transfer_matrices",
@@ -39,12 +35,6 @@ CHUNK = 64
 # Multiply-adds that one numpy call costs beyond its arithmetic.  At d <= 4 the
 # per-call overhead, not the arithmetic, sets what a slot or an RK4 rate costs.
 _CALL = 4096
-
-# Hermiticity tolerance on inputs of herm_eigen.
-_HERM_TOL = 1e-12
-
-# sqrt(h * eigenvalue) below this uses the series limit sinc(0) = 1.
-_SINC_THRESHOLD = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -71,70 +61,6 @@ def as_vector(a, n: int | None = None) -> np.ndarray:
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
-
-
-@dataclass(frozen=True)
-class HermEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` ascending and real, ``vectors`` unitary with
-    eigenvectors as columns, so ``vectors @ diag(eigenvalues) @ vectors*``
-    reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    def apply(self, fn) -> np.ndarray:
-        """Evaluate the matrix function ``fn`` eigenvalue-wise."""
-        return (self.vectors * fn(self.eigenvalues)) @ self.vectors.conj().T
-
-
-def herm_eigen(h) -> HermEigen:
-    """Hermitian eigendecomposition with an input-hermiticity contract.
-
-    The input is symmetrized as (h + h*) / 2 before LAPACK to control
-    roundoff; deviations beyond 1e-12 (relative) are a contract violation.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"herm_eigen needs a square matrix, got {h.shape}")
-    scale = max(op_norm(h), 1.0)
-    if op_norm(h - dagger(h)) > _HERM_TOL * scale:
-        raise ValueError("herm_eigen input is not Hermitian within 1e-12")
-    w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
-    return HermEigen(eigenvalues=w, vectors=v.astype(complex))
-
-
-def psd_trig(eig: HermEigen, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sinc of sqrt(h) * sqrt(p) for the positive semidefinite p with spectrum ``eig``.
-
-    Returns ``(cos_part, sinc_part)`` with
-
-        cos_part  = cos(sqrt(h) sqrt(p))
-        sinc_part = sin(sqrt(h) sqrt(p)) (sqrt(h) sqrt(p))^{-1}
-
-    evaluated eigenvalue-wise; on the kernel of p (arguments below 1e-8)
-    sinc takes its series limit 1, the unique continuous extension.  Both
-    results are Hermitian and satisfy cos^2 + h * sinc * p * sinc = 1.  The
-    caller decomposes p once (``herm_eigen``) and evaluates at any number of
-    h; only the sign of the eigenvalues is checked here.
-    """
-    if h <= 0:
-        raise ValueError("psd_trig needs h > 0")
-    lo = eig.eigenvalues.min(initial=0.0)
-    if lo < -1e-10 * max(1.0, abs(eig.eigenvalues).max(initial=0.0)):
-        raise ValueError(f"psd_trig input has negative eigenvalue {lo}")
-
-    def arg(lam):
-        return np.sqrt(h) * np.sqrt(np.clip(lam, 0.0, None))
-
-    def sinc(lam):
-        x = arg(lam)
-        safe = np.maximum(x, _SINC_THRESHOLD)
-        return np.where(x < _SINC_THRESHOLD, 1.0, np.sin(safe) / safe)
-
-    return eig.apply(lambda lam: np.cos(arg(lam))), eig.apply(sinc)
 
 
 def sandwich(left: np.ndarray, y: np.ndarray, right: np.ndarray) -> np.ndarray:

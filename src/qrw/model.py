@@ -9,8 +9,8 @@ else is derived from R:
   ``structure_factors``; L, delta, delta_dag are blocks of its
   ``linalg.unit_table``, the one builder of the unit-hat blocks of a map,
 * the step unitary        U(h) = exp(sqrt(h) Rtilde)  on system (x) (C + noise),
-  built at every h from one eigendecomposition of R*R per model,
-  ``GkslModel.spectrum``, the only caller of ``linalg.herm_eigen``,
+  built at every h from one ``np.linalg.eigh`` of R*R per model,
+  ``GkslModel.spectrum``, the only eigendecomposition in qrw,
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
   ``beta_factors``, and the oracle's rate ``rate_factors``, Theta plus <g, f>:
   the walk and the oracle step these factors and build none of their own;
@@ -37,8 +37,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .linalg import (HermEigen, apply_table, as_matrix, as_vector, dagger, herm_eigen, op_norm,
-                     psd_trig, unit_table, vacuum_superoperator)
+from .linalg import (apply_table, as_matrix, as_vector, dagger, op_norm, unit_table,
+                     vacuum_superoperator)
 
 __all__ = [
     "BlockOperator",
@@ -170,13 +170,14 @@ class GkslModel:
         return dagger(self.R) @ self.R
 
     @cached_property
-    def spectrum(self) -> HermEigen:
-        """The eigendecomposition of R*R, checked and computed once per model.
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, V): the ``np.linalg.eigh`` pair of R*R, eigenvalues clipped at 0.
 
-        Every U(h) is built from it (``StepKernel.build``); nothing in qrw
-        decomposes R R* or any other matrix.
+        Computed once per model.  Every U(h) is built from it (``_trig_parts``);
+        nothing in qrw decomposes R R* or any other matrix.
         """
-        return herm_eigen(self.RdR)
+        lam, V = np.linalg.eigh(self.RdR)
+        return np.clip(lam, 0.0, None), V
 
     @property
     def defect_constant(self) -> float:
@@ -288,13 +289,20 @@ def delta_dag(model: GkslModel, x) -> np.ndarray:
 def _trig_parts(model: GkslModel, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C = cos(sqrt(h)|R|), D = sinc(sqrt(h)|R|) and C' = cos(sqrt(h)|R*|) from ``model.spectrum``.
 
-    C and D are ``psd_trig`` of R*R.  C' comes through R phi(R*R) = phi(RR*) R:
-    C' = 1 + R g(R*R) R* with g(lam) = (cos(sqrt(h lam)) - 1) / lam
-    = -(h/2) sinc^2(sqrt(h lam) / 2), so C' = 1 - (h/2) W W* with
-    W = R sinc(sqrt(h/4)|R|), and R R* is never formed.
+    With R*R = V diag(lam) V* and x = sqrt(h lam): C = V cos(x) V* and
+    D = V sinc(x) V*, where ``np.sinc(x / pi)`` is exactly 1 at x = 0.  C'
+    comes through R phi(R*R) = phi(RR*) R: C' = 1 + R g(R*R) R* with
+    g(lam) = (cos(x) - 1) / lam = -(h/2) sinc^2(x/2), so
+    C' = 1 - (h/2) W W* with W = (RV) diag(sinc(x/2)), and R R* is never
+    formed.  Raises ``ValueError`` unless h > 0.
     """
-    cos_sys, sinc_sys = psd_trig(model.spectrum, h)
-    w = model.R @ psd_trig(model.spectrum, h / 4)[1]
+    if h <= 0:
+        raise ValueError("step kernel needs h > 0")
+    lam, V = model.spectrum
+    x, Vd = np.sqrt(h * lam), dagger(V)
+    cos_sys = (V * np.cos(x)) @ Vd
+    sinc_sys = (V * np.sinc(x / np.pi)) @ Vd
+    w = (model.R @ V) * np.sinc(x / (2 * np.pi))
     cos_env = np.eye(model.d * model.m) - (h / 2) * (w @ dagger(w))
     return cos_sys, sinc_sys, cos_env
 
@@ -306,9 +314,9 @@ class StepKernel:
     With C = cos(sqrt(h)|R|), C' = cos(sqrt(h)|R*|) and D = sinc(sqrt(h)|R|),
     its parts are vacuum C, creation sqrt(h) R D, annihilation -sqrt(h) D R*
     and conservation C' (``_trig_parts``).  Every part is carried on the |R|
-    side, so a build reads the model's one eigendecomposition of R*R and
-    decomposes nothing.  ``table``, the blocks of beta(h, .), is built at its
-    first use.
+    side, so a build reads ``model.spectrum``, the one ``eigh`` pair of R*R,
+    and decomposes nothing.  ``table``, the blocks of beta(h, .), is built at
+    its first use.
     """
 
     model: GkslModel
@@ -316,8 +324,6 @@ class StepKernel:
 
     @classmethod
     def build(cls, model: GkslModel, h: float) -> "StepKernel":
-        if h <= 0:
-            raise ValueError("step kernel needs h > 0")
         cos_sys, sinc_sys, cos_env = _trig_parts(model, h)
         rd = np.sqrt(h) * (model.R @ sinc_sys)
         U = BlockOperator.from_parts(

@@ -40,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (
-    SAFETY,
     IntervalSpace,
     _checked_tail,
     basic_operator_flat,
@@ -264,7 +263,6 @@ class FTermResult(NamedTuple):
     bound: float
     slack: float
     passed: bool
-    passed_raw: bool
     decomposition_residual: float
 
 
@@ -344,7 +342,6 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
         value_sq=value_sq,
         bound=float(bound),
         slack=float(slack),
-        passed=bool(value_sq <= SAFETY * bound + slack),
-        passed_raw=bool(value_sq <= bound + slack),
+        passed=bool(value_sq <= bound + slack),
         decomposition_residual=residual,
     )

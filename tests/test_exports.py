@@ -1,8 +1,8 @@
 """Every name a qrw module exports in ``__all__`` exists, the oracle stays off the
 walk, beta is written in model alone, only linalg builds superoperators, the walk
-forms no map itself, only the model's spectrum decomposes a matrix, fock builds
-its ladder operators without sorting or searching, no module imports a name it
-never reads, and qrw loads and runs a convergence study on
+forms no map itself, no code but ``GkslModel.spectrum`` calls an eigensolver or an
+SVD, fock builds its ladder operators without sorting or searching, no module
+imports a name it never reads, and qrw loads and runs a convergence study on
 numpy alone (``cold_run.py``)."""
 
 import ast
@@ -100,10 +100,12 @@ def _callers(tree: ast.AST, name: str, scope: str = "") -> set[str]:
 
 def test_only_the_model_spectrum_decomposes():
     # U(h) at every h reads the one eigendecomposition of R*R that GkslModel
-    # caches, so no per-h eigendecomposition can come back unseen.
+    # caches, so no per-h eigendecomposition or SVD can come back unseen.
     src = Path(__file__).resolve().parents[1] / "src" / "qrw"
-    callers = {f"{path.stem}.{scope}" for path in src.glob("*.py")
-               for scope in _callers(ast.parse(path.read_text()), "herm_eigen")}
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    callers = {f"{stem}.{scope}" for stem, tree in trees.items()
+               for name in ("eigh", "eig", "eigvals", "eigvalsh", "svd")
+               for scope in _callers(tree, name)}
     assert callers == {"model.GkslModel.spectrum"}
 
 

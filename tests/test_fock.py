@@ -29,7 +29,6 @@ from qrw.fock import (
     slot_exp_data,
 )
 from qrw.fock import (
-    SAFETY,
     TAIL_LIMIT,
     LemmaResult,
     NormDiffResult,
@@ -192,8 +191,12 @@ class TestRanking:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5))
     def test_ops_match_reference(self, m, G, N):
+        # Each row is its parent with its last mode appended.
         basis = _sector_basis(G * m, N)
-        for n, rows in enumerate(basis.states):
+        rows = np.zeros((1, 0), dtype=int)
+        for n in range(N + 1):
+            if n:
+                rows = np.column_stack([rows[basis.parent[n]], basis.last[n]])
             want = list(itertools.combinations_with_replacement(range(G * m), n))
             assert [tuple(r) for r in rows.tolist()] == want
         create, hop = _channel_ops(m, G, N)
@@ -699,7 +702,7 @@ def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", star
         slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
             float(np.linalg.norm(v)), 1.0)
     rhs = _lemma_rhs(h, l, mode, coeff, coeff_norm, u, v, sup_f, c_f, sup_g, ef_norm, eg_norm)
-    ref = LemmaResult(l, mode, lhs, rhs, slack, lhs <= rhs + slack, lhs <= SAFETY * rhs + slack)
+    ref = LemmaResult(l, mode, lhs, rhs, slack, lhs <= rhs + slack)
     return ref, size
 
 
@@ -711,7 +714,7 @@ def _assert_matches_reference(res, reference):
     ref, size = reference
     assert abs(res.lhs - ref.lhs) <= 1e-12 * ref.lhs + 1e-15 * size, (res, ref)
     assert abs(res.rhs - ref.rhs) <= 1e-13 * ref.rhs, (res, ref)
-    assert (res.slack, res.passed_raw, res.passed) == (ref.slack, ref.passed_raw, ref.passed)
+    assert (res.slack, res.passed) == (ref.slack, ref.passed)
 
 
 class TestNvsLambdaChecks:
@@ -726,12 +729,12 @@ class TestNvsLambdaChecks:
 
     def test_zero_function_time(self):
         res = check_N_vs_Lambda(self.space, 1, np.eye(2), self.u, TestFunction.zero(1))
-        assert res.lhs <= 1e-14 and res.passed_raw
+        assert res.lhs <= 1e-14 and res.passed
 
     def test_zero_function_creation(self):
         R = _rand_coeff(self.rng, 3, self.d, 1)
         res = check_N_vs_Lambda(self.space, 3, R, self.u, TestFunction.zero(1))
-        assert res.lhs <= 1e-14 and res.passed_raw
+        assert res.lhs <= 1e-14 and res.passed
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_mode_a(self, l):

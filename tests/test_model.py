@@ -475,6 +475,22 @@ class TestDefect:
                 _, report = defect(model, x, h)
                 assert report.passed, (model.d, model.m, h, report.raw, report.bounds)
 
+    def test_bound_is_within_reach(self):
+        # Witness for the constant 5(||R||^2 + ||R||^3 + ||R||^4): on this input
+        # the largest raw/bound reads 0.078, beyond what a 10x constant allows.
+        rng = np.random.default_rng(3)
+        model = random_model(rng, 2, 1, 1.0)
+        _, report = defect(model, _rand_x(rng, 2), 0.01)
+        assert max(r / b for r, b in zip(report.raw, report.bounds)) >= 0.03
+
+    def test_corrupted_beta_fails(self):
+        # Witness for the pass rule raw <= bound: a vacuum corruption of 0.1
+        # reads raw/bound 2.68 there, which a 10x looser rule would pass.
+        R = random_model(np.random.default_rng(0), 2, 1, 1.0).R
+        model = GkslModel(d=2, m=1, R=R, beta_corruption=0.1)
+        _, report = defect(model, np.array([[1, 0.5], [0.5j, -1]]), 0.05)
+        assert not report.passed
+
 
 class TestSemigroup:
     def test_t_zero(self):
@@ -554,16 +570,15 @@ class TestStepKernel:
             assert op_norm(got - _two_eigh_unitary(model, h)) <= 1e-14
 
     def test_one_eigendecomposition_per_model(self):
-        # The ladder's nine kernels read the model's one spectrum of R*R: after
-        # the first build no eigh runs, and no SVD (op_norm is np.linalg.norm(., 2)).
+        # The ladder's nine kernels read the model's one spectrum of R*R: the
+        # first build runs the one eigh, and no build runs an SVD (op_norm is
+        # np.linalg.norm(., 2)).
         model = random_model(np.random.default_rng(61), 4, 2, 1.0)
         spies = {name: mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name))
                  for name in ("eigh", "svd", "norm")}
         with spies["eigh"] as eigh, spies["svd"] as svd, spies["norm"] as norm:
             StepKernel.build(model, LADDER_STEPS[0])
-            # The spies see the first build's hermiticity check on R*R.
-            assert eigh.call_count == 1 and norm.call_count > 0
-            norm.reset_mock()
+            assert eigh.call_count == 1
             for h in LADDER_STEPS[1:]:
                 StepKernel.build(model, h)
             assert eigh.call_count == 1
@@ -613,6 +628,7 @@ class TestStepKernel:
     ("GkslModel_R", r"R shape \(3, 2\), expected \(2, 2\)"),
     ("BlockOperator", r"blocks shape \(2, 2, 2, 3\), expected \(2, 2, 2, 2\)"),
     ("StepKernel.build", "step kernel needs h > 0"),
+    ("trig_estimates", "step kernel needs h > 0"),
 ])
 def test_input_checks(entry, message):
     calls = {
@@ -620,6 +636,7 @@ def test_input_checks(entry, message):
         "GkslModel_R": lambda: GkslModel(d=2, m=1, R=np.zeros((3, 2))),
         "BlockOperator": lambda: BlockOperator(d=2, m=1, blocks=np.zeros((2, 2, 2, 3))),
         "StepKernel.build": lambda: StepKernel.build(amplitude_damping(1.0), 0.0),
+        "trig_estimates": lambda: trig_estimates(amplitude_damping(1.0), -0.1),
     }
     with pytest.raises(ValueError, match=message):
         calls[entry]()
