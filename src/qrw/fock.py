@@ -21,9 +21,10 @@ The distinguished vectors are the vacuum (index 0) and the normalized
 constant one-particle vector of each channel ("chi"), which span the
 (1+m)-dimensional slot space of the projected walk.  Vectors are plain
 (dim,) arrays, or (d, dim) for C^d (x) Fock.  Exponential vectors
-e(f) = sum_n f^(x)n / sqrt(n!) of per-cell averages have closed-form slot
-coordinates and projection loss (``slot_exp_data``) and a truncation tail of
-at most ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.
+e(f) = sum_n f^(x)n / sqrt(n!) of per-cell averages have a truncation tail of
+at most ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.  ``_slot_exp`` is the one reader
+of f on a slot; its slot coordinates and projection loss
+(``slot_exp_data``) come from the one-particle algebra below.
 
 Each fundamental process Lambda^l is written once, as a list of terms
 M_a (x) A_a (a d x d coefficient times a second-quantized one-particle
@@ -274,31 +275,10 @@ def exp_vector(space: IntervalSpace, cells) -> np.ndarray:
     return data
 
 
-def slot_exp_data(space: IntervalSpace, cells) -> tuple[np.ndarray, float]:
-    """Slot coordinates hat and ||(1 - P_h) e||^2 of the truncated e(cells), in closed form.
-
-    With c = sqrt(h/G) cells (G x m) and a = ||c||^2: hat = (1, sqrt(G) mean_c c),
-    and the loss is sectors >= 2, sum_{2<=n<=N} a^n / n!, plus sector 1 off the
-    chi vectors, sum_{c,i} |c_ci - mean_c c_.i|^2; no cancellation, no D-vector.
-    """
-    c = _one_particle_coeffs(space, cells).reshape(space.G, space.m)
-    a = float(np.vdot(c, c).real)
-    q_sq = sum(a**n / math.factorial(n) for n in range(2, space.N + 1)) + space.G * c.var(0).sum()
-    return np.concatenate([[1.0], np.sqrt(space.G) * c.mean(0)]), float(q_sq)
-
-
 def exp_tail_bound(space: IntervalSpace, cells) -> float:
     """Poisson tail bound ||f||^(2(N+1)) e^(||f||^2) / (N+1)! on the cut sectors."""
     nsq = float(np.sum(np.abs(_one_particle_coeffs(space, cells)) ** 2))
     return nsq ** (space.N + 1) * np.exp(nsq) / math.factorial(space.N + 1)
-
-
-def _checked_tail(space: IntervalSpace, cells) -> float:
-    """exp_tail_bound, raising ``TruncationError`` above ``TAIL_LIMIT``."""
-    tail = exp_tail_bound(space, cells)
-    if tail > TAIL_LIMIT:
-        raise TruncationError(f"truncation tail {tail:.2e} needs a larger cutoff than N={space.N}")
-    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +303,8 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     Exponential vectors factor over intervals, so with e_k = e(f_[k]) the
     squared norm prod_k ||e_k||^2 - prod_k ||P_h e_k||^2 is, free of that
     subtraction, sum_k (prod_{j<k} ||P_h e_j||^2) ||q_k||^2 (prod_{j>k} ||e_j||^2)
-    with q_k = (1 - P_h) e_k, all norms from the closed form ``slot_exp_data``
-    at cutoff N.  A slot whose truncation tail exceeds ``TAIL_LIMIT`` raises
+    with q_k = (1 - P_h) e_k, all norms from ``slot_exp_data`` at cutoff N.
+    A slot whose truncation tail exceeds ``TAIL_LIMIT`` raises
     ``TruncationError``, as in every other check.
     """
     if h <= 0 or t < 0:
@@ -335,9 +315,7 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     space = IntervalSpace(m=m, G=G, N=N, h=h)
     loss, proj = 0.0, 1.0
     for k in range(n):
-        cells = f.cell_averages(k * h, (k + 1) * h, G)
-        _checked_tail(space, cells)
-        hat, q_sq = slot_exp_data(space, cells)
+        hat, q_sq, _ = slot_exp_data(space, f, k * h)
         proj_k = np.vdot(hat, hat).real
         loss = loss * (proj_k + q_sq) + proj * q_sq
         proj *= proj_k
@@ -503,9 +481,22 @@ def _term_image(space: IntervalSpace, l: int, i: int, j: int, c: np.ndarray) -> 
 
 
 def _slot_exp(space: IntervalSpace, f: TestFunction, start: float) -> tuple[tuple, float]:
-    """e_N of f's cell averages on [start, start + h], and its checked tail."""
+    """e_N of f's cell averages on [start, start + h], and its truncation tail;
+    raises ``TruncationError`` if the tail exceeds ``TAIL_LIMIT``."""
     cells = f.cell_averages(start, start + space.h, space.G)
-    return (1.0, None, space.N, _one_particle_coeffs(space, cells)), _checked_tail(space, cells)
+    tail = exp_tail_bound(space, cells)
+    if tail > TAIL_LIMIT:
+        raise TruncationError(f"truncation tail {tail:.2e} needs a larger cutoff than N={space.N}")
+    return (1.0, None, space.N, _one_particle_coeffs(space, cells)), tail
+
+
+def slot_exp_data(space: IntervalSpace, f: TestFunction,
+                  start: float) -> tuple[np.ndarray, float, float]:
+    """Slot coordinates, ||(1 - P_h) e||^2 and tail of e = ``_slot_exp``: the loss
+    is sectors >= 2 (``_inner``) plus sector 1 off the chi vectors (``_slot_split``)."""
+    e, tail = _slot_exp(space, f, start)
+    hat, off = _slot_split(space, e)
+    return hat, _inner(e, e, 2).real + float(np.vdot(off, off).real), tail
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +525,12 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
                          start: float = 0.0) -> NormDiffResult:
     """Projection loss of one exponential vector against h (c_f + sup) ||e(f)||.
 
-    lhs and ||e(f)|| come from the closed form ``slot_exp_data``; the slack
-    adds the truncation tail and the grid quadrature allowance h c_f / G.
+    lhs and ||e(f)|| come from ``slot_exp_data``; the slack adds the
+    truncation tail and the grid quadrature allowance h c_f / G.
     """
     if abs(h - space.h) > 1e-12:
         raise ValueError("h must match the space's interval length")
-    cells = f.cell_averages(start, start + h, space.G)
-    tail = _checked_tail(space, cells)
-    hat, q_sq = slot_exp_data(space, cells)
+    hat, q_sq, tail = slot_exp_data(space, f, start)
     lhs = float(np.sqrt(q_sq))
     c_f = f.slope_constant(start, start + h)
     sup = f.sup_norm(start, start + h)

@@ -7,10 +7,11 @@ derived quantities the estimates need (sup norm, total slope constant, slot
 and cell averages, L2 norms) are exact for it.
 
 A function builds its read-only segment tables once, at construction: the
-slope and the cumulative integral of each segment and the channel norm at
-each breakpoint.  ``antiderivative`` (and so ``cell_averages`` and
-``slot_averages``), ``sup_norm`` and ``slope_constant`` read them for every
-whole segment, and evaluate f only at the ends of the interval asked for.
+slope and the cumulative integral of each segment.  ``antiderivative`` (and so
+``cell_averages`` and ``slot_averages``) reads them for every whole segment,
+and evaluates f only at the times asked for.  ``sup_norm``, ``slope_constant``
+and ``pair_overlap_integral`` read f on one breakpoint-refined grid
+(``_nodes``), the whole support by default.
 
 Merged node lists are sorted and stripped of repeats by ``_sorted_distinct``
 rather than ``np.unique``: numpy 2.4 imports ``numpy.ma`` on the first
@@ -44,8 +45,7 @@ class TestFunction:
     breakpoint range the function is zero.  Both arrays are read-only copies
     of the inputs, so a function never changes after it is built, and neither
     do the tables derived from them: ``slopes[k]`` and ``integrals[k]`` are
-    the slope of segment k and the integral of f up to ``breakpoints[k]``,
-    and ``node_norms[k]`` is the channel norm of ``values[k]``.
+    the slope of segment k and the integral of f up to ``breakpoints[k]``.
     """
 
     breakpoints: np.ndarray
@@ -53,7 +53,6 @@ class TestFunction:
     channels: int = field(init=False)
     slopes: np.ndarray = field(init=False, repr=False)
     integrals: np.ndarray = field(init=False, repr=False)
-    node_norms: np.ndarray = field(init=False, repr=False)
 
     __test__ = False  # keep pytest from collecting the class by name
 
@@ -80,7 +79,6 @@ class TestFunction:
             "slopes": (vals[1:] - vals[:-1]) / steps,
             "integrals": np.concatenate([np.zeros((1, vals.shape[1]), dtype=complex),
                                          np.cumsum(trapezoids[:-1], axis=0)]),
-            "node_norms": np.linalg.norm(vals, axis=-1),
         }
         for name, table in tables.items():
             table.setflags(write=False)
@@ -111,11 +109,6 @@ class TestFunction:
             out[inside] = (1 - w) * vals[idx] + w * vals[idx + 1]
         return out
 
-    def _grid_on(self, t0: float, t1: float) -> np.ndarray:
-        """Breakpoint-refined node list on [t0, t1] (always contains both ends)."""
-        inner = self.breakpoints[(self.breakpoints > t0) & (self.breakpoints < t1)]
-        return _sorted_distinct(np.concatenate([[t0], inner, [t1]]))
-
     def antiderivative(self, t) -> np.ndarray:
         """Exact integral of f from -inf to t, shape (..., channels): ``integrals``
         up to the breakpoint t_k below t plus the quadratic in t - t_k."""
@@ -135,43 +128,35 @@ class TestFunction:
         return self.pair_overlap_integral(self, t0, t1).real
 
     # -- derived constants ----------------------------------------------------
-    def _inside(self, t0: float, t1: float) -> slice:
-        """The breakpoints strictly inside (t0, t1), as a slice of ``breakpoints``."""
+    def _nodes(self, t0: float | None = None, t1: float | None = None):
+        """The breakpoint-refined grid on [t0, t1] (the support by default) and f on it.
+
+        The grid holds t0, t1 and the breakpoints strictly between them; f is
+        exactly ``values`` on the breakpoints, its support ends included.
+        """
         bp = self.breakpoints
-        return slice(np.searchsorted(bp, t0, side="right"), np.searchsorted(bp, t1, side="left"))
+        if t0 is None:
+            t0, t1 = bp[0], bp[-1]
+        nodes = _sorted_distinct(np.concatenate([[t0], bp[(bp > t0) & (bp < t1)], [t1]]))
+        return nodes, self(nodes)
 
     def sup_norm(self, t0: float | None = None, t1: float | None = None) -> float:
         """max_s of the channel l2 norm, over [t0, t1] if given.
 
         The norm of a linear interpolant is convex, so the maximum sits on a
-        node of the breakpoint-refined grid: t0, t1 and the breakpoints
-        between them, whose norms are ``node_norms``.
+        node of the breakpoint-refined grid.
         """
-        if t0 is None:
-            return float(np.max(self.node_norms))
-        ends = np.linalg.norm(self(np.array([t0, t1])), axis=-1)
-        return float(max(np.max(ends), np.max(self.node_norms[self._inside(t0, t1)], initial=0.0)))
+        return float(np.max(np.linalg.norm(self._nodes(t0, t1)[1], axis=-1)))
 
     def slope_constant(self, t0: float | None = None, t1: float | None = None) -> float:
         """c_f = sum over channels of the largest |slope|, over [t0, t1] if given.
 
-        On [t0, t1] the slopes are those of the breakpoint-refined grid: the
-        ``slopes`` of the whole segments inside, and the two end pieces by
-        finite differences from f(t0) and f(t1).
+        The slopes are the finite differences of f on the breakpoint-refined
+        grid; a single point (t0 = t1) has none, and c_f = 0.
         """
-        if t0 is None:
-            return float(np.sum(np.max(np.abs(self.slopes), axis=0)))
-        if t0 == t1:
-            return 0.0
-        inside = self._inside(t0, t1)
-        bp, vals = self.breakpoints[inside], self.values[inside]
-        f0, f1 = self(np.array([t0, t1]))
-        if len(bp) == 0:
-            slopes = [(f1 - f0) / (t1 - t0)]
-        else:
-            ends = [(vals[0] - f0) / (bp[0] - t0), (f1 - vals[-1]) / (t1 - bp[-1])]
-            slopes = np.concatenate([ends, self.slopes[inside.start:inside.stop - 1]])
-        return float(np.sum(np.max(np.abs(slopes), axis=0)))
+        nodes, vals = self._nodes(t0, t1)
+        slopes = np.abs(np.diff(vals, axis=0) / np.diff(nodes)[:, None])
+        return float(np.sum(np.max(slopes, axis=0, initial=0.0)))
 
     def pair_overlap_integral(self, other: "TestFunction", t0: float, t1: float) -> complex:
         """integral of <self(s), other(s)> over [t0, t1].
@@ -179,7 +164,7 @@ class TestFunction:
         The integrand is piecewise quadratic; Simpson on the merged breakpoint
         grid is exact.
         """
-        nodes = _sorted_distinct(np.concatenate([self._grid_on(t0, t1), other._grid_on(t0, t1)]))
+        nodes = _sorted_distinct(np.concatenate([self._nodes(t0, t1)[0], other._nodes(t0, t1)[0]]))
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         pair = lambda t: np.sum(np.conj(self(t)) * other(t), axis=-1)  # noqa: E731
         return complex(

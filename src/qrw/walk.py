@@ -41,7 +41,6 @@ import numpy as np
 
 from .fock import (
     IntervalSpace,
-    _checked_tail,
     basic_operator_flat,
     exp_vector,  # noqa: F401 - unused; perfbench/tracing.py wraps walk.exp_vector by name
     slot_exp_data,
@@ -285,11 +284,11 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
 
     Every term lies in the product over slots of span(vacuum, chi^1..chi^m,
     q_k), so each is held in that orthonormal per-slot basis: e_k is its slot
-    coordinates with ||q_k|| appended (the closed form ``slot_exp_data`` on G
-    cells, cutoff N), q_k is (0, ..., 0, ||q_k||), and a walk leg gains a zero
-    last entry.  The walk pieces of the (d, (m+2)^n) terms cost
-    O(n (1+m)^n d^3) and the sum O(n d (m+2)^n); n is limited by the dense
-    cap ``DENSE_CAP`` on d (1+m)^n (``DenseCapError``).  Reports ||F||^2 against
+    coordinates with ||q_k|| appended (``slot_exp_data`` on G cells, cutoff
+    N), q_k is (0, ..., 0, ||q_k||), and a walk leg gains a zero last entry.
+    The walk pieces of the (d, (m+2)^n) terms cost O(n (1+m)^n d^3) and the
+    sum O(n d (m+2)^n); n is limited by the dense cap ``DENSE_CAP`` on
+    d (1+m)^n (``DenseCapError``).  Reports ||F||^2 against
     h c(f,t) ||x||^2 ||u||^2 with c(f,t) = 2 t (c_f + sup|f|) ||e(f)||, plus
     the residual of the decomposition identity itself.  A slot whose
     truncation tail exceeds ``TAIL_LIMIT`` raises ``TruncationError``.
@@ -304,9 +303,8 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
 
     tails, es, qs = [], [], []
     for k in range(n):
-        cells = f.cell_averages(k * h, (k + 1) * h, G)
-        tails.append(_checked_tail(space, cells))
-        hat, q_sq = slot_exp_data(space, cells)
+        hat, q_sq, tail = slot_exp_data(space, f, k * h)
+        tails.append(tail)
         es.append(np.append(hat, np.sqrt(q_sq)))
         qs.append(np.append(np.zeros(1 + m), np.sqrt(q_sq)))
     # rest[k] is the row e_{k+1} (x) ... (x) e_n of the slots after the k-th (0-based).

@@ -1,9 +1,9 @@
 """Every name a qrw module exports in ``__all__`` exists, the oracle stays off the
 walk, beta is written in model alone, only linalg builds superoperators, the walk
 forms no map itself, no code but ``GkslModel.spectrum`` calls an eigensolver or an
-SVD, fock builds its ladder operators without sorting or searching, no module
-imports a name it never reads, and qrw loads and runs a convergence study on
-numpy alone (``cold_run.py``)."""
+SVD, fock builds its ladder operators without sorting or searching and reads f on
+a slot in ``_slot_exp`` alone, no module imports a name it never reads, and qrw
+loads and runs a convergence study on numpy alone (``cold_run.py``)."""
 
 import ast
 import importlib
@@ -115,6 +115,15 @@ def test_fock_ladder_operators_are_gathers():
     path = Path(__file__).resolve().parents[1] / "src" / "qrw" / "fock.py"
     tree = ast.parse(path.read_text())
     assert not _callers(tree, "searchsorted") | _callers(tree, "sort")
+
+
+def test_one_reader_of_a_slot():
+    # fock._slot_exp is the one code that reads f on a slot (its cell averages
+    # and tail); every lemma quantity goes through it and the one-particle algebra.
+    src = Path(__file__).resolve().parents[1] / "src" / "qrw"
+    callers = {f"{path.stem}.{scope}" for path in src.glob("*.py")
+               for scope in _callers(ast.parse(path.read_text()), "cell_averages")}
+    assert callers == {"fock._slot_exp"}
 
 
 def _unused_imports(path: Path) -> list[str]:

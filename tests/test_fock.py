@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -351,21 +351,23 @@ class TestProjection:
         st.integers(0, 2**32 - 1),
     )
     def test_slot_exp_data_matches_fock_vector(self, m, G, N, h, sup, where, seed):
-        # The closed form against the D-vector: exp_vector, its slot
+        # The one-particle algebra against the D-vector: exp_vector, its slot
         # coordinates, and ||e - P_h e||^2.
         space = IntervalSpace(m=m, G=G, N=N, h=h)
         start = where * (1.0 - h)
         f = _rand_function(np.random.default_rng(seed), m, 1.0, sup=sup)
         cells = f.cell_averages(start, start + h, G)
-        hat, q_sq = slot_exp_data(space, cells)
+        assume(exp_tail_bound(space, cells) <= TAIL_LIMIT)
+        hat, q_sq, tail = slot_exp_data(space, f, start)
         e = exp_vector(space, cells)
+        assert tail == exp_tail_bound(space, cells)
         assert hat[0] == 1.0
         assert_allclose(hat, slot_coordinates(space, e), rtol=0, atol=1e-15)
         assert_allclose(q_sq, _norm_sq(e - project_Ph(space, e)), rtol=1e-12, atol=1e-18)
 
     def test_slot_exp_data_zero_function(self):
         space = IntervalSpace(m=2, G=4, N=5, h=0.25)
-        hat, q_sq = slot_exp_data(space, np.zeros((4, 2)))
+        hat, q_sq, _ = slot_exp_data(space, TestFunction.zero(2), 0.0)
         assert q_sq == 0.0
         assert np.array_equal(hat, [1.0, 0.0, 0.0])
 

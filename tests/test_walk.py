@@ -219,8 +219,8 @@ class TestSegmentTables:
 
     def test_tables_are_read_only(self):
         f = TF(np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0], [1.0, 2j], [0.0, 1.0]]))
-        assert f.slopes.shape == f.integrals.shape == (2, 2) and f.node_norms.shape == (3,)
-        for table in (f.slopes, f.integrals, f.node_norms):
+        assert f.slopes.shape == f.integrals.shape == (2, 2)
+        for table in (f.slopes, f.integrals):
             with pytest.raises(ValueError):
                 table[0] = 1.0
 
@@ -646,6 +646,14 @@ class TestStreamingEngine:
         embed_sq = np.vdot(embed, embed).real
         assert got <= op_norm(SIGMA_X) ** 2 * np.linalg.norm(u) ** 2 * embed_sq * (1 + 1e-9)
 
+    def test_norm_sq_raises_when_beta_is_not_star_preserving(self):
+        # An imaginary corruption c x of beta is not *-preserving, so the
+        # (x*x, u, u, f, f) element is not real: imaginary residue 0.409 here.
+        model = GkslModel(d=2, m=1, R=amplitude_damping(1.0).R, beta_corruption=0.1j)
+        f = TF(np.array([0.0, 1.0]), np.array([[0.3], [0.1]]))
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            walk_norm_sq(model, SIGMA_X, np.array([0.6, 0.8]), f, 0.25, 4)
+
     def test_step_locality(self):
         # The walk is adapted: the n-slot value ignores f beyond nh.
         rng = np.random.default_rng(19)
@@ -710,6 +718,16 @@ class TestFTerm:
             got = f_term_norm(model, np.eye(d), u, f, h, n, G=G, N=N).value_sq
             want = np.vdot(u, u).real * projection_deficiency(f, n * h, h, m, G, N) ** 2
             assert got == pytest.approx(want, rel=1e-13, abs=0), trial
+
+    def test_bound_is_within_reach(self):
+        # A witness that the bound h c(f, t) ||x||^2 ||u||^2 is not loose by 10x:
+        # a tent f of height 1 over two slots of h = 1/2 reads
+        # value_sq / (bound + slack) = 0.0362, with slack / bound ~ 6e-10.
+        f = TF(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [1.0], [0.0]]))
+        res = f_term_norm(amplitude_damping(1.0), SIGMA_X, np.array([1.0, 0.0]), f, 0.5, 2,
+                          G=8, N=6)
+        assert res.passed and res.slack <= 1e-8 * res.bound
+        assert res.value_sq / (res.bound + res.slack) >= 0.012
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_decomposition_identity(self, n):
