@@ -46,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import TestFunction
-from .linalg import as_matrix, as_vector, dagger, op_norm
-from .model import BlockOperator
+from .linalg import as_matrix, as_vector, dagger, flat, op_norm, unflat
+from .model import PARTS
 
 __all__ = [
     "IntervalSpace",
@@ -327,11 +327,6 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
 # ---------------------------------------------------------------------------
 
 
-def _coeff_channels(coeff: np.ndarray, d: int, m: int) -> np.ndarray:
-    """Split a (d m) x d map into per-channel d x d blocks (row a*m + i)."""
-    return coeff.reshape(d, m, d).transpose(1, 0, 2)
-
-
 def _check_coeff(l: int, coeff, d: int, m: int) -> np.ndarray:
     shapes = {1: (d, d), 2: (d * m, d), 3: (d * m, d), 4: (d * m, d * m)}
     if l not in shapes:
@@ -349,14 +344,13 @@ def _lambda_terms(space: IntervalSpace, l: int, coeff: np.ndarray, d: int) -> li
     M_a is h S, sqrt(h) R_i*, sqrt(h) R_i or T_ij; A_a (identity, a(chi^i),
     a_dag(chi^i) or the hop j -> i) is ``_fock_operator`` or ``_term_image``.
     """
-    m, rh = space.m, np.sqrt(space.h)
     if l == 1:
         return [(space.h * coeff, 0, 0)]
+    blocks = unflat(coeff, d)  # R_i = blocks[i, 0], T_ij = blocks[i, j]
     if l == 4:
-        T4 = coeff.reshape(d, m, d, m)
-        return [(T4[:, i, :, j], i, j) for i in range(m) for j in range(m)]
-    R = _coeff_channels(coeff, d, m)
-    return [(rh * (dagger(R[i]) if l == 2 else R[i]), i, 0) for i in range(m)]
+        return [(blocks[i, j], i, j) for i in range(space.m) for j in range(space.m)]
+    rh = np.sqrt(space.h)
+    return [(rh * (dagger(R) if l == 2 else R), i, 0) for i, R in enumerate(blocks[:, 0])]
 
 
 def _fock_operator(space: IntervalSpace, l: int, i: int, j: int):
@@ -404,15 +398,14 @@ def basic_operator_flat(l: int, coeff, d: int, m: int) -> np.ndarray:
     On the slot basis (vacuum, chi^1..chi^m) these are the block matrix units
     N^1_S = S (x) |O><O|, N^2_R = sum_i R_i* (x) |O><chi^i|,
     N^3_R = sum_i R_i (x) |chi^i><O|, N^4_T = sum_ij T_ij (x) |chi^i><chi^j|:
-    the coefficient fills one part of a ``BlockOperator`` (its adjoint for
-    kind 2), the others are zero.  This is the whole operator, since N^l
-    vanishes on the slot-space complement.
+    the coefficient (its adjoint for kind 2) fills the block region
+    ``model.PARTS[l - 1]``, the others are zero.  This is the whole operator,
+    since N^l vanishes on the slot-space complement.
     """
     coeff = _check_coeff(l, coeff, d, m)
-    dm = d * m
-    parts = [np.zeros((d, d)), np.zeros((d, dm)), np.zeros((dm, d)), np.zeros((dm, dm))]
-    parts[l - 1] = dagger(coeff) if l == 2 else coeff
-    return BlockOperator.from_parts(*parts).flat
+    blocks = np.zeros((1 + m, 1 + m, d, d), dtype=complex)
+    blocks[PARTS[l - 1]] = unflat(dagger(coeff) if l == 2 else coeff, d)
+    return flat(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +525,7 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
         raise ValueError("h must match the space's interval length")
     hat, q_sq, tail = slot_exp_data(space, f, start)
     lhs = float(np.sqrt(q_sq))
-    c_f = f.slope_constant(start, start + h)
-    sup = f.sup_norm(start, start + h)
+    sup, c_f = f.constants(start, start + h)
     rhs = h * (c_f + sup) * float(np.sqrt(np.vdot(hat, hat).real + q_sq))
     slack = tail + h * c_f / space.G
     return NormDiffResult(lhs, float(rhs), float(slack), float(tail), bool(lhs <= rhs + slack))
@@ -610,7 +602,7 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
 
     coeff_norm = op_norm(coeff)
     coeff_scale = max(coeff_norm, 1.0) * max(float(np.linalg.norm(u)), 1.0)
-    c_f, sup_f = f.slope_constant(start, start + h), f.sup_norm(start, start + h)
+    sup_f, c_f = f.constants(start, start + h)
     # 1e-12 absolute floor absorbs pure roundoff in exactly matching cases.
     slack = (tail + h * c_f / space.G + 1e-12) * coeff_scale
     eg_norm, sup_g = 1.0, None
@@ -624,7 +616,7 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
         # <(1 - P_h) e(g), Q_a> is <e(g), Q_a>, as Q_a is orthogonal to the slot space.
         slot = np.vdot(np.outer(v, _slot_split(space, eg)[0]), A)
         lhs = abs(slot - (v.conj() @ C) @ _complement_gram(space, [eg], W)[0])
-        c_g, sup_g = g.slope_constant(start, start + h), g.sup_norm(start, start + h)
+        sup_g, c_g = g.constants(start, start + h)
         slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
             float(np.linalg.norm(v)), 1.0
         )

@@ -9,9 +9,10 @@ and cell averages, L2 norms) are exact for it.
 A function builds its read-only segment tables once, at construction: the
 slope and the cumulative integral of each segment.  ``antiderivative`` (and so
 ``cell_averages`` and ``slot_averages``) reads them for every whole segment,
-and evaluates f only at the times asked for.  ``sup_norm``, ``slope_constant``
-and ``pair_overlap_integral`` read f on one breakpoint-refined grid
-(``_nodes``), the whole support by default.
+and evaluates f only at the times asked for.  ``constants`` (sup|f| and c_f,
+of which ``sup_norm`` and ``slope_constant`` each return one) and
+``pair_overlap_integral`` read f on one breakpoint-refined grid (``_nodes``),
+the whole support by default.
 
 Merged node lists are sorted and stripped of repeats by ``_sorted_distinct``
 rather than ``np.unique``: numpy 2.4 imports ``numpy.ma`` on the first
@@ -140,23 +141,27 @@ class TestFunction:
         nodes = _sorted_distinct(np.concatenate([[t0], bp[(bp > t0) & (bp < t1)], [t1]]))
         return nodes, self(nodes)
 
-    def sup_norm(self, t0: float | None = None, t1: float | None = None) -> float:
-        """max_s of the channel l2 norm, over [t0, t1] if given.
+    def constants(self, t0: float | None = None, t1: float | None = None) -> tuple[float, float]:
+        """(sup|f|, c_f) over [t0, t1] if given, from one breakpoint-refined grid.
 
-        The norm of a linear interpolant is convex, so the maximum sits on a
-        node of the breakpoint-refined grid.
-        """
-        return float(np.max(np.linalg.norm(self._nodes(t0, t1)[1], axis=-1)))
-
-    def slope_constant(self, t0: float | None = None, t1: float | None = None) -> float:
-        """c_f = sum over channels of the largest |slope|, over [t0, t1] if given.
-
-        The slopes are the finite differences of f on the breakpoint-refined
-        grid; a single point (t0 = t1) has none, and c_f = 0.
+        sup|f| is the max over s of the channel l2 norm: the norm of a linear
+        interpolant is convex, so it sits on a node.  c_f is the sum over
+        channels of the largest |slope|, the slopes being the finite
+        differences of f on the grid; a single point (t0 = t1) has none, and
+        c_f = 0.
         """
         nodes, vals = self._nodes(t0, t1)
         slopes = np.abs(np.diff(vals, axis=0) / np.diff(nodes)[:, None])
-        return float(np.sum(np.max(slopes, axis=0, initial=0.0)))
+        return (float(np.max(np.linalg.norm(vals, axis=-1))),
+                float(np.sum(np.max(slopes, axis=0, initial=0.0))))
+
+    def sup_norm(self, t0: float | None = None, t1: float | None = None) -> float:
+        """sup|f|, over [t0, t1] if given: the first of ``constants``."""
+        return self.constants(t0, t1)[0]
+
+    def slope_constant(self, t0: float | None = None, t1: float | None = None) -> float:
+        """c_f, over [t0, t1] if given: the second of ``constants``."""
+        return self.constants(t0, t1)[1]
 
     def pair_overlap_integral(self, other: "TestFunction", t0: float, t1: float) -> complex:
         """integral of <self(s), other(s)> over [t0, t1].

@@ -4,7 +4,11 @@ Conventions fixed here and used everywhere else:
 
 * matrices are 2-d ``numpy.ndarray`` of ``complex128``, row-major;
 * tensor products are ``numpy.kron``, left-factor-major: the index pair
-  ``(p, q)`` of ``a (x) b`` flattens to ``p * b.rows + q``.
+  ``(p, q)`` of ``a (x) b`` flattens to ``p * b.rows + q``;
+* an operator between C^d (x) C^J' and C^d (x) C^J is a (J, J', d, d) block
+  array, and ``flat`` is its one conversion to the (d J, d J') matrix, system
+  index slow: flat[a J + j, b J' + j'] = blocks[j, j', a, b].  ``unflat`` is
+  its inverse.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "dagger",
+    "flat",
     "op_norm",
     "pick_engine",
     "power_runs",
     "sandwich",
     "superoperator",
     "transfer_matrices",
+    "unflat",
     "unit_table",
 ]
 
@@ -61,6 +67,18 @@ def as_vector(a, n: int | None = None) -> np.ndarray:
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
+
+
+def flat(blocks: np.ndarray) -> np.ndarray:
+    """The (d J, d J') matrix of a (J, J', d, d) block array, system index slow."""
+    J, Jp, d, _ = blocks.shape
+    return blocks.transpose(2, 0, 3, 1).reshape(d * J, d * Jp)
+
+
+def unflat(a: np.ndarray, d: int) -> np.ndarray:
+    """The (J, J', d, d) blocks of a (d J, d J') matrix: the inverse of ``flat``."""
+    rows, cols = a.shape
+    return a.reshape(d, rows // d, d, cols // d).transpose(1, 3, 0, 2)
 
 
 def sandwich(left: np.ndarray, y: np.ndarray, right: np.ndarray) -> np.ndarray:

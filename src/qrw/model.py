@@ -20,10 +20,11 @@ else is derived from R:
 ``semigroup`` is the only caller of ``scipy.linalg.expm`` and imports it when
 called, so loading qrw, and running a walk or an oracle, needs numpy alone.
 
-Operators on system (x) (C + noise) are handled as ``BlockOperator``:
-a (1+m) x (1+m) array of d x d blocks, block index 0 being the vacuum
-direction.  The equivalent flat matrix uses the global left-factor-major
-flattening (system index slow): flat[a(1+m)+j, b(1+m)+j'] = blocks[j,j',a,b].
+Operators on system (x) (C + noise) are plain (1+m, 1+m, d, d) block arrays,
+block index 0 being the vacuum direction; ``linalg.flat`` gives the matrix,
+system index slow: flat[a(1+m)+j, b(1+m)+j'] = blocks[j,j',a,b].  ``PARTS``
+names the four block regions of the basic-operator kinds 1-4, and ``flat`` of
+a region is its map-form part, with the noise flattening row a*m + i.
 
 ``GkslModel.beta_corruption`` is a test hook: a nonzero value perturbs the
 vacuum block of beta(h) so that negative-control validation runs fail.  Only
@@ -37,11 +38,11 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .linalg import (apply_table, as_matrix, as_vector, dagger, op_norm, unit_table,
-                     vacuum_superoperator)
+from .linalg import (apply_table, as_matrix, as_vector, dagger, flat, op_norm, unflat,
+                     unit_table, vacuum_superoperator)
 
 __all__ = [
-    "BlockOperator",
+    "PARTS",
     "DefectReport",
     "GkslModel",
     "StepKernel",
@@ -58,81 +59,13 @@ __all__ = [
     "structure_factors",
     "structure_maps",
     "trig_estimates",
-    "u_h",
 ]
 
-# Scaling exponents of the four block parts: vacuum, annihilation row,
-# creation column, conservation interior.
+# The four block regions, in the order of the basic-operator kinds 1-4:
+# vacuum, annihilation row, creation column, conservation interior.
+PARTS = (np.s_[:1, :1], np.s_[:1, 1:], np.s_[1:, :1], np.s_[1:, 1:])
+# Scaling exponents of the four block parts, in ``PARTS`` order.
 BLOCK_EXPONENTS = (1.0, 0.5, 0.5, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockOperator:
-    """Operator on system (x) (C + noise) addressed by (1+m)^2 blocks of d x d."""
-
-    d: int
-    m: int
-    blocks: np.ndarray  # shape (1+m, 1+m, d, d)
-
-    def __post_init__(self):
-        want = (1 + self.m, 1 + self.m, self.d, self.d)
-        if self.blocks.shape != want:
-            raise ValueError(f"blocks shape {self.blocks.shape}, expected {want}")
-
-    @classmethod
-    def from_parts(cls, vacuum, annihilation, creation, conservation) -> "BlockOperator":
-        """Assemble from map-form parts, in the order of ``parts()``.
-
-        vacuum: d x d, annihilation: d x (dm), creation: (dm) x d,
-        conservation: (dm) x (dm), with the noise-channel flattening
-        row a*m + i.
-        """
-        vacuum = as_matrix(vacuum)
-        d = vacuum.shape[0]
-        creation = as_matrix(creation)
-        m = creation.shape[0] // d
-        blocks = np.zeros((1 + m, 1 + m, d, d), dtype=complex)
-        blocks[0, 0] = vacuum
-        blocks[1:, 0] = creation.reshape(d, m, d).transpose(1, 0, 2)
-        blocks[0, 1:] = as_matrix(annihilation).reshape(d, d, m).transpose(2, 0, 1)
-        blocks[1:, 1:] = (
-            as_matrix(conservation).reshape(d, m, d, m).transpose(1, 3, 0, 2)
-        )
-        return cls(d=d, m=m, blocks=blocks)
-
-    @property
-    def flat(self) -> np.ndarray:
-        n = self.d * (1 + self.m)
-        return self.blocks.transpose(2, 0, 3, 1).reshape(n, n)
-
-    # -- map-form accessors -------------------------------------------------
-    @property
-    def vacuum_part(self) -> np.ndarray:
-        return self.blocks[0, 0]
-
-    @property
-    def creation_part(self) -> np.ndarray:
-        """The (i, 0) column as a map system -> system (x) noise, (dm) x d."""
-        return self.blocks[1:, 0].transpose(1, 0, 2).reshape(self.d * self.m, self.d)
-
-    @property
-    def annihilation_part(self) -> np.ndarray:
-        """The (0, i) row as a map system (x) noise -> system, d x (dm)."""
-        return self.blocks[0, 1:].transpose(1, 2, 0).reshape(self.d, self.d * self.m)
-
-    @property
-    def conservation_part(self) -> np.ndarray:
-        dm = self.d * self.m
-        return self.blocks[1:, 1:].transpose(2, 0, 3, 1).reshape(dm, dm)
-
-    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(vacuum, annihilation, creation, conservation): the basic-operator kinds 1-4."""
-        return (
-            self.vacuum_part,
-            self.annihilation_part,
-            self.creation_part,
-            self.conservation_part,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +96,7 @@ class GkslModel:
     @property
     def channels(self) -> np.ndarray:
         """R split by noise channel: array (m, d, d) with R_i = rows a*m + i."""
-        return self.R.reshape(self.d, self.m, self.d).transpose(1, 0, 2)
+        return unflat(self.R, self.d)[:, 0]
 
     @property
     def RdR(self) -> np.ndarray:
@@ -256,29 +189,30 @@ def rate_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def structure_maps(model: GkslModel, x) -> BlockOperator:
+def structure_maps(model: GkslModel, x) -> np.ndarray:
     """Theta(x) = [[L(x), delta_dag(x)], [delta(x), 0]]: ``structure_factors``' unit table at x.
 
-    The conservation entry is identically zero here (trivial representation,
-    no gauge term), but the slot is carried so walk code sees full blocks.
+    Returns (1+m, 1+m, d, d) blocks.  The conservation entry is identically
+    zero here (trivial representation, no gauge term), but the slot is carried
+    so walk code sees full blocks.
     """
     table = unit_table(partial(structure_factors, model), 1 + model.m)
-    return BlockOperator(model.d, model.m, apply_table(table, model.check_x(x)))
+    return apply_table(table, model.check_x(x))
 
 
 def lindblad(model: GkslModel, x) -> np.ndarray:
     """L(x) = R*(x (x) 1)R - (1/2)R*Rx - (1/2)xR*R: the vacuum block of Theta."""
-    return structure_maps(model, x).vacuum_part
+    return structure_maps(model, x)[0, 0]
 
 
 def delta(model: GkslModel, x) -> np.ndarray:
     """delta(x) = (x (x) 1)R - Rx, system -> system (x) noise: the creation column of Theta."""
-    return structure_maps(model, x).creation_part
+    return flat(structure_maps(model, x)[PARTS[2]])
 
 
 def delta_dag(model: GkslModel, x) -> np.ndarray:
     """delta_dag(x) = (delta(x*))* = R*(x (x) 1) - xR*: the annihilation row of Theta."""
-    return structure_maps(model, x).annihilation_part
+    return flat(structure_maps(model, x)[PARTS[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +243,27 @@ def _trig_parts(model: GkslModel, h: float) -> tuple[np.ndarray, np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class StepKernel:
-    """The step unitary U(h) = exp(sqrt(h) [[0, -R*], [R, 0]]) in block form.
+    """The step unitary U(h) = exp(sqrt(h) [[0, -R*], [R, 0]]), U as (1+m, 1+m, d, d) blocks.
 
     With C = cos(sqrt(h)|R|), C' = cos(sqrt(h)|R*|) and D = sinc(sqrt(h)|R|),
-    its parts are vacuum C, creation sqrt(h) R D, annihilation -sqrt(h) D R*
-    and conservation C' (``_trig_parts``).  Every part is carried on the |R|
-    side, so a build reads ``model.spectrum``, the one ``eigh`` pair of R*R,
-    and decomposes nothing.  ``table``, the blocks of beta(h, .), is built at
-    its first use.
+    its parts, in ``PARTS`` order, are vacuum C, annihilation -sqrt(h) D R*,
+    creation sqrt(h) R D and conservation C' (``_trig_parts``), each written
+    into its block region by ``linalg.unflat``.  Every part is carried on the
+    |R| side, so a build reads ``model.spectrum``, the one ``eigh`` pair of
+    R*R, and decomposes nothing.  ``table``, the blocks of beta(h, .), is
+    built at its first use.
     """
 
     model: GkslModel
-    U: BlockOperator
+    U: np.ndarray
 
     @classmethod
     def build(cls, model: GkslModel, h: float) -> "StepKernel":
         cos_sys, sinc_sys, cos_env = _trig_parts(model, h)
         rd = np.sqrt(h) * (model.R @ sinc_sys)
-        U = BlockOperator.from_parts(
-            vacuum=cos_sys, creation=rd, annihilation=-dagger(rd), conservation=cos_env
-        )
+        U = np.empty((1 + model.m, 1 + model.m, model.d, model.d), dtype=complex)
+        for part, value in zip(PARTS, (cos_sys, -dagger(rd), rd, cos_env)):
+            U[part] = unflat(value, model.d)
         return cls(model=model, U=U)
 
     @cached_property
@@ -355,7 +290,7 @@ def beta_factors(kernel: StepKernel):
     ran 34-56% slower.
     """
     d, m, c = kernel.model.d, kernel.model.m, kernel.model.beta_corruption
-    U = kernel.U.blocks  # [l, j, a, b]
+    U = kernel.U  # [l, j, a, b]
     cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
     rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
     eye = np.eye(d)
@@ -398,22 +333,15 @@ def step_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np
     return apply_table(legs.reshape(table.shape[1:]), ys)
 
 
-def u_h(model: GkslModel, h: float) -> BlockOperator:
-    """The step unitary U(h) in block form."""
-    return StepKernel.build(model, h).U
-
-
-def beta(model: GkslModel, x, h: float) -> BlockOperator:
-    """beta(h, x) = U(h)* (x (x) 1) U(h) in block form."""
+def beta(model: GkslModel, x, h: float) -> np.ndarray:
+    """beta(h, x) = U(h)* (x (x) 1) U(h) as (1+m, 1+m, d, d) blocks."""
     x = model.check_x(x)
-    kernel = StepKernel.build(model, h)
-    return BlockOperator(model.d, model.m, beta_blocks(kernel, x))
+    return beta_blocks(StepKernel.build(model, h), x)
 
 
-def ampliation(model: GkslModel, x) -> BlockOperator:
-    """b(x) = x (x) 1 on system (x) (C + noise)."""
-    x = model.check_x(x)
-    return BlockOperator(model.d, model.m, np.multiply.outer(np.eye(1 + model.m), x))
+def ampliation(model: GkslModel, x) -> np.ndarray:
+    """b(x) = x (x) 1 on system (x) (C + noise), as (1+m, 1+m, d, d) blocks."""
+    return np.multiply.outer(np.eye(1 + model.m), model.check_x(x))
 
 
 def trig_estimates(model: GkslModel, h: float) -> dict[str, tuple[float, float]]:
@@ -465,30 +393,27 @@ class DefectReport:
         return all(r <= b + 1e-13 for r, b in zip(self.raw, self.bounds))
 
 
-def defect(model: GkslModel, x, h: float) -> tuple[BlockOperator, DefectReport]:
-    """E(h, x): blocks h^-(1+eps) (beta - b - h^eps Theta), plus a bound report."""
+def defect(model: GkslModel, x, h: float) -> tuple[np.ndarray, DefectReport]:
+    """E(h, x): blocks h^-(1+eps) (beta - b - h^eps Theta), eps per part, plus a bound report."""
     x = model.check_x(x)
     if h <= 0:
         raise ValueError("defect needs h > 0")
-    bet = beta(model, x, h)
-    amp = ampliation(model, x)
+    raw = beta(model, x, h) - ampliation(model, x)
     th = structure_maps(model, x)
-    raw_parts = []
-    scaled_parts = []
-    for (bp, ap, tp, eps) in zip(bet.parts(), amp.parts(), th.parts(), BLOCK_EXPONENTS):
-        raw = bp - ap - (h**eps) * tp
-        raw_parts.append(raw)
-        scaled_parts.append(raw / h ** (1.0 + eps))
+    scaled = np.empty_like(raw)
+    for part, eps in zip(PARTS, BLOCK_EXPONENTS):
+        raw[part] -= (h**eps) * th[part]
+        scaled[part] = raw[part] / h ** (1.0 + eps)
     x_norm = op_norm(x)
     M = model.defect_constant
     report = DefectReport(
         h=h,
         x_norm=x_norm,
         constant=M,
-        raw=tuple(op_norm(p) for p in raw_parts),
+        raw=tuple(op_norm(flat(raw[part])) for part in PARTS),
         bounds=tuple(M * x_norm * h ** (1.0 + eps) for eps in BLOCK_EXPONENTS),
     )
-    return BlockOperator.from_parts(*scaled_parts), report
+    return scaled, report
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .fock import (
     slot_exp_data,
 )
 from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import CHUNK, dagger, op_norm, power_runs, step_maps
+from .linalg import CHUNK, dagger, flat, op_norm, power_runs, step_maps
 from .model import GkslModel, StepKernel, beta_blocks, beta_factors, step_leg_outputs
 
 __all__ = [
@@ -110,8 +110,7 @@ def walk_dense_operator(model: GkslModel, x, h: float, n: int) -> np.ndarray:
         M = T.shape[0]
         B = beta_blocks(kernel, T)  # (M, M, 1+m, 1+m, d, d)
         T = B.transpose(2, 0, 3, 1, 4, 5).reshape(M * (1 + m), M * (1 + m), d, d)
-    M = T.shape[0]
-    return np.ascontiguousarray(T.transpose(2, 0, 3, 1).reshape(d * M, d * M))
+    return flat(T)
 
 
 def defect_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
@@ -327,8 +326,7 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     value_sq = float(np.vdot(Fterm, Fterm).real)
 
     t = n * h
-    c_f = f.slope_constant()
-    sup = f.sup_norm()
+    sup, c_f = f.constants()
     exp_norm = float(np.exp(0.5 * f.l2_norm_sq(f.breakpoints[0], f.breakpoints[-1])))
     c_ft = 2.0 * t * (c_f + sup) * exp_norm
     x_norm = op_norm(x)

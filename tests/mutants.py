@@ -88,6 +88,18 @@ MUTANTS = [
      "    c_ft = 2.0 * t * (c_f + sup) * exp_norm\n",
      "    c_ft = 20.0 * t * (c_f + sup) * exp_norm\n",
      "tests/test_walk.py::TestFTerm::test_bound_is_within_reach"),
+    ("linalg.py",  # flat with the slot index slow
+     "blocks.transpose(2, 0, 3, 1)",
+     "blocks.transpose(0, 2, 1, 3)",
+     "tests/test_model.py::TestFlat::test_flat_matches_kron_convention"),
+    ("linalg.py",  # unflat with its two block axes swapped
+     "transpose(1, 3, 0, 2)",
+     "transpose(3, 1, 0, 2)",
+     "tests/test_model.py::TestFlat::test_flat_block_round_trip_exact"),
+    ("model.py",  # U(h) with +sqrt(h) D R* as its annihilation part
+     "-dagger(rd)",
+     "+dagger(rd)",
+     "tests/test_model.py::TestUnitaryStep::test_unitarity_and_exponential_agreement"),
 ]
 
 

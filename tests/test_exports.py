@@ -2,8 +2,9 @@
 walk, beta is written in model alone, only linalg builds superoperators, the walk
 forms no map itself, no code but ``GkslModel.spectrum`` calls an eigensolver or an
 SVD, fock builds its ladder operators without sorting or searching and reads f on
-a slot in ``_slot_exp`` alone, no module imports a name it never reads, and qrw
-loads and runs a convergence study on numpy alone (``cold_run.py``)."""
+a slot in ``_slot_exp`` alone, ``linalg.flat`` is the one flattening of block
+arrays, no module imports a name it never reads, and qrw loads and runs a
+convergence study on numpy alone (``cold_run.py``)."""
 
 import ast
 import importlib
@@ -45,15 +46,16 @@ def test_oracle_does_not_import_walk():
 
 
 def test_beta_is_written_in_model_only():
-    # beta's factor form is model.beta_factors: the walk and the oracle only step it.
+    # beta's factor form is model.beta_factors: the walk and the oracle only step
+    # it, and the walk reads beta through beta_factors, beta_blocks and
+    # step_leg_outputs alone, never through a kernel's U.
     src = Path(__file__).resolve().parents[1] / "src" / "qrw"
     trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
     readers = {name for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "beta_corruption"}
     assert readers <= {"model.py"}
     assert not [node for node in ast.walk(trees["walk.py"])
-                if isinstance(node, ast.Attribute) and node.attr == "blocks"
-                and isinstance(node.value, ast.Attribute) and node.value.attr == "U"]
+                if isinstance(node, ast.Attribute) and node.attr == "U"]
     private = [alias.name for node in ast.walk(trees["oracle.py"])
                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("model")
                for alias in node.names if alias.name.startswith("_")]
@@ -85,16 +87,19 @@ def test_walk_forms_no_map_itself():
     assert not names & {"sandwich", "superoperator", "transfer_matrices", "apply_table"}
 
 
-def _callers(tree: ast.AST, name: str, scope: str = "") -> set[str]:
-    """The dotted scopes (class and function names) of every call of ``name`` in a tree."""
+def _callers(tree: ast.AST, name: str, scope: str = "", args: tuple | None = None) -> set[str]:
+    """The dotted scopes (class and function names) of every call of ``name`` in a tree,
+    only of those whose positional arguments are the constants ``args`` if given."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            found |= _callers(node, name, f"{scope}.{node.name}".lstrip("."))
+            found |= _callers(node, name, f"{scope}.{node.name}".lstrip("."), args)
             continue
-        if isinstance(node, ast.Call) and name in {getattr(node.func, a, None) for a in ("id", "attr")}:
+        called = isinstance(node, ast.Call) and name in {getattr(node.func, a, None)
+                                                         for a in ("id", "attr")}
+        if called and (args is None or tuple(getattr(a, "value", None) for a in node.args) == args):
             found.add(scope)
-        found |= _callers(node, name, scope)
+        found |= _callers(node, name, scope, args)
     return found
 
 
@@ -124,6 +129,15 @@ def test_one_reader_of_a_slot():
     callers = {f"{path.stem}.{scope}" for path in src.glob("*.py")
                for scope in _callers(ast.parse(path.read_text()), "cell_averages")}
     assert callers == {"fock._slot_exp"}
+
+
+def test_one_flattening():
+    # A block array becomes its matrix through linalg.flat alone, so no second
+    # spelling of the system-slow flattening can drift from it.
+    src = Path(__file__).resolve().parents[1] / "src" / "qrw"
+    callers = {f"{path.stem}.{scope}" for path in src.glob("*.py")
+               for scope in _callers(ast.parse(path.read_text()), "transpose", args=(2, 0, 3, 1))}
+    assert callers == {"linalg.flat"}
 
 
 def _unused_imports(path: Path) -> list[str]:

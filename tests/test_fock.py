@@ -33,7 +33,6 @@ from qrw.fock import (
     LemmaResult,
     NormDiffResult,
     _channel_ops,
-    _coeff_channels,
     _complement_gram,
     _inner,
     _insertion_tables,
@@ -347,15 +346,18 @@ class TestProjection:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 3), st.integers(1, 6), st.integers(1, 5),
-        st.floats(0.02, 0.5), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
+        st.floats(0.02, 0.5), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
         st.integers(0, 2**32 - 1),
     )
-    def test_slot_exp_data_matches_fock_vector(self, m, G, N, h, sup, where, seed):
+    def test_slot_exp_data_matches_fock_vector(self, m, G, N, h, reach, where, seed):
         # The one-particle algebra against the D-vector: exp_vector, its slot
-        # coordinates, and ||e - P_h e||^2.
+        # coordinates, and ||e - P_h e||^2.  sup|f| is the fraction ``reach`` of
+        # the largest sup whose tail bound nsq^(N+1) e^nsq / (N+1)! stays under
+        # TAIL_LIMIT at nsq = ||f||^2 <= h sup^2 <= 1, so every draw is checked.
         space = IntervalSpace(m=m, G=G, N=N, h=h)
         start = where * (1.0 - h)
-        f = _rand_function(np.random.default_rng(seed), m, 1.0, sup=sup)
+        nsq_max = (math.factorial(N + 1) * TAIL_LIMIT / np.e) ** (1 / (N + 1))
+        f = _rand_function(np.random.default_rng(seed), m, 1.0, sup=reach * np.sqrt(nsq_max / h))
         cells = f.cell_averages(start, start + h, G)
         assume(exp_tail_bound(space, cells) <= TAIL_LIMIT)
         hat, q_sq, tail = slot_exp_data(space, f, start)
@@ -414,7 +416,7 @@ def _reference_fundamental(space, l, coeff, v):
     if l == 4:
         T4 = coeff.reshape(d, m, d, m)
         return sum(T4[:, i, :, j] @ (hop[i][j] @ v.T).T for i in range(m) for j in range(m))
-    R = _coeff_channels(coeff, d, m)
+    R = coeff.reshape(d, m, d).transpose(1, 0, 2)  # R_i = rows a*m + i
     if l == 2:
         return rh * sum(dagger(R[i]) @ (create[i].conj().T @ v.T).T for i in range(m))
     return rh * sum(R[i] @ (create[i] @ v.T).T for i in range(m))

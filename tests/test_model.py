@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qrw.linalg import CHUNK, dagger, op_norm
+from qrw.linalg import CHUNK, dagger, flat, op_norm, unflat
 from qrw.model import (
-    BlockOperator,
+    PARTS,
     GkslModel,
     StepKernel,
     ampliation,
@@ -29,7 +29,6 @@ from qrw.model import (
     step_leg_outputs,
     structure_maps,
     trig_estimates,
-    u_h,
 )
 from qrw.oracle import weak_generator
 
@@ -53,39 +52,52 @@ def _sample_models(seed=2024, count=50, max_d=4, max_m=3, max_norm=2.0):
     return models
 
 
-class TestBlockOperator:
+def _from_parts(vacuum, annihilation, creation, conservation):
+    """The (1+m, 1+m, d, d) blocks whose map-form parts, ``flat`` of ``PARTS``, are these."""
+    d = len(vacuum)
+    m = len(creation) // d
+    blocks = np.zeros((1 + m, 1 + m, d, d), dtype=complex)
+    for part, value in zip(PARTS, (vacuum, annihilation, creation, conservation)):
+        blocks[part] = unflat(value, d)
+    return blocks
+
+
+def _parts(blocks):
+    """(vacuum, annihilation, creation, conservation): ``flat`` of each of ``PARTS``."""
+    return [flat(blocks[part]) for part in PARTS]
+
+
+class TestFlat:
     def test_flat_block_round_trip_exact(self):
         rng = np.random.default_rng(0)
         d, m = 3, 2
         blocks = rng.standard_normal((1 + m, 1 + m, d, d)) + 1j * rng.standard_normal(
             (1 + m, 1 + m, d, d)
         )
-        op = BlockOperator(d=d, m=m, blocks=blocks)
         # flat[a(1+m)+j, b(1+m)+j'] = blocks[j, j', a, b]
-        back = op.flat.reshape(d, 1 + m, d, 1 + m).transpose(1, 3, 0, 2)
+        back = flat(blocks).reshape(d, 1 + m, d, 1 + m).transpose(1, 3, 0, 2)
         assert np.array_equal(back, blocks)
+        assert np.array_equal(unflat(flat(blocks), d), blocks)
 
     def test_parts_round_trip_exact(self):
+        # The map-form parts carry the noise flattening: system a, channel i
+        # at row (or column) a*m + i.
         rng = np.random.default_rng(1)
         d, m = 2, 3
-        dm = d * m
-        vac = rng.standard_normal((d, d)) + 0j
-        cre = rng.standard_normal((dm, d)) + 0j
-        ann = rng.standard_normal((d, dm)) + 0j
-        con = rng.standard_normal((dm, dm)) + 0j
-        op = BlockOperator.from_parts(vac, ann, cre, con)
-        assert np.array_equal(op.vacuum_part, vac)
-        assert np.array_equal(op.creation_part, cre)
-        assert np.array_equal(op.annihilation_part, ann)
-        assert np.array_equal(op.conservation_part, con)
-        # parts() returns the order from_parts takes.
-        assert np.array_equal(BlockOperator.from_parts(*op.parts()).blocks, op.blocks)
+        blocks = rng.standard_normal((1 + m, 1 + m, d, d)) + 0j
+        vac, ann, cre, con = _parts(blocks)
+        assert np.array_equal(vac, blocks[0, 0])
+        assert np.array_equal(ann.reshape(d, d, m).transpose(2, 0, 1), blocks[0, 1:])
+        assert np.array_equal(cre.reshape(d, m, d).transpose(1, 0, 2), blocks[1:, 0])
+        assert np.array_equal(con.reshape(d, m, d, m).transpose(1, 3, 0, 2), blocks[1:, 1:])
+        # _from_parts takes the parts in PARTS order.
+        assert np.array_equal(_from_parts(vac, ann, cre, con), blocks)
 
     def test_flat_matches_kron_convention(self):
         # b(x) = x (x) 1 must flatten to np.kron(x, eye(1+m)).
         model = amplitude_damping(1.0)
         x = SIGMA_X
-        assert_allclose(ampliation(model, x).flat, np.kron(x, np.eye(2)), atol=0)
+        assert_allclose(flat(ampliation(model, x)), np.kron(x, np.eye(2)), atol=0)
 
 
 class TestRandomModel:
@@ -134,25 +146,25 @@ class TestLindblad:
 class TestStructureMaps:
     def test_identity_gives_zero(self):
         model = amplitude_damping(1.0)
-        assert op_norm(structure_maps(model, np.eye(2)).flat) <= 1e-13
+        assert op_norm(flat(structure_maps(model, np.eye(2)))) <= 1e-13
 
     def test_zero_noise(self):
         model = GkslModel(d=2, m=1, R=np.zeros((2, 2)))
-        assert op_norm(structure_maps(model, SIGMA_X).flat) == 0.0
+        assert op_norm(flat(structure_maps(model, SIGMA_X))) == 0.0
 
     def test_amplitude_damping_blocks(self):
         # delta(x) = (x (x) 1)R - Rx = -|0><1| for x = |1><1|, R = |0><1|.
         model = amplitude_damping(1.0)
-        th = structure_maps(model, P1)
-        assert_allclose(th.creation_part, -LOWER, atol=1e-14)
-        assert_allclose(th.vacuum_part, -P1, atol=1e-14)
+        vacuum, _, creation, _ = _parts(structure_maps(model, P1))
+        assert_allclose(creation, -LOWER, atol=1e-14)
+        assert_allclose(vacuum, -P1, atol=1e-14)
 
     def test_self_adjointness_relation(self):
         rng = np.random.default_rng(11)
         for model in _sample_models(count=6):
             x = _rand_x(rng, model.d)
-            lhs = structure_maps(model, dagger(x)).flat
-            rhs = dagger(structure_maps(model, x).flat)
+            lhs = flat(structure_maps(model, dagger(x)))
+            rhs = dagger(flat(structure_maps(model, x)))
             assert op_norm(lhs - rhs) <= 1e-12 * max(1.0, op_norm(lhs))
 
 
@@ -162,7 +174,7 @@ def _reference_structure_maps(model, x):
     R, Rd = model.R, dagger(model.R)
     amp = np.kron(x, np.eye(model.m))
     dm = model.d * model.m
-    return BlockOperator.from_parts(
+    return _from_parts(
         vacuum=Rd @ amp @ R - 0.5 * (model.RdR @ x + x @ model.RdR),
         creation=amp @ R - R @ x,
         annihilation=Rd @ amp - x @ Rd,
@@ -190,8 +202,8 @@ class TestStructureRelations:
         assert op_norm(lhs - rhs) <= 1e-13 * scale
         # delta_dag(x) = delta(x*)* and Theta(x*) = Theta(x)*
         assert op_norm(delta_dag(model, x) - dagger(delta(model, xs))) <= 1e-13 * scale
-        th = structure_maps(model, x).flat
-        assert op_norm(structure_maps(model, xs).flat - dagger(th)) <= 1e-13 * scale
+        th = flat(structure_maps(model, x))
+        assert op_norm(flat(structure_maps(model, xs)) - dagger(th)) <= 1e-13 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -202,14 +214,15 @@ class TestStructureRelations:
         ref = _reference_structure_maps(model, x)
         # Roundoff scale of the terms, not of Theta itself, which may cancel.
         scale = max(1.0, (model.norm_R + model.norm_R**2) * op_norm(x))
-        assert op_norm(structure_maps(model, x).flat - ref.flat) <= 1e-15 * scale
-        assert op_norm(lindblad(model, x) - ref.vacuum_part) <= 1e-15 * scale
-        assert op_norm(delta(model, x) - ref.creation_part) <= 1e-15 * scale
-        assert op_norm(delta_dag(model, x) - ref.annihilation_part) <= 1e-15 * scale
+        assert op_norm(flat(structure_maps(model, x)) - flat(ref)) <= 1e-15 * scale
+        vacuum, annihilation, creation, _ = _parts(ref)
+        assert op_norm(lindblad(model, x) - vacuum) <= 1e-15 * scale
+        assert op_norm(delta(model, x) - creation) <= 1e-15 * scale
+        assert op_norm(delta_dag(model, x) - annihilation) <= 1e-15 * scale
         gv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         fv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         ghat, fhat = np.append(1.0, gv), np.append(1.0, fv)
-        want = np.einsum("j,k,jkab->ab", ghat.conj(), fhat, ref.blocks)
+        want = np.einsum("j,k,jkab->ab", ghat.conj(), fhat, ref)
         got = weak_generator(model, x, gv, fv)
         hats = np.linalg.norm(ghat) * np.linalg.norm(fhat)
         assert op_norm(got - want) <= 1e-15 * hats * scale
@@ -226,20 +239,21 @@ class TestThetaH:
     def test_h_one_matches_structure_maps(self):
         model = amplitude_damping(1.0)
         e_op, _ = defect(model, SIGMA_X, 1.0)
-        theta = beta(model, SIGMA_X, 1.0).flat - ampliation(model, SIGMA_X).flat - e_op.flat
-        assert_allclose(theta, structure_maps(model, SIGMA_X).flat, atol=0)
+        theta = flat(beta(model, SIGMA_X, 1.0)) - flat(ampliation(model, SIGMA_X)) - flat(e_op)
+        assert_allclose(theta, flat(structure_maps(model, SIGMA_X)), atol=0)
 
     def test_sqrt_scaling(self):
         model = amplitude_damping(1.0)
         h = 0.04
-        th = structure_maps(model, SIGMA_X)
+        th = _parts(structure_maps(model, SIGMA_X))
         e_op, _ = defect(model, SIGMA_X, h)
-        bet, amp = beta(model, SIGMA_X, h), ampliation(model, SIGMA_X)
+        bet, amp, e_op = (_parts(X) for X in (beta(model, SIGMA_X, h),
+                                              ampliation(model, SIGMA_X), e_op))
         # Undo E's h^-(1+eps): h^2 on the vacuum part, h^(3/2) on the others.
-        creation = bet.creation_part - amp.creation_part - h**1.5 * e_op.creation_part
-        vacuum = bet.vacuum_part - amp.vacuum_part - h**2 * e_op.vacuum_part
-        assert_allclose(creation, 0.2 * th.creation_part, atol=1e-15)
-        assert_allclose(vacuum, 0.04 * th.vacuum_part, atol=1e-15)
+        creation = bet[2] - amp[2] - h**1.5 * e_op[2]
+        vacuum = bet[0] - amp[0] - h**2 * e_op[0]
+        assert_allclose(creation, 0.2 * th[2], atol=1e-15)
+        assert_allclose(vacuum, 0.04 * th[0], atol=1e-15)
 
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
@@ -249,12 +263,12 @@ class TestThetaH:
 class TestUnitaryStep:
     def test_zero_noise_identity(self):
         model = GkslModel(d=2, m=2, R=np.zeros((4, 2)))
-        assert_allclose(u_h(model, 0.5).flat, np.eye(6), atol=1e-14)
+        assert_allclose(flat(StepKernel.build(model, 0.5).U), np.eye(6), atol=1e-14)
 
     def test_scalar_closed_form(self):
         # d = m = 1, R = [r]: a plane rotation by sqrt(h) r.
         model = GkslModel(d=1, m=1, R=np.array([[1.0]]))
-        U = u_h(model, 0.25).flat
+        U = flat(StepKernel.build(model, 0.25).U)
         want = np.array([[0.87758, -0.47943], [0.47943, 0.87758]])
         assert_allclose(U, want, atol=1e-5)
 
@@ -262,27 +276,27 @@ class TestUnitaryStep:
         rng = np.random.default_rng(13)
         model = random_model(rng, 3, 2, 1.7)
         h = 1e-8
-        rtilde = BlockOperator.from_parts(
+        rtilde = flat(_from_parts(
             vacuum=np.zeros((3, 3)),
             creation=model.R,
             annihilation=-dagger(model.R),
             conservation=np.zeros((6, 6)),
-        ).flat
-        gap = op_norm(u_h(model, h).flat - np.eye(9) - np.sqrt(h) * rtilde)
+        ))
+        gap = op_norm(flat(StepKernel.build(model, h).U) - np.eye(9) - np.sqrt(h) * rtilde)
         assert gap <= h * model.norm_R**2
 
     @pytest.mark.parametrize("h", [1.0, 0.1, 0.01, 1e-4])
     def test_unitarity_and_exponential_agreement(self, h):
         for model in _sample_models(count=12):
-            U = u_h(model, h).flat
+            U = flat(StepKernel.build(model, h).U)
             n = model.d * (1 + model.m)
             assert op_norm(dagger(U) @ U - np.eye(n)) <= 1e-10
-            rtilde = BlockOperator.from_parts(
+            rtilde = flat(_from_parts(
                 vacuum=np.zeros((model.d, model.d)),
                 creation=model.R,
                 annihilation=-dagger(model.R),
                 conservation=np.zeros((model.d * model.m, model.d * model.m)),
-            ).flat
+            ))
             assert op_norm(U - expm(np.sqrt(h) * rtilde)) <= 1e-9
 
     @pytest.mark.parametrize("h", [1.0, 0.1, 0.01, 1e-4])
@@ -295,37 +309,35 @@ class TestUnitaryStep:
 class TestBeta:
     def test_unital(self):
         model = amplitude_damping(0.7)
-        assert_allclose(beta(model, np.eye(2), 0.3).flat, np.eye(4), atol=1e-12)
+        assert_allclose(flat(beta(model, np.eye(2), 0.3)), np.eye(4), atol=1e-12)
 
     def test_zero_noise(self):
         model = GkslModel(d=2, m=1, R=np.zeros((2, 2)))
-        assert_allclose(beta(model, SIGMA_X, 0.5).flat, np.kron(SIGMA_X, np.eye(2)), atol=1e-14)
+        assert_allclose(flat(beta(model, SIGMA_X, 0.5)), np.kron(SIGMA_X, np.eye(2)), atol=1e-14)
 
     def test_scalar_observable_commutes(self):
         rng = np.random.default_rng(17)
         model = random_model(rng, 1, 2, 1.3)
         x = np.array([[0.4 - 2.2j]])
-        assert_allclose(beta(model, x, 0.7).flat, x[0, 0] * np.eye(3), atol=1e-12)
+        assert_allclose(flat(beta(model, x, 0.7)), x[0, 0] * np.eye(3), atol=1e-12)
 
     def test_closed_form_matches_conjugation(self):
         rng = np.random.default_rng(19)
         for model in _sample_models(count=10):
             for h in (1.0, 0.05, 1e-3):
                 x = _rand_x(rng, model.d)
-                U = u_h(model, h).flat
+                U = flat(StepKernel.build(model, h).U)
                 direct = dagger(U) @ np.kron(x, np.eye(1 + model.m)) @ U
-                assert op_norm(beta(model, x, h).flat - direct) <= 1e-10
+                assert op_norm(flat(beta(model, x, h)) - direct) <= 1e-10
 
     def test_star_homomorphism(self):
         rng = np.random.default_rng(23)
         for model in _sample_models(count=10):
             h = float(rng.choice([1.0, 0.2, 0.01]))
             x, y = _rand_x(rng, model.d), _rand_x(rng, model.d)
-            bx = beta(model, x, h).flat
-            by = beta(model, y, h).flat
-            bxy = beta(model, x @ y, h).flat
+            bx, by, bxy = (flat(beta(model, z, h)) for z in (x, y, x @ y))
             assert op_norm(bxy - bx @ by) <= 1e-10
-            assert op_norm(beta(model, dagger(x), h).flat - dagger(bx)) <= 1e-10
+            assert op_norm(flat(beta(model, dagger(x), h)) - dagger(bx)) <= 1e-10
 
     def test_block_relations(self):
         # The five block-level identities equivalent to beta being a
@@ -334,32 +346,17 @@ class TestBeta:
         for model in _sample_models(count=8):
             h = float(rng.choice([0.5, 0.04]))
             x, y = _rand_x(rng, model.d), _rand_x(rng, model.d)
-            bx, by, bxy = (beta(model, z, h) for z in (x, y, x @ y))
-            bxs = beta(model, dagger(x), h)
+            # The (vacuum, annihilation, creation, conservation) parts of each.
+            (vx, ax, cx, kx), (vy, ay, cy, ky), (vxy, axy, cxy, kxy), (vs, _, cs, ks) = (
+                _parts(beta(model, z, h)) for z in (x, y, x @ y, dagger(x)))
             res = [
-                op_norm(bxs.vacuum_part - dagger(bx.vacuum_part)),
-                op_norm(bxs.conservation_part - dagger(bx.conservation_part)),
-                op_norm(bxs.creation_part - dagger(bx.annihilation_part)),
-                op_norm(
-                    bxy.vacuum_part
-                    - bx.vacuum_part @ by.vacuum_part
-                    - bx.annihilation_part @ by.creation_part
-                ),
-                op_norm(
-                    bxy.annihilation_part
-                    - bx.vacuum_part @ by.annihilation_part
-                    - bx.annihilation_part @ by.conservation_part
-                ),
-                op_norm(
-                    bxy.creation_part
-                    - bx.creation_part @ by.vacuum_part
-                    - bx.conservation_part @ by.creation_part
-                ),
-                op_norm(
-                    bxy.conservation_part
-                    - bx.creation_part @ by.annihilation_part
-                    - bx.conservation_part @ by.conservation_part
-                ),
+                op_norm(vs - dagger(vx)),
+                op_norm(ks - dagger(kx)),
+                op_norm(cs - dagger(ax)),
+                op_norm(vxy - vx @ vy - ax @ cy),
+                op_norm(axy - vx @ ay - ax @ ky),
+                op_norm(cxy - cx @ vy - kx @ cy),
+                op_norm(kxy - cx @ ay - kx @ ky),
             ]
             assert max(res) <= 1e-10
 
@@ -367,7 +364,7 @@ class TestBeta:
         rng = np.random.default_rng(31)
         for model in _sample_models(count=8):
             x = _rand_x(rng, model.d)
-            assert op_norm(beta(model, x, 0.3).flat) <= op_norm(x) * (1 + 1e-9)
+            assert op_norm(flat(beta(model, x, 0.3))) <= op_norm(x) * (1 + 1e-9)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -389,17 +386,17 @@ class TestBeta:
         bx, by = beta_blocks(kernel, xs), beta_blocks(kernel, ys)
         bxy = beta_blocks(kernel, xs @ ys)
         bxs = beta_blocks(kernel, xs.conj().transpose(0, 2, 1))
-        U = kernel.U.flat
+        U = flat(kernel.U)
         for i, (x, y) in enumerate(zip(xs, ys)):
             tol = 1e-10 * op_norm(x)
             direct = dagger(U) @ np.kron(x, np.eye(1 + m)) @ U
-            assert op_norm(BlockOperator(d, m, bx[i]).flat - direct) <= tol
+            assert op_norm(flat(bx[i]) - direct) <= tol
             product = np.einsum("jkab,klbc->jlac", bx[i], by[i])
-            assert op_norm(BlockOperator(d, m, bxy[i] - product).flat) <= tol * op_norm(y)
+            assert op_norm(flat(bxy[i] - product)) <= tol * op_norm(y)
             adjoint = bx[i].conj().transpose(1, 0, 3, 2)
-            assert op_norm(BlockOperator(d, m, bxs[i] - adjoint).flat) <= tol
+            assert op_norm(flat(bxs[i] - adjoint)) <= tol
         one = beta_blocks(kernel, np.eye(d))
-        assert op_norm(BlockOperator(d, m, one).flat - np.eye(d * (1 + m))) <= 1e-10
+        assert op_norm(flat(one) - np.eye(d * (1 + m))) <= 1e-10
         bad = GkslModel(d=d, m=m, R=model.R, beta_corruption=corruption)
         shift = beta_blocks(StepKernel.build(bad, h), xs) - bx
         moved = np.zeros((1 + m, 1 + m), dtype=bool)
@@ -435,8 +432,8 @@ class TestBeta:
         base = amplitude_damping(1.0)
         bad = GkslModel(d=2, m=1, R=base.R, beta_corruption=1e-6)
         x = SIGMA_X
-        bx = beta(bad, x, 0.1).flat
-        bxx = beta(bad, x @ x, 0.1).flat
+        bx = flat(beta(bad, x, 0.1))
+        bxx = flat(beta(bad, x @ x, 0.1))
         assert op_norm(bxx - bx @ bx) > 1e-8
 
 
@@ -444,7 +441,7 @@ class TestDefect:
     def test_zero_noise_exact(self):
         model = GkslModel(d=2, m=1, R=np.zeros((2, 2)))
         e_op, report = defect(model, SIGMA_X, 0.1)
-        assert op_norm(e_op.flat) == 0.0
+        assert op_norm(flat(e_op)) == 0.0
         assert report.passed
 
     def test_identity_observable(self):
@@ -535,7 +532,7 @@ class TestSemigroup:
 
 
 def _two_eigh_unitary(model, h):
-    """U(h).flat from eigendecompositions of both R*R and R R*: cos and sinc of
+    """flat(U(h)) from eigendecompositions of both R*R and R R*: cos and sinc of
     sqrt(h)|R| on the system side, cos(sqrt(h)|R*|) decomposed on its own."""
     def trig(p):
         w, v = np.linalg.eigh(p)
@@ -548,7 +545,7 @@ def _two_eigh_unitary(model, h):
     cos_sys, sinc_sys = trig(dagger(R) @ R)
     cos_env, _ = trig(R @ dagger(R))
     rd = np.sqrt(h) * (R @ sinc_sys)
-    return BlockOperator.from_parts(cos_sys, -dagger(rd), rd, cos_env).flat
+    return flat(_from_parts(cos_sys, -dagger(rd), rd, cos_env))
 
 
 LADDER_STEPS = [1.0 / n for n in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)]
@@ -566,7 +563,7 @@ class TestStepKernel:
     def test_matches_two_eigendecompositions(self, d, m, norm, h):
         for seed in range(5):
             model = random_model(np.random.default_rng(seed), d, m, norm)
-            got = StepKernel.build(model, h).U.flat
+            got = flat(StepKernel.build(model, h).U)
             assert op_norm(got - _two_eigh_unitary(model, h)) <= 1e-14
 
     def test_one_eigendecomposition_per_model(self):
@@ -592,9 +589,7 @@ class TestStepKernel:
         batched = beta_blocks(kernel, xs)
         for i in range(5):
             single = beta(model, xs[i], 0.2)
-            assert op_norm(
-                BlockOperator(model.d, model.m, batched[i]).flat - single.flat
-            ) <= 1e-13
+            assert op_norm(flat(batched[i]) - flat(single)) <= 1e-13
 
     def test_factors_reuse_their_buffers(self):
         # Each call of one beta_factors closure writes into buffers of its own
@@ -626,7 +621,6 @@ class TestStepKernel:
 @pytest.mark.parametrize("entry, message", [
     ("GkslModel_d", "need d >= 1 and m >= 1"),
     ("GkslModel_R", r"R shape \(3, 2\), expected \(2, 2\)"),
-    ("BlockOperator", r"blocks shape \(2, 2, 2, 3\), expected \(2, 2, 2, 2\)"),
     ("StepKernel.build", "step kernel needs h > 0"),
     ("trig_estimates", "step kernel needs h > 0"),
 ])
@@ -634,7 +628,6 @@ def test_input_checks(entry, message):
     calls = {
         "GkslModel_d": lambda: GkslModel(d=0, m=1, R=np.zeros((0, 0))),
         "GkslModel_R": lambda: GkslModel(d=2, m=1, R=np.zeros((3, 2))),
-        "BlockOperator": lambda: BlockOperator(d=2, m=1, blocks=np.zeros((2, 2, 2, 3))),
         "StepKernel.build": lambda: StepKernel.build(amplitude_damping(1.0), 0.0),
         "trig_estimates": lambda: trig_estimates(amplitude_damping(1.0), -0.1),
     }

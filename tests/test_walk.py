@@ -18,7 +18,7 @@ from qrw.fock import (
     project_Ph,
     projection_deficiency,
 )
-from qrw.linalg import dagger, op_norm, power_runs, step_maps, superoperator
+from qrw.linalg import dagger, flat, op_norm, power_runs, step_maps, superoperator
 from qrw.model import (
     GkslModel,
     StepKernel,
@@ -330,7 +330,7 @@ class TestDenseEngine:
         model = amplitude_damping(0.8)
         assert_allclose(
             walk_dense_operator(model, SIGMA_X, 0.3, 1),
-            beta(model, SIGMA_X, 0.3).flat,
+            flat(beta(model, SIGMA_X, 0.3)),
             atol=1e-13,
         )
 
