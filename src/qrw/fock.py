@@ -32,8 +32,9 @@ operator); ``fundamental_apply`` sums them over (d, dim) arrays.  The lemma
 checks build no Fock vector: each vector they meet is s e_K(a) or
 a_dag(phi) e_K(a), e(a) cut at sector K, whose inner products a one-particle
 algebra (``_inner``) gives from <a, b>, <a, psi>, <phi, b> and <phi, psi>.
-The ladder and hop operators are scipy.sparse matrices built on first use of
-``IntervalSpace.ops``, so only it and ``fundamental_apply`` load scipy.
+No ladder or hop operator is formed as a matrix: ``fundamental_apply`` applies
+each by gathers and scatters on the insertion tables that ``IntervalSpace.ops``
+builds on first use, with numpy alone.
 """
 
 from __future__ import annotations
@@ -156,44 +157,23 @@ def _insertion_tables(basis: _Basis) -> tuple[list, list]:
     return ins, occ
 
 
-def _sparse(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    import scipy.sparse
-
-    return scipy.sparse.csr_matrix(
-        (vals.ravel(), (rows.ravel(), np.broadcast_to(cols, rows.shape).ravel())),
-        shape=(dim, dim), dtype=complex,
-    )
-
-
 @lru_cache(maxsize=4)
-def _channel_ops(m: int, G: int, cutoff: int):
-    """Sparse chi-creation operators and same-cell hop operators.
+def _channel_ops(m: int, G: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion and occupation tables of the cell modes, over the rows below the cutoff.
 
-    ``create[i]`` is a_dag(chi^i) = G^{-1/2} sum_c a_dag(cell c, channel i)
-    as a D x D sparse matrix; ``hop[i][j]`` is the second quantization of the
-    one-particle map (cell c, channel j) -> (cell c, channel i), i.e. the
-    conservation kernel of the channel matrix unit |e_i><e_j|.  Over the rows
-    r below the cutoff and the cells c, with alpha = c m + i and
-    beta = c m + j, create[i] takes r to r + alpha and hop[i][j] takes
-    r + beta to r + alpha, so every entry is a gather from
-    ``_insertion_tables``: O(D G) work.  On i = j the entries at r + beta sum
-    to its channel-j number.
+    ``ins[r, c, i]`` is the flat index of row r with mode alpha = c m + i
+    inserted, and ``occ[r, c, i]`` the occupation of alpha in that row, both
+    (R, G, m) over the R rows r below the cutoff.  They are
+    ``_insertion_tables`` flattened across sectors: O(D G) work.  Every ladder
+    and hop operator is read off them by ``_fock_operator``: a_dag(chi^i)
+    takes r to r + alpha with weight sqrt(occ / G), and the hop j -> i takes
+    r + beta to r + alpha, beta = c m + j, with weight sqrt(occ_i occ_j).
     """
     basis = _sector_basis(G * m, cutoff)
     ins, occ = _insertion_tables(basis)
-    # Mode c m + i at [r, c, i], as flat int32 indices: scipy's own index type
-    # below the bound ``_sector_basis`` checks, so no matrix converts them.
     ins = np.concatenate([basis.offsets[n + 1] + t for n, t in enumerate(ins)])
-    ins = ins.astype(np.int32).reshape(-1, G, m)
-    occ = (np.concatenate(occ) + 1).reshape(-1, G, m)  # occupation of a in r + a
-    root = np.sqrt(occ)
-    below = np.arange(len(ins), dtype=np.int32)[:, None]
-    weight = 1.0 / np.sqrt(G)
-    create = [_sparse(basis.dim, ins[..., i], below, weight * root[..., i]) for i in range(m)]
-    hop = [[_sparse(basis.dim, ins[..., i], ins[..., j],
-                    occ[..., j].astype(float) if i == j else root[..., j] * root[..., i])
-            for j in range(m)] for i in range(m)]
-    return create, hop
+    occ = np.concatenate(occ) + 1  # occupation of a in r + a
+    return ins.astype(np.int32).reshape(-1, G, m), occ.reshape(-1, G, m)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +211,8 @@ class IntervalSpace:
         return slice(offsets[n], offsets[n + 1])
 
     @property
-    def ops(self):
+    def ops(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (ins, occ) tables of ``_channel_ops``, cached per (m, G, N)."""
         return _channel_ops(self.m, self.G, self.N)
 
     def khat_embedding(self) -> np.ndarray:
@@ -354,16 +335,34 @@ def _lambda_terms(space: IntervalSpace, l: int, coeff: np.ndarray, d: int) -> li
 
 
 def _fock_operator(space: IntervalSpace, l: int, i: int, j: int):
-    """A_a of the term (i, j) of Lambda^l, a callable on (dim,) or (dim, k) arrays.
+    """A_a of the term (i, j) of Lambda^l, a callable on (..., dim) arrays.
 
-    a(chi^i) is create[i].T applied on the conjugate: no adjoint is built.
+    Each is gathers and scatters on the tables of ``_channel_ops``: a(chi^i)
+    one gather-sum over the cells into the rows below the cutoff, a_dag(chi^i)
+    and the hop j -> i one scatter per cell.  For a fixed cell and channel,
+    inserting the mode takes distinct rows to distinct rows, so no scatter
+    writes an index twice.
     """
     if l == 1:
         return lambda x: x
-    create, hop = space.ops
-    if l == 2:
-        return lambda x, c=create[i].T: (c @ x.conj()).conj()
-    return create[i].__matmul__ if l == 3 else hop[i][j].__matmul__
+    ins, occ = space.ops
+    dest, src = ins[:, :, i].T, ins[:, :, j].T  # (G, R): one row of targets per cell
+    if l == 4:
+        weight = np.sqrt(occ[:, :, i] * occ[:, :, j]).T
+    else:
+        weight = np.sqrt(occ[:, :, i]).T / np.sqrt(space.G)
+    below = len(ins)
+
+    def apply(x):
+        out = np.zeros(np.shape(x), dtype=complex)
+        if l == 2:
+            out[..., :below] = np.sum(weight * x[..., dest], axis=-2)
+        else:
+            for to, w, frm in zip(dest, weight, src):
+                out[..., to] += w * (x[..., :below] if l == 3 else x[..., frm])
+        return out
+
+    return apply
 
 
 def fundamental_apply(space: IntervalSpace, l: int, coeff, v) -> np.ndarray:
@@ -376,7 +375,7 @@ def fundamental_apply(space: IntervalSpace, l: int, coeff, v) -> np.ndarray:
     if np.shape(v)[-1] != space.dim:
         raise ValueError(f"array shape {np.shape(v)}, expected (d, {space.dim})")
     coeff = _check_coeff(l, coeff, len(v), space.m)
-    return sum(M @ _fock_operator(space, l, i, j)(v.T).T
+    return sum(M @ _fock_operator(space, l, i, j)(v)
                for M, i, j in _lambda_terms(space, l, coeff, len(v)))
 
 

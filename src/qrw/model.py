@@ -17,8 +17,9 @@ else is derived from R:
   only ``beta_factors`` reuses buffers, the others are plain functions,
 * the exact semigroup     T_t = exp(tL) through a vectorized superoperator.
 
-``semigroup`` is the only caller of ``scipy.linalg.expm`` and imports it when
-called, so loading qrw, and running a walk or an oracle, needs numpy alone.
+``semigroup`` is qrw's only importer of scipy, for ``scipy.linalg.expm``, and
+imports it when called, so loading qrw, and running a walk, an oracle, the
+lemma checks or the explicit Fock space, needs numpy alone.
 
 Operators on system (x) (C + noise) are plain (1+m, 1+m, d, d) block arrays,
 block index 0 being the vacuum direction; ``linalg.flat`` gives the matrix,

@@ -7,8 +7,10 @@ with the new one, and runs only the named test there.  A mutant is killed
 when that test fails.  The script exits non-zero if any named test passes on
 its mutant, or if a mutant no longer applies: its old text is gone or
 repeated, or its test is not found.  Each loosened bound (the defect
-constant, ``DefectReport.passed`` and the F term's c(f, t)) is killed by a
-witness on which the bound is within 10x of the value it bounds.
+constant, ``DefectReport.passed``, the F term's c(f, t), the projection-loss
+bound of ``check_lemma_normdiff`` and the kind-1 mode-a bound of
+``check_N_vs_Lambda``) is killed by a witness on which the bound is within
+10x of the value it bounds.
 
 pytest does not collect this file; CI runs it as its own step.
 """
@@ -100,6 +102,22 @@ MUTANTS = [
      "-dagger(rd)",
      "+dagger(rd)",
      "tests/test_model.py::TestUnitaryStep::test_unitarity_and_exponential_agreement"),
+    ("fock.py",  # the Fock occupation table without the inserted mode
+     "    occ = np.concatenate(occ) + 1  # occupation of a in r + a\n",
+     "    occ = np.concatenate(occ)\n",
+     "tests/test_fock.py::TestRanking::test_ops_match_reference_at_lemmas_G"),
+    ("fock.py",  # a(chi^i) and a_dag(chi^i) gathered without their 1/sqrt(G)
+     "        weight = np.sqrt(occ[:, :, i]).T / np.sqrt(space.G)\n",
+     "        weight = np.sqrt(occ[:, :, i]).T\n",
+     "tests/test_fock.py::TestFundamentalProcesses::test_gathers_match_csr_at_lemmas_size"),
+    ("fock.py",  # check_lemma_normdiff's rhs 10x looser
+     "    rhs = h * (c_f + sup) * float(",
+     "    rhs = 10 * h * (c_f + sup) * float(",
+     "tests/test_fock.py::TestNormDiffLemma::test_bound_is_within_reach"),
+    ("fock.py",  # the mode-a bounds of check_N_vs_Lambda 10x looser
+     "    if mode == \"a\":\n        return base\n",
+     "    if mode == \"a\":\n        return 10 * base\n",
+     "tests/test_fock.py::TestNvsLambdaChecks::test_time_bound_is_within_reach"),
 ]
 
 

@@ -87,20 +87,37 @@ def test_walk_forms_no_map_itself():
     assert not names & {"sandwich", "superoperator", "transfer_matrices", "apply_table"}
 
 
-def _callers(tree: ast.AST, name: str, scope: str = "", args: tuple | None = None) -> set[str]:
-    """The dotted scopes (class and function names) of every call of ``name`` in a tree,
-    only of those whose positional arguments are the constants ``args`` if given."""
+def _scopes(tree: ast.AST, hit, scope: str = "") -> set[str]:
+    """The dotted scopes (class and function names) of every node of a tree that ``hit`` accepts."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            found |= _callers(node, name, f"{scope}.{node.name}".lstrip("."), args)
+            found |= _scopes(node, hit, f"{scope}.{node.name}".lstrip("."))
             continue
-        called = isinstance(node, ast.Call) and name in {getattr(node.func, a, None)
-                                                         for a in ("id", "attr")}
-        if called and (args is None or tuple(getattr(a, "value", None) for a in node.args) == args):
+        if hit(node):
             found.add(scope)
-        found |= _callers(node, name, scope, args)
+        found |= _scopes(node, hit, scope)
     return found
+
+
+def _callers(tree: ast.AST, name: str, args: tuple | None = None) -> set[str]:
+    """The scopes of every call of ``name`` in a tree, only of those whose
+    positional arguments are the constants ``args`` if given."""
+    def hit(node):
+        return (isinstance(node, ast.Call)
+                and name in {getattr(node.func, a, None) for a in ("id", "attr")}
+                and (args is None or tuple(getattr(a, "value", None) for a in node.args) == args))
+    return _scopes(tree, hit)
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name.split(".")[0] == "scipy" for name in names)
 
 
 def test_only_the_model_spectrum_decomposes():
@@ -112,6 +129,15 @@ def test_only_the_model_spectrum_decomposes():
                for name in ("eigh", "eig", "eigvals", "eigvalsh", "svd")
                for scope in _callers(tree, name)}
     assert callers == {"model.GkslModel.spectrum"}
+
+
+def test_only_the_semigroup_imports_scipy():
+    # The walk, the oracle, the lemma checks and the explicit Fock space run on
+    # numpy alone: the exact semigroup's expm is qrw's one use of scipy.
+    src = Path(__file__).resolve().parents[1] / "src" / "qrw"
+    importers = {f"{path.stem}.{scope}" for path in src.glob("*.py")
+                 for scope in _scopes(ast.parse(path.read_text()), _imports_scipy)}
+    assert importers == {"model.semigroup"}
 
 
 def test_fock_ladder_operators_are_gathers():

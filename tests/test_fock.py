@@ -1,5 +1,6 @@
 """Tests for the truncated interval Fock space and the basic-operator estimates."""
 
+import functools
 import itertools
 import json
 import math
@@ -70,6 +71,28 @@ def _rand_function(rng, m, end, knots=4, sup=0.5):
     bp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, end, knots - 2)), [end]])
     vals = rng.standard_normal((knots, m)) + 1j * rng.standard_normal((knots, m))
     return TestFunction(bp, sup * vals / np.max(np.linalg.norm(vals, axis=1)))
+
+
+# f, u and the kind-1 coefficient S of the lemmas benchmark workload at seed 7
+# (perfbench/workloads.py), written out: the lemma witnesses below run on them.
+SEED7_F = TestFunction(
+    [0.0, 0.09670409393174562, 0.9678280510488214, 1.0],
+    [[-0.2542997135612172 - 0.06287006552367581j, -0.15268083315033115 - 0.0708173601094245j],
+     [0.12429459811600387 - 0.04807199293232766j, -0.38281914689396573 + 0.2927275817993097j],
+     [-0.08899243722452906 - 0.08223976928284372j, -0.01869249551965822 - 0.05834848063927497j],
+     [0.24152008781485487 + 0.06774568643334808j, 0.132460546305615 - 0.023204567192729814j]],
+)
+SEED7_U = np.array([-0.10123398220877829 + 0.3578099757953856j,
+                    0.36620906619725746 + 0.7714044440387295j,
+                    -0.03566976053516932 - 0.36232233412122594j])
+SEED7_S = np.array(
+    [[0.05382407175496394 + 0.170576464973839j, 0.7364820648857385 - 0.33913864079770223j,
+      -0.27288000794036743 - 0.025978594002797648j],
+     [-0.2047096132803317 + 0.011577260028493578j, 0.067390968155963 - 0.3459657954335536j,
+      0.16175270075664172 + 0.08525059471693142j],
+     [-0.05787705542048876 - 0.2814868883502111j, -0.06756366951231874 + 0.3189253070049351j,
+      0.23047102816788656 + 0.06323799472902548j]]
+)
 
 
 class TestExpVector:
@@ -177,6 +200,33 @@ def _reference_channel_ops(m, G, cutoff):
     return create, hop
 
 
+def _sparse(dim, rows, cols, vals):
+    return scipy.sparse.csr_matrix(
+        (vals.ravel(), (rows.ravel(), np.broadcast_to(cols, rows.shape).ravel())),
+        shape=(dim, dim), dtype=complex,
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _csr_ops(m, G, N):
+    """The chi-creation and hop operators as CSR matrices, from the tables of ``_channel_ops``.
+
+    ``create[i]`` takes each row r below the cutoff to r + (c, i) with weight
+    sqrt(occ / G); ``hop[i][j]`` takes r + (c, j) to r + (c, i) with weight
+    sqrt(occ_j) sqrt(occ_i), or occ_j on i = j.
+    """
+    ins, occ = _channel_ops(m, G, N)
+    dim = _sector_basis(G * m, N).dim
+    root = np.sqrt(occ)
+    below = np.arange(len(ins), dtype=np.int32)[:, None]
+    weight = 1.0 / np.sqrt(G)
+    create = [_sparse(dim, ins[..., i], below, weight * root[..., i]) for i in range(m)]
+    hop = [[_sparse(dim, ins[..., i], ins[..., j],
+                    occ[..., j].astype(float) if i == j else root[..., j] * root[..., i])
+            for j in range(m)] for i in range(m)]
+    return create, hop
+
+
 def _same_csr(a, b):
     return (
         a.shape == b.shape
@@ -198,7 +248,7 @@ class TestRanking:
                 rows = np.column_stack([rows[basis.parent[n]], basis.last[n]])
             want = list(itertools.combinations_with_replacement(range(G * m), n))
             assert [tuple(r) for r in rows.tolist()] == want
-        create, hop = _channel_ops(m, G, N)
+        create, hop = _csr_ops(m, G, N)
         ref_create, ref_hop = _reference_channel_ops(m, G, N)
         for i in range(m):
             assert _same_csr(create[i], ref_create[i])
@@ -209,7 +259,7 @@ class TestRanking:
     def test_canonical_commutation(self, m, G, N):
         # [a(chi_i), a_dag(chi_j)] = delta_ij on every sector below the cutoff.
         space = IntervalSpace(m=m, G=G, N=N, h=0.1)
-        create, _ = space.ops
+        create, _ = _csr_ops(m, G, N)
         below = space.sector(N).start
         for i in range(m):
             for j in range(m):
@@ -220,7 +270,7 @@ class TestRanking:
     def test_hop_diagonal_is_channel_number(self):
         m, G, N = 2, 3, 4
         space = IntervalSpace(m=m, G=G, N=N, h=0.1)
-        _, hop = space.ops
+        _, hop = _csr_ops(m, G, N)
         rows = [
             row for n in range(N + 1)
             for row in itertools.combinations_with_replacement(range(G * m), n)
@@ -234,7 +284,7 @@ class TestRanking:
     def test_ops_match_reference_at_lemmas_G(self):
         # The hypothesis draws stop at G = 4; the lemmas workload runs G = 8.
         m, G, N = 2, 8, 4
-        create, hop = _channel_ops(m, G, N)
+        create, hop = _csr_ops(m, G, N)
         ref_create, ref_hop = _reference_channel_ops(m, G, N)
         for i in range(m):
             assert _same_csr(create[i], ref_create[i])
@@ -405,11 +455,20 @@ class TestNormDiffLemma:
         with pytest.raises(TruncationError):
             check_lemma_normdiff(space, TestFunction.constant([2.0], 0.0, 1.0), 0.5)
 
+    def test_bound_is_within_reach(self):
+        # A witness that h (c_f + sup) ||e(f)|| is not loose by 10x: slot 2 of
+        # h = 1/16 at seed 7 reads lhs / (rhs + slack) = 0.112, the largest over
+        # lemmas seeds 1-10; with rhs x 10 it reads 0.012.
+        h = 1 / 16
+        res = check_lemma_normdiff(IntervalSpace(m=2, G=8, N=6, h=h), SEED7_F, h, start=2 * h)
+        assert res.passed
+        assert res.lhs / (res.rhs + res.slack) >= 0.05
+
 
 def _reference_fundamental(space, l, coeff, v):
     """Lambda^l kind by kind, with the adjoint of each creation matrix formed explicitly."""
     d, m = len(v), space.m
-    create, hop = space.ops
+    create, hop = _csr_ops(space.m, space.G, space.N)
     rh = np.sqrt(space.h)
     if l == 1:
         return space.h * (coeff @ v)
@@ -518,6 +577,16 @@ class TestFundamentalProcesses:
         got = fundamental_apply(self.space, l, coeff, v)
         want = _reference_fundamental(self.space, l, coeff, v)
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_gathers_match_csr_at_lemmas_size(self, l):
+        # The benchmark's Fock space (dim 74,613), where up to G cells scatter into one row.
+        space = IntervalSpace(m=2, G=8, N=6, h=0.125)
+        coeff = _rand_coeff(self.rng, l, 3, space.m)
+        v = _rand_vec(self.rng, space, d=3)
+        got = fundamental_apply(space, l, coeff, v)
+        want = _reference_fundamental(space, l, coeff, v)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def _reference_basic_flat(l, coeff, d, m):
@@ -783,6 +852,17 @@ class TestNvsLambdaChecks:
         with pytest.raises(AssertionError, match="Fock space used"):
             space.ops
 
+    def test_time_bound_is_within_reach(self):
+        # A witness that the kind-1 mode-a bound h^1.5 ||S u|| sup|f| ||e(f)|| is
+        # not loose by 10x: slot 1 of h = 1/8 at seed 7 reads lhs / (rhs + slack)
+        # = 0.533 (lhs / rhs 0.917), the largest over lemmas seeds 1-10; with the
+        # bound x 10 it reads 0.086.
+        h = 1 / 8
+        space = IntervalSpace(m=2, G=8, N=6, h=h)
+        res = check_N_vs_Lambda(space, 1, SEED7_S, SEED7_U, SEED7_F, start=h)
+        assert res.passed
+        assert res.lhs / (res.rhs + res.slack) >= 0.25
+
     def test_mode_b_requires_v_and_g(self):
         with pytest.raises(ValueError, match="mode 'b'"):
             check_N_vs_Lambda(self.space, 1, np.eye(2), self.u, self.f, mode="b")
@@ -836,7 +916,7 @@ class TestNvsLambdaChecks:
 
 def _fock_images(space, cells):
     """e_N(c) and the images of every term of the four kinds, on the Fock space."""
-    create, hop = space.ops
+    create, hop = _csr_ops(space.m, space.G, space.N)
     e = exp_vector(space, cells)
     m = space.m
     return ([e] + [create[i].conj().T @ e for i in range(m)] + [create[i] @ e for i in range(m)]
