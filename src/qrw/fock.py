@@ -35,6 +35,9 @@ algebra (``_inner``) gives from <a, b>, <a, psi>, <phi, b> and <phi, psi>.
 No ladder or hop operator is formed as a matrix: ``fundamental_apply`` applies
 each by gathers and scatters on the insertion tables that ``IntervalSpace.ops``
 builds on first use, with numpy alone.
+
+``check_composition_table`` checks the composition table of the basic
+operators on their slot-space matrices, ``basic_operator_flat``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "basic_apply",
     "basic_operator_flat",
     "check_N_vs_Lambda",
+    "check_composition_table",
     "check_lemma_normdiff",
     "exp_tail_bound",
     "exp_vector",
@@ -405,6 +409,46 @@ def basic_operator_flat(l: int, coeff, d: int, m: int) -> np.ndarray:
     blocks = np.zeros((1 + m, 1 + m, d, d), dtype=complex)
     blocks[PARTS[l - 1]] = unflat(dagger(coeff) if l == 2 else coeff, d)
     return flat(blocks)
+
+
+def check_composition_table(rng, d: int = 3, m: int = 2) -> list[tuple[str, float]]:
+    """Residuals of the ten basic-operator composition identities and the slot resolution.
+
+    Random coefficient operators, one interval, in the slot-space picture
+    where the basic operators live as block matrix units; returns
+    (name, operator-norm residual) pairs.
+    """
+
+    def rand(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    dm = d * m
+    S1, S2 = rand((d, d)), rand((d, d))
+    R1, R2 = rand((dm, d)), rand((dm, d))
+    T1, T2 = rand((dm, dm)), rand((dm, dm))
+
+    def N(l, coeff):
+        return basic_operator_flat(l, coeff, d, m)
+
+    zero = np.zeros((d * (1 + m), d * (1 + m)))
+    table = [
+        ("annihilation_nilpotent", N(2, R1) @ N(2, R1), zero),
+        ("creation_nilpotent", N(3, R1) @ N(3, R1), zero),
+        ("time_time", N(1, S1) @ N(1, S2), N(1, S1 @ S2)),
+        ("annihilation_creation", N(2, R1) @ N(3, R2), N(1, dagger(R1) @ R2)),
+        ("time_annihilation", N(1, S1) @ N(2, R1), N(2, R1 @ dagger(S1))),
+        ("annihilation_conservation", N(2, R1) @ N(4, T1), N(2, dagger(T1) @ R1)),
+        ("creation_time", N(3, R1) @ N(1, S1), N(3, R1 @ S1)),
+        ("conservation_creation", N(4, T1) @ N(3, R1), N(3, T1 @ R1)),
+        ("creation_annihilation", N(3, R1) @ N(2, R2), N(4, R1 @ dagger(R2))),
+        ("conservation_conservation", N(4, T1) @ N(4, T2), N(4, T1 @ T2)),
+        (
+            "slot_resolution",
+            N(1, S1) + N(4, np.kron(S1, np.eye(m))),
+            np.kron(S1, np.eye(1 + m)),
+        ),
+    ]
+    return [(name, op_norm(lhs - rhs)) for name, lhs, rhs in table]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ A function builds its read-only segment tables once, at construction: the
 slope and the cumulative integral of each segment.  ``antiderivative`` (and so
 ``cell_averages`` and ``slot_averages``) reads them for every whole segment,
 and evaluates f only at the times asked for.  ``constants`` (sup|f| and c_f,
-of which ``sup_norm`` and ``slope_constant`` each return one) and
-``pair_overlap_integral`` read f on one breakpoint-refined grid (``_nodes``),
-the whole support by default.
+of which ``sup_norm`` returns the first) and ``pair_overlap_integral`` read f
+on one breakpoint-refined grid (``_nodes``), the whole support by default.
 
 Merged node lists are sorted and stripped of repeats by ``_sorted_distinct``
 rather than ``np.unique``: numpy 2.4 imports ``numpy.ma`` on the first
@@ -158,10 +157,6 @@ class TestFunction:
     def sup_norm(self, t0: float | None = None, t1: float | None = None) -> float:
         """sup|f|, over [t0, t1] if given: the first of ``constants``."""
         return self.constants(t0, t1)[0]
-
-    def slope_constant(self, t0: float | None = None, t1: float | None = None) -> float:
-        """c_f, over [t0, t1] if given: the second of ``constants``."""
-        return self.constants(t0, t1)[1]
 
     def pair_overlap_integral(self, other: "TestFunction", t0: float, t1: float) -> complex:
         """integral of <self(s), other(s)> over [t0, t1].

@@ -14,12 +14,7 @@ else is derived from R:
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
   ``beta_factors``, and the oracle's rate ``rate_factors``, Theta plus <g, f>:
   the walk and the oracle step these factors and build none of their own;
-  only ``beta_factors`` reuses buffers, the others are plain functions,
-* the exact semigroup     T_t = exp(tL) through a vectorized superoperator.
-
-``semigroup`` is qrw's only importer of scipy, for ``scipy.linalg.expm``, and
-imports it when called, so loading qrw, and running a walk, an oracle, the
-lemma checks or the explicit Fock space, needs numpy alone.
+  only ``beta_factors`` reuses buffers, the others are plain functions.
 
 Operators on system (x) (C + noise) are plain (1+m, 1+m, d, d) block arrays,
 block index 0 being the vacuum direction; ``linalg.flat`` gives the matrix,
@@ -39,23 +34,19 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .linalg import (apply_table, as_matrix, as_vector, dagger, flat, op_norm, unflat,
-                     unit_table, vacuum_superoperator)
+from .linalg import apply_table, as_matrix, as_vector, dagger, flat, op_norm, unflat, unit_table
 
 __all__ = [
     "PARTS",
     "DefectReport",
     "GkslModel",
     "StepKernel",
-    "amplitude_damping",
     "beta",
     "beta_blocks",
     "beta_factors",
     "defect",
-    "lindblad",
     "random_model",
     "rate_factors",
-    "semigroup",
     "step_leg_outputs",
     "structure_factors",
     "structure_maps",
@@ -129,12 +120,6 @@ class GkslModel:
         return as_vector(u, self.d)
 
 
-def amplitude_damping(gamma: float = 1.0) -> GkslModel:
-    """Qubit amplitude damping: d = 2, m = 1, R = sqrt(gamma) |0><1|."""
-    R = np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return GkslModel(d=2, m=1, R=R)
-
-
 def random_model(rng, d: int, m: int, norm: float) -> GkslModel:
     """Complex Gaussian R rescaled to operator norm ``norm`` (seeded rng)."""
     if not norm >= 0:
@@ -199,21 +184,6 @@ def structure_maps(model: GkslModel, x) -> np.ndarray:
     """
     table = unit_table(partial(structure_factors, model), 1 + model.m)
     return apply_table(table, model.check_x(x))
-
-
-def lindblad(model: GkslModel, x) -> np.ndarray:
-    """L(x) = R*(x (x) 1)R - (1/2)R*Rx - (1/2)xR*R: the vacuum block of Theta."""
-    return structure_maps(model, x)[0, 0]
-
-
-def delta(model: GkslModel, x) -> np.ndarray:
-    """delta(x) = (x (x) 1)R - Rx, system -> system (x) noise: the creation column of Theta."""
-    return flat(structure_maps(model, x)[PARTS[2]])
-
-
-def delta_dag(model: GkslModel, x) -> np.ndarray:
-    """delta_dag(x) = (delta(x*))* = R*(x (x) 1) - xR*: the annihilation row of Theta."""
-    return flat(structure_maps(model, x)[PARTS[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -415,24 +385,3 @@ def defect(model: GkslModel, x, h: float) -> tuple[np.ndarray, DefectReport]:
         bounds=tuple(M * x_norm * h ** (1.0 + eps) for eps in BLOCK_EXPONENTS),
     )
     return scaled, report
-
-
-# ---------------------------------------------------------------------------
-# Exact semigroup oracle
-# ---------------------------------------------------------------------------
-
-
-def lindblad_superoperator(model: GkslModel) -> np.ndarray:
-    """Matrix of x -> L(x) on row-major vec(x): ``structure_factors`` at the vacuum hats."""
-    return vacuum_superoperator(partial(structure_factors, model), 1 + model.m)
-
-
-def semigroup(model: GkslModel, x, t: float) -> np.ndarray:
-    """T_t(x) = exp(tL)(x), through the superoperator of L on row-major vec(x)."""
-    import scipy.linalg
-
-    x = model.check_x(x)
-    if t < 0:
-        raise ValueError("semigroup needs t >= 0")
-    out = scipy.linalg.expm(t * lindblad_superoperator(model)) @ x.reshape(-1)
-    return out.reshape(model.d, model.d)

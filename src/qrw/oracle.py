@@ -31,10 +31,10 @@ a study pays for the accuracy its ladder needs rather than for a fixed budget.
 The module imports nothing from ``walk.py`` and no private name of ``model``;
 the two meet only in ``model`` and ``linalg``.  ``tests/test_oracle.py``
 cross-validates it two ways: ``TestVacuumCheck`` pairs the walk at f = g = 0
-with the exact semigroup, and ``TestFineWalkReference`` compares the walk at a
-far finer step than any study's with this ODE value.  There the sandwich loop,
-forced through the cost rule, is also the cross-check of the transfer matrices
-and the powers.
+with the exact semigroup of ``tests/reference.py``, and
+``TestFineWalkReference`` compares the walk at a far finer step than any
+study's with this ODE value.  There the sandwich loop, forced through the cost
+rule, is also the cross-check of the transfer matrices and the powers.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ from functools import partial
 import numpy as np
 
 from .functions import TestFunction, _sorted_distinct
-from .linalg import CHUNK, _power_pays, as_vector, op_norm, sandwich, step_maps
-from .model import GkslModel, rate_factors, structure_factors
+from .linalg import CHUNK, _power_pays, op_norm, step_maps
+from .model import GkslModel, rate_factors
 
 __all__ = [
     "OracleRefinementError",
     "flow_matrix_element",
     "flow_matrix_element_fixed",
-    "weak_generator",
 ]
 
 REFINEMENT_TOL = 1e-10
@@ -75,19 +74,6 @@ class OracleRefinementError(RuntimeError):
 def _pairing(model: GkslModel, u, v, Y) -> complex:
     """<v, Y u>, the weak functional of the flow at time 0."""
     return complex(np.vdot(model.check_vector(v), Y @ model.check_vector(u)))
-
-
-def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
-    """L(x) + <g, delta(x)> + delta_dag(x) f = <ghat, Theta(x) fhat> for fixed g, f.
-
-    Channel-wise, delta_i(x) = [x, R_i] and delta_dag_i(x) = [R_i*, x], so the
-    whole thing is L(x) + sum_i conj(g_i)[x, R_i] + sum_i f_i [R_i*, x];
-    it kills the identity and reduces to L at g = f = 0.
-    """
-    x = model.check_x(x)
-    gval, fval = as_vector(gval, model.m), as_vector(fval, model.m)
-    left, right = structure_factors(model, np.append(1.0, gval)[None], np.append(1.0, fval)[None])
-    return sandwich(left[0], x, right[0])
 
 
 def _pieces(f: TestFunction, g: TestFunction, t: float, steps: int) -> list[tuple[float, float, int]]:

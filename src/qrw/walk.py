@@ -1,32 +1,31 @@
-"""The quantum random walk: dense and streaming evaluation of p_t^(h).
+"""The quantum random walk p_t^(h): one streaming engine, and the F term.
 
 The walk over n slots of width h is the composition of per-slot step
 homomorphisms: slot n is applied to the observable first, and each step
 turns a system operator Y into the block family beta(h, Y) acting on the
-system and one fresh slot copy of C + noise.  Two engines step the sandwich
-factors of ``model.beta_factors``, where beta is written once:
+system and one fresh slot copy of C + noise.  ``walk_matrix_element`` steps
+the sandwich factors of ``model.beta_factors``, where beta is written once,
+and contracts each slot against the hatted slot vectors (1, F_k) of the test
+functions immediately after its step.  Slots are never revisited (the walk is
+adapted), so the immediate contraction is exact, and the working set is
+independent of n.  The slot map
+Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y) is the factors at
+the slot's hats, stepped by ``linalg.step_maps`` (sandwich factors or transfer
+matrices, whichever its cost rule finds cheaper); each run of vacuum slots off
+supp f u supp g is taken as a matrix power where ``linalg.power_runs`` finds
+that cheaper.  At zero ``linalg._cost`` nothing is strictly cheaper, so every
+slot goes by its sandwich factors and no run is a power.
 
-* a dense engine that materializes operators and states on
-  system (x) (C + noise)^(x)n, feasible while d (1+m)^n stays under the cap
-  ``DENSE_CAP``.  Its one kernel is ``StepKernel.table``: the operator reads
-  its blocks (``model.beta_blocks``), and the state and the F term contract
-  it with fhat first (``model.step_leg_outputs``);
-* a streaming engine that contracts each slot against the hatted slot
-  vectors (1, F_k) of the test functions immediately after its step.
-  Slots are never revisited (the walk is adapted), so the immediate
-  contraction is exact, and the working set is independent of n.  The slot
-  map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y) is the factors
-  at the slot's hats; ``walk_matrix_element`` steps it by ``linalg.step_maps``
-  (sandwich factors or transfer matrices, whichever its cost rule finds
-  cheaper), and takes each run of vacuum slots off supp f u supp g as a matrix
-  power where ``linalg.power_runs`` finds that cheaper.  At zero
-  ``linalg._cost`` nothing is strictly cheaper, so every slot goes by its
-  sandwich factors and no run is a power.
+``f_term_norm``, the projection-loss term of the walk decomposition, keeps
+every slot leg: ``_prefix_state`` applies the walk to u through
+``model.step_leg_outputs``, so it is capped at d (1+m)^n <= ``DENSE_CAP``.
 
-Agreement of the engines checks the contraction with the hatted vectors, its
-chunking and its slot order; agreement of the streaming engine with its
-zero-cost run checks the transfer matrices and the powers.  beta itself is
-checked against U(h)* (x (x) 1) U(h) in ``TestBeta`` of ``tests/test_model.py``.
+The dense engine, which materializes p_{nh}(x) on system (x) (C + noise)^(x)n,
+is a test reference in ``tests/reference.py``.  Agreement of the streaming
+walk with it checks the contraction with the hatted vectors, its chunking and
+its slot order; agreement with its own zero-cost run checks the transfer
+matrices and the powers.  beta itself is checked against U(h)* (x (x) 1) U(h)
+in ``TestBeta`` of ``tests/test_model.py``.
 
 Matrix elements pair against per-slot projections of exponential vectors,
 i.e. the unnormalized product of (1, F_k); tail overlaps beyond t = n h are
@@ -41,31 +40,25 @@ import numpy as np
 
 from .fock import (
     IntervalSpace,
-    basic_operator_flat,
     exp_vector,  # noqa: F401 - unused; perfbench/tracing.py wraps walk.exp_vector by name
     slot_exp_data,
 )
-from .functions import SlotAverages, TestFunction, slot_averages
-from .linalg import CHUNK, dagger, flat, op_norm, power_runs, step_maps
-from .model import GkslModel, StepKernel, beta_blocks, beta_factors, step_leg_outputs
+from .functions import TestFunction, slot_averages
+from .linalg import CHUNK, op_norm, power_runs, step_maps
+from .model import GkslModel, StepKernel, beta_factors, step_leg_outputs
 
 __all__ = [
     "DenseCapError",
     "FTermResult",
-    "check_composition_table",
     "f_term_norm",
-    "toy_exp_embed",
-    "walk_dense_operator",
-    "walk_dense_state",
     "walk_matrix_element",
-    "walk_norm_sq",
 ]
 
 DENSE_CAP = 4096
 
 
 class DenseCapError(ValueError):
-    """The dense engine would exceed its total dimension cap ``DENSE_CAP``."""
+    """A walk state with every slot leg kept would exceed ``DENSE_CAP`` entries."""
 
 
 def _check_cap(d: int, m: int, n: int) -> None:
@@ -75,42 +68,6 @@ def _check_cap(d: int, m: int, n: int) -> None:
         raise DenseCapError(
             f"dense dimension d(1+m)^n = {d * (1 + m) ** n} exceeds cap {DENSE_CAP}"
         )
-
-
-def toy_exp_embed(avgs: SlotAverages) -> np.ndarray:
-    """Product of the hatted slot vectors (1, F_k): the projected exponential.
-
-    A ((1+m)^n,) array in the slot order of ``walk_dense_state``, with
-    squared norm prod_k (1 + sum_i |F_k[i]|^2).
-    """
-    vec = np.ones(1, dtype=complex)
-    for k in range(avgs.n):
-        vec = np.kron(vec, avgs.hatted(k))
-    return vec
-
-
-# ---------------------------------------------------------------------------
-# Dense engine
-# ---------------------------------------------------------------------------
-
-
-def walk_dense_operator(model: GkslModel, x, h: float, n: int) -> np.ndarray:
-    """The walk operator p_{nh}(x) as a flat matrix on system (x) slots.
-
-    Built by the outward recursion: start from the observable at slot n and
-    apply the step map on the system leg once per slot toward slot 1, each
-    application adjoining one fresh (slower) slot leg.
-    """
-    x = model.check_x(x)
-    _check_cap(model.d, model.m, n)
-    kernel = StepKernel.build(model, h)
-    d, m = model.d, model.m
-    T = x[None, None, :, :]  # (M, M, d, d) with M = 1
-    for _ in range(n):
-        M = T.shape[0]
-        B = beta_blocks(kernel, T)  # (M, M, 1+m, 1+m, d, d)
-        T = B.transpose(2, 0, 3, 1, 4, 5).reshape(M * (1 + m), M * (1 + m), d, d)
-    return flat(T)
 
 
 def defect_leg_outputs(kernel: StepKernel, ys: np.ndarray, fhat: np.ndarray) -> np.ndarray:
@@ -132,21 +89,6 @@ def _prefix_state(kernel: StepKernel, ops: np.ndarray, hats: list, u: np.ndarray
         legs = step_leg_outputs(kernel, ops, hat)
         ops = np.moveaxis(legs, 1, 0).reshape(-1, d, d)
     return np.einsum("Jab,b->aJ", ops, u)
-
-
-def walk_dense_state(model: GkslModel, x, u, f: TestFunction, h: float,
-                     n: int) -> np.ndarray:
-    """p_{nh}(x) applied to u (x) projected e(f), by the leg-keeping recursion.
-
-    Returns the (d, (1+m)^n) array: slot 1 is slowest after the system
-    index, so the flat slot index is sum_k j_k (1+m)^(n-k).
-    """
-    x = model.check_x(x)
-    u = model.check_vector(u)
-    _check_cap(model.d, model.m, n)
-    kernel = StepKernel.build(model, h)
-    hats = slot_averages(f, h, n).hatted(slice(None))
-    return _prefix_state(kernel, x[None], hats, u)
 
 
 # ---------------------------------------------------------------------------
@@ -196,59 +138,6 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
         stop = a
     y = _sweep(y, maps, ghats, fhats, 0, stop)
     return complex(np.vdot(v, y.reshape(d, d) @ u))
-
-
-def walk_norm_sq(model: GkslModel, x, u, f: TestFunction, h: float, n: int) -> float:
-    """||p_{nh}(x) u (x) projected e(f)||^2 = the (x*x, u, u, f, f) matrix element."""
-    val = walk_matrix_element(model, dagger(model.check_x(x)) @ x, u, u, f, f, h, n)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise ArithmeticError(f"norm square has imaginary residue {val.imag}")
-    return val.real
-
-
-# ---------------------------------------------------------------------------
-# Composition table of the basic operators (projected one-interval picture)
-# ---------------------------------------------------------------------------
-
-
-def check_composition_table(rng, d: int = 3, m: int = 2) -> list[tuple[str, float]]:
-    """Residuals of the ten basic-operator composition identities.
-
-    Random coefficient operators, one interval, in the slot-space picture
-    where the basic operators live as block matrix units; returns
-    (name, operator-norm residual) pairs.
-    """
-
-    def rand(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-    dm = d * m
-    S1, S2 = rand((d, d)), rand((d, d))
-    R1, R2 = rand((dm, d)), rand((dm, d))
-    T1, T2 = rand((dm, dm)), rand((dm, dm))
-
-    def N(l, coeff):
-        return basic_operator_flat(l, coeff, d, m)
-
-    zero = np.zeros((d * (1 + m), d * (1 + m)))
-    table = [
-        ("annihilation_nilpotent", N(2, R1) @ N(2, R1), zero),
-        ("creation_nilpotent", N(3, R1) @ N(3, R1), zero),
-        ("time_time", N(1, S1) @ N(1, S2), N(1, S1 @ S2)),
-        ("annihilation_creation", N(2, R1) @ N(3, R2), N(1, dagger(R1) @ R2)),
-        ("time_annihilation", N(1, S1) @ N(2, R1), N(2, R1 @ dagger(S1))),
-        ("annihilation_conservation", N(2, R1) @ N(4, T1), N(2, dagger(T1) @ R1)),
-        ("creation_time", N(3, R1) @ N(1, S1), N(3, R1 @ S1)),
-        ("conservation_creation", N(4, T1) @ N(3, R1), N(3, T1 @ R1)),
-        ("creation_annihilation", N(3, R1) @ N(2, R2), N(4, R1 @ dagger(R2))),
-        ("conservation_conservation", N(4, T1) @ N(4, T2), N(4, T1 @ T2)),
-        (
-            "slot_resolution",
-            N(1, S1) + N(4, np.kron(S1, np.eye(m))),
-            np.kron(S1, np.eye(1 + m)),
-        ),
-    ]
-    return [(name, op_norm(lhs - rhs)) for name, lhs, rhs in table]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from qrw.fock import (
     TruncationError,
     basic_apply,
     basic_operator_flat,
+    check_composition_table,
     check_N_vs_Lambda,
     check_lemma_normdiff,
     exp_tail_bound,
@@ -723,6 +724,16 @@ class TestBasicOperators:
             assert np.allclose(out, toy_out @ emb, atol=1e-12)
 
 
+class TestCompositionTable:
+    def test_all_identities_small_residual(self):
+        rng = np.random.default_rng(23)
+        for d, m in [(2, 1), (3, 2), (2, 2)]:
+            report = check_composition_table(rng, d=d, m=m)
+            assert len(report) == 11
+            worst = max(res for _, res in report)
+            assert worst <= 1e-11, report
+
+
 @pytest.mark.parametrize("kind", [0, 5])
 @pytest.mark.parametrize(
     "entry", ["fundamental_apply", "basic_apply", "basic_operator_flat", "check_N_vs_Lambda"]
@@ -759,7 +770,7 @@ def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", star
     diff = scale * basic_apply(space, l, coeff, uef) - fundamental_apply(space, l, coeff, uef)
     coeff_norm = op_norm(coeff)
     coeff_scale = max(coeff_norm, 1.0) * max(float(np.linalg.norm(u)), 1.0)
-    c_f, sup_f = f.slope_constant(start, start + h), f.sup_norm(start, start + h)
+    sup_f, c_f = f.constants(start, start + h)
     slack = (tail + h * c_f / space.G + 1e-12) * coeff_scale
     eg_norm, sup_g = 1.0, None
     size = coeff_norm * np.linalg.norm(u) * ef_norm
@@ -771,7 +782,7 @@ def _reference_N_vs_Lambda(space, l, coeff, u, f, g=None, v=None, mode="a", star
         eg_norm = np.sqrt(np.sum(np.abs(eg) ** 2))
         size *= np.linalg.norm(v) * eg_norm
         lhs = abs(np.vdot(np.outer(v, eg), diff))
-        c_g, sup_g = g.slope_constant(start, start + h), g.sup_norm(start, start + h)
+        sup_g, c_g = g.constants(start, start + h)
         slack = (tail + tail_g + h * (c_f + c_g) / space.G + 1e-12) * coeff_scale * max(
             float(np.linalg.norm(v)), 1.0)
     rhs = _lemma_rhs(h, l, mode, coeff, coeff_norm, u, v, sup_f, c_f, sup_g, ef_norm, eg_norm)

@@ -22,21 +22,17 @@ from qrw.linalg import dagger, flat, op_norm, power_runs, step_maps, superoperat
 from qrw.model import (
     GkslModel,
     StepKernel,
-    amplitude_damping,
     beta_blocks,
     beta_factors,
     random_model,
     step_leg_outputs,
 )
-from qrw.walk import (
-    DenseCapError,
-    check_composition_table,
-    defect_leg_outputs,
-    f_term_norm,
+from qrw.walk import DenseCapError, defect_leg_outputs, f_term_norm, walk_matrix_element
+from reference import (
+    amplitude_damping,
     toy_exp_embed,
     walk_dense_operator,
     walk_dense_state,
-    walk_matrix_element,
     walk_norm_sq,
 )
 
@@ -99,7 +95,7 @@ class TestTestFunction:
     def test_slope_constant(self):
         f = TF(np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]]))
         # channel 1 slope max |+-2| = 2, channel 2 slope 0.
-        assert f.slope_constant() == pytest.approx(2.0)
+        assert f.constants()[1] == pytest.approx(2.0)
 
     def test_l2_norm_ramp(self):
         f = TF(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
@@ -206,7 +202,7 @@ class TestSegmentTables:
         assert f.antiderivative(ts).tobytes() == _grid_antiderivative(f, ts).tobytes()
         for t_lo, t_hi in ((t0, t1), (None, None)):
             for got, want in ((f.sup_norm(t_lo, t_hi), _grid_sup_norm(f, t_lo, t_hi)),
-                              (f.slope_constant(t_lo, t_hi), _grid_slope_constant(f, t_lo, t_hi))):
+                              (f.constants(t_lo, t_hi)[1], _grid_slope_constant(f, t_lo, t_hi))):
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
         if t1 > t0:
             cells = data.draw(st.integers(1, 8))
@@ -668,16 +664,6 @@ class TestStreamingEngine:
         base = walk_matrix_element(model, SIGMA_X, [1, 0], [0, 1], f, g, h, n)
         with_tail = walk_matrix_element(model, SIGMA_X, [1, 0], [0, 1], f_ext, g, h, n)
         assert with_tail == pytest.approx(base, rel=1e-12)
-
-
-class TestCompositionTable:
-    def test_all_identities_small_residual(self):
-        rng = np.random.default_rng(23)
-        for d, m in [(2, 1), (3, 2), (2, 2)]:
-            report = check_composition_table(rng, d=d, m=m)
-            assert len(report) == 11
-            worst = max(res for _, res in report)
-            assert worst <= 1e-11, report
 
 
 class TestFTerm:
