@@ -8,12 +8,17 @@ Conventions fixed here and used everywhere else:
 * an operator between C^d (x) C^J' and C^d (x) C^J is a (J, J', d, d) block
   array, and ``flat`` is its one conversion to the (d J, d J') matrix, system
   index slow: flat[a J + j, b J' + j'] = blocks[j, j', a, b].  ``unflat`` is
-  its inverse.
+  its inverse;
+* the J terms of a map Y -> sum_j L_j Y R_j on d x d matrices are its sandwich
+  factors: right (d, J d) = [R_0 | ... | R_{J-1}] side by side, and left
+  (d, d J) with column c J + j holding L_j[:, c].  So Y R is the (d J, d)
+  stack of the Y R_j interleaved by row, and left contracts it in one more
+  product.  Leading axes of either are a batch, one map per row of hats.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -40,7 +45,9 @@ CHUNK = 64
 
 # Multiply-adds that one numpy call costs beyond its arithmetic.  At d <= 4 the
 # per-call overhead, not the arithmetic, sets what a slot or an RK4 rate costs.
-_CALL = 4096
+# Fitted on one BLAS thread from a walk slot and an RK4 step timed in both
+# forms at d = 5 to 7, m = 2: the fits ran from 11,400 to 30,200, median 13,800.
+_CALL = 14000
 
 
 def as_matrix(a) -> np.ndarray:
@@ -82,22 +89,24 @@ def unflat(a: np.ndarray, d: int) -> np.ndarray:
 
 
 def sandwich(left: np.ndarray, y: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_j L_j y R_j in two matmul calls: the slot and rate kernel of walk and oracle.
+    """sum_j L_j y R_j in two plain products: y R, then left times its (d J, d) stack.
 
-    ``left`` holds the L_j side by side, (d, J d); ``right`` stacks the R_j, (J, d, d).
+    In the factor layout, right (d, J d) is [R_0 | ... | R_{J-1}] and left
+    (d, d J) holds L_j[:, c] in its column c J + j.
     """
-    return left @ (y @ right).reshape(-1, y.shape[-1])
+    return left.dot(y.dot(right).reshape(-1, y.shape[-1]))
 
 
 def superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The d^2 x d^2 matrix of y -> sandwich(left, y, right) on row-major vec(y).
 
     Entry ((a, b), (c, e)) is sum_j L_j[a, c] R_j[e, b], i.e. sum_j L_j (x) R_j^T.
-    Leading axes of ``left`` (..., d, J d) and ``right`` (..., J, d, d) are a batch.
+    Leading axes of ``left`` (..., d, d J) and ``right`` (..., d, J d) are a batch.
     """
     d = left.shape[-2]
-    L = left.reshape(left.shape[:-1] + (-1, d))
-    out = np.einsum("...ajc,...jeb->...abce", L, right)
+    L = left.reshape(left.shape[:-1] + (d, -1))
+    R = right.reshape(right.shape[:-1] + (-1, d))
+    out = np.einsum("...acj,...ejb->...abce", L, R)
     return out.reshape(left.shape[:-2] + (d * d, d * d))
 
 
@@ -164,46 +173,43 @@ def pick_engine(d: int, terms: int, hats: int, points: int, applies: int) -> tup
 
 
 def step_maps(factors, hats: int, points: int, applies: int):
-    """The stepping engine of the walk and the oracle: maps on vec(Y) bilinear in two hats.
+    """The stepping engine of the walk and the oracle: maps on Y bilinear in two hats.
 
     ``factors(ghat, fhat) -> (left, right)`` gives, per row of the (P, hats)
     hats, the sandwich factors of one map Y -> sum_t L_t Y R_t on d x d
-    matrices, L_t conj-linear in ghat and R_t linear in fhat; d and the term
-    count are read from the factors at the vacuum pair (e_0, e_0).  The engine
-    uses up each result before its next call, so a family may reuse buffers
-    (``model.beta_factors``).  Such a map has two forms on
-    row-major vec(Y): its sandwich factors, applied by ``sandwich`` to the
-    d x d view of vec(Y), and one d^2 x d^2 transfer matrix, the contraction
-    by ``transfer_matrices`` of its ``unit_table``.
+    matrices, in the factor layout, L_t conj-linear in ghat and R_t linear in
+    fhat; d and the term count are read from the factors at the vacuum pair
+    (e_0, e_0).  The engine uses up each result before its next call, so a
+    family may reuse buffers (``model.beta_factors``).  Such a map has two
+    forms: its sandwich factors, two plain products on the d x d state Y, and
+    one d^2 x d^2 transfer matrix, one product on row-major vec(Y), the
+    contraction by ``transfer_matrices`` of its ``unit_table``.
 
     A step forms its maps at ``points`` pairs of hats and applies them
     ``applies`` times; ``pick_engine`` takes the form whose step costs less.
-    Returns ``maps(ghat, fhat) -> step(p, y)``, which applies the map of row p
-    to vec(Y) y; ``vacuum()``, the ``vacuum_superoperator`` of the family,
-    built at its first call in either form; and the
-    (multiply-adds, calls) of one step.
+    Returns ``maps(ghat, fhat)``, one applier y -> (map of the row at y) per
+    row, with the state of the form chosen in ``shape``, (d, d) or (d^2,);
+    ``vacuum()``, the ``vacuum_superoperator`` of the family, built at its
+    first call in either form; the (multiply-adds, calls) of one step; and
+    ``shape``.
     """
     e0 = np.eye(1, hats)
-    terms, d = factors(e0, e0)[1].shape[1::2]  # right is (1, terms, d, d)
-    transfer, madds, calls = pick_engine(d, terms, hats, points, applies)
+    d, width = factors(e0, e0)[1].shape[1:]  # right is (1, d, terms d)
+    transfer, madds, calls = pick_engine(d, width // d, hats, points, applies)
     step = (madds, calls)
     vacuum = cache(lambda: vacuum_superoperator(factors, hats))
     if transfer:
         table = unit_table(factors, hats)
 
         def maps(ghat: np.ndarray, fhat: np.ndarray):
-            T = transfer_matrices(table, ghat, fhat)
-            return lambda p, y: T[p] @ y
+            return [T.dot for T in transfer_matrices(table, ghat, fhat)]
 
-        return maps, vacuum, step
-
-    square = (d, d)
+        return maps, vacuum, step, (d * d,)
 
     def maps(ghat: np.ndarray, fhat: np.ndarray):
-        left, right = factors(ghat, fhat)
-        return lambda p, y: sandwich(left[p], y.reshape(square), right[p]).ravel()
+        return [partial(sandwich, L, right=R) for L, R in zip(*factors(ghat, fhat))]
 
-    return maps, vacuum, step
+    return maps, vacuum, step, (d, d)
 
 
 def _power_pays(d: int, r: int, step: tuple[float, float], setup: int = 0) -> bool:

@@ -13,8 +13,9 @@ else is derived from R:
   ``GkslModel.spectrum``, the only eigendecomposition in qrw,
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
   ``beta_factors``, and the oracle's rate ``rate_factors``, Theta plus <g, f>:
-  the walk and the oracle step these factors and build none of their own;
-  only ``beta_factors`` reuses buffers, the others are plain functions.
+  the walk and the oracle step these factors, in ``linalg``'s factor layout,
+  and build none of their own; only ``beta_factors`` reuses buffers, the
+  others are plain functions.  ``GkslModel.rate_engine`` steps the oracle's.
 
 Operators on system (x) (C + noise) are plain (1+m, 1+m, d, d) block arrays,
 block index 0 being the vacuum direction; ``linalg.flat`` gives the matrix,
@@ -34,7 +35,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .linalg import apply_table, as_matrix, as_vector, dagger, flat, op_norm, unflat, unit_table
+from .linalg import (apply_table, as_matrix, as_vector, dagger, flat, op_norm, step_maps, unflat,
+                     unit_table)
 
 __all__ = [
     "PARTS",
@@ -104,6 +106,13 @@ class GkslModel:
         lam, V = np.linalg.eigh(self.RdR)
         return np.clip(lam, 0.0, None), V
 
+    @cached_property
+    def rate_engine(self):
+        """The oracle's ``linalg.step_maps`` of ``rate_factors``, with its unit table
+        and vacuum map: built once per model, shared by every RK4 pass."""
+        # An RK4 step forms the rates at 2 new points and applies them 4 times.
+        return step_maps(partial(rate_factors, self), 1 + self.m, 2, 4)
+
     @property
     def defect_constant(self) -> float:
         """Uniform defect bound constant 5(||R||^2 + ||R||^3 + ||R||^4)."""
@@ -141,8 +150,8 @@ def random_model(rng, d: int, m: int, norm: float) -> GkslModel:
 def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndarray]:
     """Sandwich factors of Y -> <ghat, Theta(Y) fhat>, one set per row of the (P, 1+m) hats.
 
-    left (P, d, (2+m)d) holds [K, 1, c R_1*, ..., c R_m*] side by side and right
-    (P, 2+m, d, d) stacks [1, K', R_1, ..., R_m]: ``linalg.sandwich`` gives
+    In ``linalg``'s factor layout, left (P, d, d(2+m)) holds [K, 1, c R_1*, ..., c R_m*]
+    and right (P, d, (2+m)d) [1, K', R_1, ..., R_m]: ``linalg.sandwich`` gives
     c R*(Y (x) 1)R + K Y + Y K' with c = conj(ghat_0) fhat_0, K = -c R*R/2 + D,
     K' = -c R*R/2 - D and D = conj(ghat_0) sum_i fhat_i R_i* - fhat_0 sum_i conj(ghat_i) R_i.
     Bilinear in (conj ghat, fhat), so the unit hats (e_j, e_j') give block (j, j')
@@ -156,22 +165,22 @@ def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndar
     D = (np.tensordot(g0 * fhat[:, 1:], dags, axes=1)
          - np.tensordot(f0 * ghat[:, 1:].conj(), chans, axes=1))
     half = (-0.5 * c) * model.RdR
-    left = np.empty((P, d, (2 + m) * d), dtype=complex)  # factor j in columns j d to (j + 1) d
-    np.add(half, D, out=left[:, :, :d])
-    left[:, :, d:2 * d] = np.eye(d)
-    np.multiply(c, dags.transpose(1, 0, 2).reshape(d, -1), out=left[:, :, 2 * d:])
-    right = np.empty((P, 2 + m, d, d), dtype=complex)
-    right[:, 0], right[:, 2:] = np.eye(d), chans
-    np.subtract(half, D, out=right[:, 1])
-    return left, right
+    left = np.empty((P, d, d, 2 + m), dtype=complex)  # L_j[a, c] at [a, c, j]
+    np.add(half, D, out=left[..., 0])
+    left[..., 1] = np.eye(d)
+    np.multiply(c[..., None], dags.transpose(1, 2, 0), out=left[..., 2:])
+    right = np.empty((P, d, 2 + m, d), dtype=complex)  # R_j[e, b] at [e, j, b]
+    right[:, :, 0], right[:, :, 2:] = np.eye(d), chans.transpose(1, 0, 2)
+    np.subtract(half, D, out=right[:, :, 1])
+    return left.reshape(P, d, -1), right.reshape(P, d, -1)
 
 
 def rate_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndarray]:
     """The oracle's rate G_s: ``structure_factors`` with <g, f> = sum_{i>=1}
-    conj(ghat_i) fhat_i added to K's diagonal."""
+    conj(ghat_i) fhat_i added to K's diagonal, K[a, a] in column a(2+m)."""
     left, right = structure_factors(model, ghat, fhat)
     diag = np.arange(model.d)
-    left[:, diag, diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]
+    left[:, diag, (2 + model.m) * diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]
     return left, right
 
 
@@ -248,11 +257,12 @@ def beta_factors(kernel: StepKernel):
 
     Row p is the map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y)
     = sum_l Vg_l* Y Vf_l, where V_l is the block of V = U(h)(1 (x) hat) on slot
-    direction l.  Per input direction j, cols holds the blocks U^{(l,j)} of
-    U(h) stacked over l and rows the blocks U^{(l,j)}* side by side, so
-    right = [Vf_0; ...; Vf_m] and left = [Vg_0* | ... | Vg_m*] are linear in
-    the hats.  A nonzero ``model.beta_corruption`` c adds c x to the vacuum
-    block of beta, so it is one more, last, term c conj(ghat_0) fhat_0 Y.
+    direction l.  In ``linalg``'s factor layout right = [Vf_0 | ... | Vf_m] and
+    left holds Vg_l*[:, c] in column c(1+m) + l; cols and rows, fixed
+    permutations of the blocks U^{(l,j)} of U(h) and of their adjoints per
+    input direction j, make both linear in the hats.  A nonzero
+    ``model.beta_corruption`` c adds c x to the vacuum block of beta, so it is
+    one more, last, term c conj(ghat_0) fhat_0 Y.
 
     Each call writes into two buffers that the closure owns, grown to the most
     rows asked for so far, and returns views of them.  It is the one factor
@@ -262,8 +272,8 @@ def beta_factors(kernel: StepKernel):
     """
     d, m, c = kernel.model.d, kernel.model.m, kernel.model.beta_corruption
     U = kernel.U  # [l, j, a, b]
-    cols = U.transpose(1, 0, 2, 3).reshape(1 + m, -1)
-    rows = U.conj().transpose(1, 3, 0, 2).reshape(1 + m, -1)
+    cols = U.transpose(1, 2, 0, 3).reshape(1 + m, -1)  # [j, (a, l, b)]: U^{(l,j)}[a, b]
+    rows = U.conj().transpose(1, 3, 2, 0).reshape(1 + m, -1)  # [j, (b, a, l)]: U^{(l,j)}*[b, a]
     eye = np.eye(d)
     buffers = [np.empty((0, cols.shape[1]), dtype=complex), np.empty((0, rows.shape[1]), dtype=complex)]
 
@@ -271,12 +281,13 @@ def beta_factors(kernel: StepKernel):
         P = len(ghat)
         if P > len(buffers[0]):
             buffers[:] = (np.empty((P, part.shape[1]), dtype=complex) for part in (cols, rows))
-        right = np.matmul(fhat, cols, out=buffers[0][:P]).reshape(-1, 1 + m, d, d)
-        left = np.matmul(ghat.conj(), rows, out=buffers[1][:P]).reshape(-1, d, (1 + m) * d)
+        right = np.matmul(fhat, cols, out=buffers[0][:P]).reshape(-1, d, (1 + m) * d)
+        left = np.matmul(ghat.conj(), rows, out=buffers[1][:P]).reshape(-1, d, d, 1 + m)
         if c:
-            left = np.concatenate([left, c * ghat[:, :1, None].conj() * eye], axis=2)
-            right = np.concatenate([right, fhat[:, :1, None, None] * eye], axis=1)
-        return left, right
+            last = c * ghat[:, :1, None, None].conj() * eye[..., None]
+            left = np.concatenate([left, last], axis=3)
+            right = np.concatenate([right, fhat[:, :1, None] * eye], axis=2)
+        return left.reshape(P, d, -1), right
 
     return factors
 

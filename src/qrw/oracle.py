@@ -13,9 +13,10 @@ and m_t(x) = <v, Y u>, with G_s the bracket plus <g(s), f(s)>.  The bracket
 is <ghat, Theta(Y) fhat> at ghat = (1, g(s)), fhat = (1, f(s)), bilinear in
 the hats, so G_s is stepped by ``linalg.step_maps``, the walk's engine, on
 ``model.rate_factors``: those of ``structure_factors`` with the pairing added
-to K.  RK4 runs piece by piece between the breakpoints of f and g, reading f
-and g at each piece's ends as the limits from inside it, so a jump of either
-costs no order.  Where f = g = 0 on a piece the rate is the constant L, and
+to K.  That engine, ``GkslModel.rate_engine``, is built once per model and
+shared by every pass.  RK4 runs piece by piece between the breakpoints of f
+and g, reading f and g at each piece's ends as the limits from inside it, so
+a jump of either costs no order.  Where f = g = 0 on a piece the rate is the constant L, and
 its k steps are M^k, M the one RK4 step ``_rk4`` of L's d^2 x d^2 matrix
 applied to the identity, where that is cheaper.
 
@@ -39,13 +40,11 @@ rule, is also the cross-check of the transfer matrices and the powers.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .functions import TestFunction, _sorted_distinct
-from .linalg import CHUNK, _power_pays, op_norm, step_maps
-from .model import GkslModel, rate_factors
+from .linalg import CHUNK, _power_pays, op_norm
+from .model import GkslModel
 
 __all__ = [
     "OracleRefinementError",
@@ -119,14 +118,14 @@ def _hats(fn: TestFunction, times: np.ndarray, firsts: np.ndarray, lasts: np.nda
     return hats
 
 
-def _rk4(y: np.ndarray, rate, times: np.ndarray) -> np.ndarray:
-    """RK4 from y over ``times``, 2k + 1 points as ``_points`` lays them out; rate(p, y) at p."""
+def _rk4(y: np.ndarray, rates, times: np.ndarray) -> np.ndarray:
+    """RK4 from y over ``times``, 2k + 1 points as ``_points`` lays them out; rates[p] at p."""
     for i in range(len(times) // 2):
         dt = times[2 * i] - times[2 * i + 2]
-        k1 = rate(2 * i, y)
-        k2 = rate(2 * i + 1, y + dt / 2 * k1)
-        k3 = rate(2 * i + 1, y + dt / 2 * k2)
-        k4 = rate(2 * i + 2, y + dt * k3)
+        k1 = rates[2 * i](y)
+        k2 = rates[2 * i + 1](y + dt / 2 * k1)
+        k3 = rates[2 * i + 1](y + dt / 2 * k2)
+        k4 = rates[2 * i + 2](y + dt * k3)
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
 
@@ -146,8 +145,8 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     dY/dtau = G_{t-tau}(Y) down to time 0; the result is <v, Y u>, which is
     <v, x u> at t = 0.  The pieces between breakpoints of f and g run latest
     first.  f and g are read once on the nodes and midpoints of every piece,
-    from inside the piece at its ends, and ``linalg.step_maps`` applies the
-    rates at those points CHUNK steps at a time, each chunk's factors freed
+    from inside the piece at its ends, and the model's ``rate_engine`` applies
+    the rates at those points CHUNK steps at a time, each chunk's factors freed
     before the next chunk's are formed.  A piece of k steps where f = g = 0 is
     M^k on vec(Y), M the RK4 step of the engine's vacuum map L applied to the
     identity, where ``_power_pays`` finds that cheaper than k steps.
@@ -159,22 +158,21 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     d = model.d
     pieces = _pieces(f, g, t, steps)[::-1]
     counts = np.array([k for _, _, k in pieces])
-    # A step forms the rates at 2 new points and applies them 4 times.
-    maps, vacuum, step = step_maps(partial(rate_factors, model), 1 + model.m, 2, 4)
+    maps, vacuum, step, shape = model.rate_engine
     # Each piece has its own points, so a node between two pieces is read from
     # inside each of them.
     times = np.concatenate([_points(a, b, k) for a, b, k in pieces])
     lasts = np.cumsum(2 * counts + 1) - 1
     firsts = lasts - 2 * counts
     ghat, fhat = (_hats(fn, times, firsts, lasts) for fn in (g, f))
-    y = x.reshape(-1)
+    y = x.reshape(shape)
     for k, first in zip(counts.tolist(), firsts.tolist()):
         pts = slice(first, first + 2 * k + 1)
         gp, fp, tp = ghat[pts], fhat[pts], times[pts]
         # f = g = 0 on the piece: M takes 4 products of d^6.
         if not (gp[:, 1:].any() or fp[:, 1:].any()) and _power_pays(d, k, step, 4):
-            M = _rk4(np.eye(d * d), lambda _, z: vacuum() @ z, tp[:3])
-            y = np.linalg.matrix_power(M, k) @ y
+            M = _rk4(np.eye(d * d), [vacuum().dot] * 3, tp[:3])
+            y = (np.linalg.matrix_power(M, k) @ y.reshape(-1)).reshape(shape)
             continue
         # A chunk's maps live only as the argument of its _rk4 call.
         for start in range(0, 2 * k, 2 * CHUNK):

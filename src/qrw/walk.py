@@ -97,19 +97,18 @@ def _prefix_state(kernel: StepKernel, ops: np.ndarray, hats: list, u: np.ndarray
 
 
 def _sweep(y, maps, ghats, fhats, start: int, stop: int):
-    """The streaming state vec(Y_start) that follows vec(Y_stop) = y.
+    """The streaming state Y_start that follows Y_stop = y, in the engine's shape.
 
     Y_{k-1} = sum_{j j'} conj(ghat_k[j]) fhat_k[j'] beta^{(j,j')}(h, Y_k):
     slot k is contracted between the hatted vectors of g (output side) and
     f (input side) immediately after its step, which is exact because later
     steps never touch slot k again.  ``maps``, of ``linalg.step_maps``, forms
-    the slot maps CHUNK slots at a time.
+    the appliers of the slot maps CHUNK slots at a time; they run last first.
     """
     for hi in range(stop, start, -CHUNK):
         lo = max(start, hi - CHUNK)
-        step = maps(ghats[lo:hi], fhats[lo:hi])
-        for k in range(hi - lo - 1, -1, -1):
-            y = step(k, y)
+        for apply in reversed(maps(ghats[lo:hi], fhats[lo:hi])):
+            y = apply(y)
     return y
 
 
@@ -117,7 +116,7 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
                         h: float, n: int) -> complex:
     """<v (x) projected e(g), p_{nh}(x) u (x) projected e(f)> by streaming.
 
-    ``linalg.step_maps`` steps the slot maps of ``model.beta_factors`` on vec(Y),
+    ``linalg.step_maps`` steps the slot maps of ``model.beta_factors`` on Y,
     and ``power_runs`` takes each run of vacuum slots (f and g both average to
     zero) that costs more stepped than as a power as one power of the vacuum
     map.  Agrees with the dense engine pairing whenever the dense cap allows,
@@ -129,12 +128,13 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
     d = model.d
     # A slot forms its map at one pair of hats and applies it once.
-    maps, vacuum_map, step = step_maps(beta_factors(StepKernel.build(model, h)), 1 + model.m, 1, 1)
+    maps, vacuum_map, step, shape = step_maps(beta_factors(StepKernel.build(model, h)),
+                                              1 + model.m, 1, 1)
     vacuum = ~(favgs.F.any(axis=1) | gavgs.F.any(axis=1))
-    y, stop = x.reshape(-1), n
+    y, stop = x.reshape(shape), n
     for a, b in reversed(power_runs(vacuum, d, step)):
         y = _sweep(y, maps, ghats, fhats, b, stop)
-        y = np.linalg.matrix_power(vacuum_map(), b - a) @ y
+        y = (np.linalg.matrix_power(vacuum_map(), b - a) @ y.reshape(-1)).reshape(shape)
         stop = a
     y = _sweep(y, maps, ghats, fhats, 0, stop)
     return complex(np.vdot(v, y.reshape(d, d) @ u))

@@ -9,9 +9,9 @@ its mutant, or if a mutant no longer applies: its old text is gone or
 repeated, or its test is not found.  Each loosened bound (the defect
 constant, ``DefectReport.passed``, the F term's c(f, t), the projection-loss
 bound of ``check_lemma_normdiff``, the kind-1 mode-a bound of
-``check_N_vs_Lambda`` and the second-order bound of ``trig_estimates``) is
-killed by a witness: an input on which value / bound stays above a floor that
-the 10x looser bound takes it below.
+``check_N_vs_Lambda``, its pass rule and the second-order bound of
+``trig_estimates``) is killed by a witness: an input on which value / bound
+stays above a floor that the 10x looser bound takes it below.
 
 pytest does not collect this file; CI runs it as its own step.
 """
@@ -40,12 +40,12 @@ MUTANTS = [
      "    F = f(h * (np.arange(n) + 0.5)) * np.sqrt(h)\n",
      "tests/test_fock.py::TestBasicOperators::test_annihilation_action_formula"),
     ("model.py",  # the oracle's rate without <g, f>
-     "    left[:, diag, diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]\n",
+     "    left[:, diag, (2 + model.m) * diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]\n",
      "",
      "tests/test_oracle.py::TestWeakGenerator::test_derivative_at_zero_oracle"),
     ("model.py",  # D's sign flipped in K'
-     "    np.subtract(half, D, out=right[:, 1])\n",
-     "    np.add(half, D, out=right[:, 1])\n",
+     "    np.subtract(half, D, out=right[:, :, 1])\n",
+     "    np.add(half, D, out=right[:, :, 1])\n",
      "tests/test_model.py::TestStructureMaps::test_identity_gives_zero"),
     ("oracle.py",  # the oracle reads f and g from outside their support at its start
      "    hats[firsts[times[firsts] == fn.breakpoints[0]], 1:] = 0.0\n",
@@ -63,10 +63,10 @@ MUTANTS = [
      "    return [(a, b, scale * max(1, int(np.ceil((b - a) / t * steps))))\n",
      "    return [(a, b, max(1, int(np.ceil((b - a) / t * steps * scale))))\n",
      "tests/test_oracle.py::TestFlowMatrixElement::test_doubling_halves_every_step"),
-    ("walk.py",  # the slots of a chunk stepped forward
-     "        for k in range(hi - lo - 1, -1, -1):\n",
-     "        for k in range(hi - lo):\n",
-     "tests/test_oracle.py::TestFlowMatrixElement::test_jump_inside_converges_at_fourth_order"),
+    ("walk.py",  # a chunk's slot maps applied first to last
+     "        for apply in reversed(maps(ghats[lo:hi], fhats[lo:hi])):\n",
+     "        for apply in maps(ghats[lo:hi], fhats[lo:hi]):\n",
+     "tests/test_walk.py::TestStreamingEngine::test_engine_equivalence_property"),
     ("walk.py",  # g's hats replaced by f's
      "    ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))\n",
      "    ghats, fhats = favgs.hatted(slice(None)), favgs.hatted(slice(None))\n",
@@ -119,6 +119,14 @@ MUTANTS = [
      "    if mode == \"a\":\n        return base\n",
      "    if mode == \"a\":\n        return 10 * base\n",
      "tests/test_fock.py::TestNvsLambdaChecks::test_time_bound_is_within_reach"),
+    ("model.py",  # beta's left factors in the column order of the stacked layout
+     "rows = U.conj().transpose(1, 3, 2, 0)",
+     "rows = U.conj().transpose(1, 3, 0, 2)",
+     "tests/test_model.py::TestBeta::test_closed_form_matches_conjugation"),
+    ("fock.py",  # check_N_vs_Lambda passing on lhs <= 10 rhs + slack
+     "        passed=bool(lhs <= rhs + slack),\n",
+     "        passed=bool(lhs <= 10 * rhs + slack),\n",
+     "tests/test_fock.py::TestNvsLambdaChecks::test_pass_rule_is_within_reach"),
     ("model.py",  # trig_estimates' second-order bound 10x looser
      "h**2 * r2**2,",
      "10 * h**2 * r2**2,",

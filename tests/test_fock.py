@@ -874,6 +874,18 @@ class TestNvsLambdaChecks:
         assert res.passed
         assert res.lhs / (res.rhs + res.slack) >= 0.25
 
+    def test_pass_rule_is_within_reach(self, monkeypatch):
+        # A witness for passed = lhs <= rhs + slack: on the kind-1 witness above
+        # (lhs / rhs 0.917, lhs / (rhs + slack) 0.533) the bound over 20 reads
+        # about 1.19 and must fail, where lhs <= 10 rhs + slack reads about 0.75.
+        lemma_rhs = fock._lemma_rhs
+        monkeypatch.setattr(fock, "_lemma_rhs", lambda *args: lemma_rhs(*args) / 20)
+        h = 1 / 8
+        space = IntervalSpace(m=2, G=8, N=6, h=h)
+        res = check_N_vs_Lambda(space, 1, SEED7_S, SEED7_U, SEED7_F, start=h)
+        assert not res.passed
+        assert res.lhs / (res.rhs + res.slack) >= 1.1
+
     def test_mode_b_requires_v_and_g(self):
         with pytest.raises(ValueError, match="mode 'b'"):
             check_N_vs_Lambda(self.space, 1, np.eye(2), self.u, self.f, mode="b")

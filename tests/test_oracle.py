@@ -1,7 +1,6 @@
 """Tests for the weak-ODE flow oracle and its cross-validations."""
 
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrw import linalg, oracle
+from qrw import model as qrw_model
 from qrw.functions import TestFunction
-from qrw.linalg import dagger, flat, op_norm, sandwich, step_maps, superoperator
+from qrw.linalg import dagger, flat, op_norm, sandwich, superoperator
 from qrw.model import PARTS, GkslModel, random_model, rate_factors, structure_factors, structure_maps
 from qrw.oracle import OracleRefinementError, flow_matrix_element, flow_matrix_element_fixed
 from qrw.walk import walk_matrix_element
@@ -99,10 +99,11 @@ class TestWeakGenerator:
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_table_contracts_to_rate_superoperator(self, d, m, seed):
-        # At d <= 4 the engine steps the rate by transfer matrices: at any hats,
-        # the pairs of unit hats (c = 0 but at (e_0, e_0)) among them, each is
-        # the superoperator of structure_factors plus sum_{i>=1} conj(g_i) f_i,
-        # and so is the superoperator of rate_factors itself.
+        # At d <= 4 the model's rate engine steps the rate by transfer
+        # matrices: at any hats, the pairs of unit hats (c = 0 but at
+        # (e_0, e_0)) among them, each is the superoperator of
+        # structure_factors plus sum_{i>=1} conj(g_i) f_i, and so is the
+        # superoperator of rate_factors itself.
         rng = np.random.default_rng(seed)
         model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
         assert linalg.pick_engine(d, 2 + m, 1 + m, 2, 4)[0]
@@ -110,13 +111,14 @@ class TestWeakGenerator:
         ghat = np.vstack([_rand_x(rng, 5 + m)[:5, :1 + m], units.repeat(1 + m, axis=0)])
         fhat = np.vstack([_rand_x(rng, 5 + m)[:5, :1 + m], np.tile(units, (1 + m, 1))])
         P = len(ghat)
-        maps, _, _ = step_maps(partial(rate_factors, model), 1 + m, 2, 4)
+        maps, _, _, shape = model.rate_engine
+        assert shape == (d * d,)
         pairing = np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)
         want = (superoperator(*structure_factors(model, ghat, fhat))
                 + pairing[:, None, None] * np.eye(d * d))
         y = _rand_x(rng, d).reshape(-1)
-        step = maps(ghat, fhat)
-        got = np.stack([step(p, y) for p in range(P)])
+        got = np.stack([apply(y) for apply in maps(ghat, fhat)])
+        assert len(got) == P
         direct = superoperator(*rate_factors(model, ghat, fhat)) @ y
         scale = (np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1)
                  * (1 + model.norm_R**2) * np.linalg.norm(y))
@@ -249,7 +251,9 @@ class TestFlowMatrixElement:
     def test_transfer_matches_sandwich_loop(self, monkeypatch):
         # At d = 3 the rule takes transfer matrices and the vacuum pieces as
         # powers.  A zero cost makes nothing strictly cheaper, which forces the
-        # sandwich factors at every step, as in the walk's cross-checks.
+        # sandwich factors at every step, as in the walk's cross-checks.  The
+        # rate engine is built once per model, so the zero-cost pass runs on a
+        # fresh model of the same R.
         rng = np.random.default_rng(19)
         model = random_model(rng, 3, 2, 1.2)
         f = _tf([0.1, 0.2, 0.4, 0.6], [[0, 0], [0, 0], [0.3, -0.2j], [0, 0]])
@@ -267,9 +271,23 @@ class TestFlowMatrixElement:
         monkeypatch.setattr(linalg, "pick_engine", spy)
         transfer = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
         monkeypatch.setattr(linalg, "_cost", lambda madds, calls: 0.0)
-        loop = flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 1024)
+        fresh = GkslModel(d=3, m=2, R=model.R)
+        loop = flow_matrix_element_fixed(fresh, x, u, v, f, g, 1.0, 1024)
         assert [transfer for transfer, _, _ in chosen] == [True, False]
         assert abs(transfer - loop) <= 1e-13 * abs(loop)
+
+    def test_rate_engine_built_once_per_model(self, monkeypatch):
+        # Every pass of every call steps the model's one rate engine, with its
+        # unit table and vacuum map.
+        model, x, u, v, f, g = _study_input(5, 3, 2, (0.1, 0.6))
+        engines, passes = [], []
+        step_maps, fixed = qrw_model.step_maps, oracle.flow_matrix_element_fixed
+        monkeypatch.setattr(qrw_model, "step_maps", lambda *a: engines.append(a) or step_maps(*a))
+        monkeypatch.setattr(oracle, "flow_matrix_element_fixed",
+                            lambda *a: passes.append(a) or fixed(*a))
+        first = flow_matrix_element(model, x, u, v, f, g, 1.0)
+        assert flow_matrix_element(model, x, u, v, f, g, 1.0) == first
+        assert len(passes) >= 4 and len(engines) == 1
 
     def test_each_chunk_frees_its_factors(self, monkeypatch):
         # A pass holds one chunk's rate factors at a time: none formed for an
@@ -287,7 +305,7 @@ class TestFlowMatrixElement:
             return parts
 
         monkeypatch.setattr(oracle, "CHUNK", 4)
-        monkeypatch.setattr(oracle, "rate_factors", spy)
+        monkeypatch.setattr(qrw_model, "rate_factors", spy)
         flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 32)
         assert len(alive) >= 32 // 4
         assert alive == [0] * len(alive)

@@ -582,12 +582,13 @@ class TestStreamingEngine:
         factors = beta_factors(StepKernel.build(model, float(rng.uniform(0.01, 1.0))))
         terms = 1 + m + bool(corruption)
         assert linalg.pick_engine(d, terms, 1 + m, 1, 1)[0]
-        maps, _, _ = step_maps(factors, 1 + m, 1, 1)
+        maps, _, _, shape = step_maps(factors, 1 + m, 1, 1)
+        assert shape == (d * d,)
         ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
         ghat[:, 0] = fhat[:, 0] = 1.0
         y = _rand_x(rng, d).reshape(-1)
-        step = maps(ghat, fhat)
-        got = np.stack([step(p, y) for p in range(5)])
+        got = np.stack([apply(y) for apply in maps(ghat, fhat)])
+        assert len(got) == 5
         want = superoperator(*factors(ghat, fhat)) @ y
         scale = np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1) * np.linalg.norm(y)
         assert (np.linalg.norm(got - want, axis=1) <= 1e-13 * d * scale).all()
