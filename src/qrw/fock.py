@@ -236,7 +236,7 @@ def _one_particle_coeffs(space: IntervalSpace, cells: np.ndarray) -> np.ndarray:
     cells = np.asarray(cells, dtype=complex)
     if cells.shape != (space.G, space.m):
         raise ValueError(f"cell samples shape {cells.shape}, expected {(space.G, space.m)}")
-    return np.sqrt(space.h / space.G) * cells.reshape(-1)
+    return math.sqrt(space.h / space.G) * cells.reshape(-1)
 
 
 def exp_vector(space: IntervalSpace, cells) -> np.ndarray:
@@ -492,14 +492,18 @@ def _slot_split(space: IntervalSpace, x: tuple) -> tuple[np.ndarray, np.ndarray]
     """Slot coordinates (vacuum, chi^1..chi^m) of x and its (G, m) sector 1 off the chi vectors."""
     s, phi, K, a = x
     one = s * (phi if phi is not None else a if K >= 1 else 0 * a).reshape(space.G, space.m)
-    mean = one.mean(0)
-    return np.concatenate([[s if phi is None else 0.0], np.sqrt(space.G) * mean]), one - mean
+    mean = np.add.reduce(one, axis=0) / space.G  # numpy's formula for one.mean(0)
+    hat = np.empty(1 + space.m, dtype=complex)
+    hat[0] = s if phi is None else 0.0
+    hat[1:] = math.sqrt(space.G) * mean
+    return hat, one - mean
 
 
 def _complement_gram(space: IntervalSpace, xs: list, ys: list) -> np.ndarray:
     """[<(1 - P_h) x, (1 - P_h) y>] over xs and ys: sectors >= 2 plus sector 1
     off the chi vectors, with no slot part subtracted from a full inner product."""
-    off_x, off_y = (np.array([_slot_split(space, x)[1].ravel() for x in vs]) for vs in (xs, ys))
+    off_x = np.array([_slot_split(space, x)[1].ravel() for x in xs])
+    off_y = off_x if ys is xs else np.array([_slot_split(space, y)[1].ravel() for y in ys])
     return np.array([[_inner(x, y, 2) for y in ys] for x in xs]) + off_x.conj() @ off_y.T
 
 
@@ -510,7 +514,7 @@ def _term_image(space: IntervalSpace, l: int, i: int, j: int, c: np.ndarray) -> 
     if l == 1:
         return (1.0, None, space.N, c)
     phi = np.zeros((space.G, space.m), dtype=complex)
-    phi[:, i] = c.reshape(space.G, space.m)[:, j] if l == 4 else 1.0 / np.sqrt(space.G)
+    phi[:, i] = c.reshape(space.G, space.m)[:, j] if l == 4 else 1.0 / math.sqrt(space.G)
     if l == 2:
         return (complex(np.vdot(phi, c)), None, space.N - 1, c)
     return (1.0, phi.ravel(), space.N - 1, c)
@@ -640,7 +644,8 @@ def check_N_vs_Lambda(space: IntervalSpace, l: int, coeff, u, f: TestFunction,
     terms = _lambda_terms(space, l, coeff, d)
     C = np.column_stack([M @ u for M, _, _ in terms])
     W = [_term_image(space, l, i, j, ef[3]) for _, i, j in terms]
-    P = basic_operator_flat(l, coeff, d, space.m) @ np.kron(u, _slot_split(space, ef)[0])
+    hat = _slot_split(space, ef)[0]
+    P = basic_operator_flat(l, coeff, d, space.m) @ np.multiply.outer(u, hat).ravel()
     A = scale * P.reshape(d, 1 + space.m) - C @ np.array([_slot_split(space, w)[0] for w in W])
 
     coeff_norm = op_norm(coeff)

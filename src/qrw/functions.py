@@ -13,6 +13,13 @@ and evaluates f only at the times asked for.  ``constants`` (sup|f| and c_f,
 of which ``sup_norm`` returns the first) and ``pair_overlap_integral`` read f
 on one breakpoint-refined grid (``_nodes``), the whole support by default.
 
+Queries run on a handful of times, where numpy's Python-level wrappers cost
+more than the arithmetic.  So they read the tables at a clamped segment index
+by ``take`` gathers, with no boolean compress or scatter: f is evaluated at
+every time and zeroed outside its support after.  ``np.clip``, ``np.diff``,
+``np.linspace`` and ``np.linalg.norm`` are written out as the ufunc calls
+numpy itself makes, so every result keeps the bytes of the wrapped forms.
+
 Merged node lists are sorted and stripped of repeats by ``_sorted_distinct``
 rather than ``np.unique``: numpy 2.4 imports ``numpy.ma`` on the first
 ``np.unique`` call, about 30 ms of every cold start, for no gain on a handful
@@ -31,8 +38,9 @@ __all__ = ["SlotAverages", "TestFunction", "slot_averages"]
 def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     """The distinct entries of a 1-D array in ascending order (empty stays empty)."""
     x = np.sort(x)
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
     return x[keep]
 
 
@@ -98,47 +106,46 @@ class TestFunction:
     def __call__(self, t) -> np.ndarray:
         """Evaluate at scalar or array times; shape (..., channels)."""
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (self.channels,), dtype=complex)
         bp, vals = self.breakpoints, self.values
         inside = (t >= bp[0]) & (t <= bp[-1])
-        if np.any(inside):
-            ti = t[inside]
-            idx = np.clip(np.searchsorted(bp, ti, side="right") - 1, 0, len(bp) - 2)
-            t0, t1 = bp[idx], bp[idx + 1]
-            w = ((ti - t0) / (t1 - t0))[..., None]
-            out[inside] = (1 - w) * vals[idx] + w * vals[idx + 1]
+        # Times outside the support (and NaN) are read at its start, then zeroed.
+        t = np.where(inside, t, bp[0])
+        idx = np.minimum(bp.searchsorted(t, "right") - 1, len(bp) - 2)
+        t0 = bp.take(idx)
+        w = ((t - t0) / (bp.take(idx + 1) - t0))[..., None]
+        out = (1 - w) * vals.take(idx, axis=0) + w * vals.take(idx + 1, axis=0)
+        out[~inside] = 0.0
         return out
 
     def antiderivative(self, t) -> np.ndarray:
         """Exact integral of f from -inf to t, shape (..., channels): ``integrals``
         up to the breakpoint t_k below t plus the quadratic in t - t_k."""
         bp = self.breakpoints
-        t = np.clip(np.asarray(t, dtype=float), bp[0], bp[-1])
-        idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(bp) - 2)
-        s = (t - bp[idx])[..., None]
-        return self.integrals[idx] + s * self.values[idx] + 0.5 * s**2 * self.slopes[idx]
+        t = np.minimum(np.maximum(np.asarray(t, dtype=float), bp[0]), bp[-1])
+        idx = np.minimum(bp.searchsorted(t, "right") - 1, len(bp) - 2)
+        s = (t - bp.take(idx))[..., None]
+        return (self.integrals.take(idx, axis=0) + s * self.values.take(idx, axis=0)
+                + 0.5 * s**2 * self.slopes.take(idx, axis=0))
 
     def cell_averages(self, t0: float, t1: float, cells: int) -> np.ndarray:
         """Exact averages over ``cells`` equal subintervals of [t0, t1]; (cells, channels)."""
-        edges = np.linspace(t0, t1, cells + 1)
-        return np.diff(self.antiderivative(edges), axis=0) / ((t1 - t0) / cells)
+        edges = t0 + np.arange(cells + 1) * ((t1 - t0) / cells)
+        edges[-1] = t1
+        F = self.antiderivative(edges)
+        return (F[1:] - F[:-1]) / ((t1 - t0) / cells)
 
     def l2_norm_sq(self, t0: float, t1: float) -> float:
         """Exact integral of the squared channel norm over [t0, t1]."""
         return self.pair_overlap_integral(self, t0, t1).real
 
     # -- derived constants ----------------------------------------------------
-    def _nodes(self, t0: float | None = None, t1: float | None = None):
-        """The breakpoint-refined grid on [t0, t1] (the support by default) and f on it.
-
-        The grid holds t0, t1 and the breakpoints strictly between them; f is
-        exactly ``values`` on the breakpoints, its support ends included.
-        """
+    def _nodes(self, t0: float | None = None, t1: float | None = None) -> np.ndarray:
+        """The breakpoint-refined grid on [t0, t1], the support by default: t0, t1
+        and the breakpoints strictly between them, on which f is exactly ``values``."""
         bp = self.breakpoints
         if t0 is None:
             t0, t1 = bp[0], bp[-1]
-        nodes = _sorted_distinct(np.concatenate([[t0], bp[(bp > t0) & (bp < t1)], [t1]]))
-        return nodes, self(nodes)
+        return _sorted_distinct(np.concatenate([[t0], bp[(bp > t0) & (bp < t1)], [t1]]))
 
     def constants(self, t0: float | None = None, t1: float | None = None) -> tuple[float, float]:
         """(sup|f|, c_f) over [t0, t1] if given, from one breakpoint-refined grid.
@@ -149,10 +156,11 @@ class TestFunction:
         differences of f on the grid; a single point (t0 = t1) has none, and
         c_f = 0.
         """
-        nodes, vals = self._nodes(t0, t1)
-        slopes = np.abs(np.diff(vals, axis=0) / np.diff(nodes)[:, None])
-        return (float(np.max(np.linalg.norm(vals, axis=-1))),
-                float(np.sum(np.max(slopes, axis=0, initial=0.0))))
+        nodes = self._nodes(t0, t1)
+        vals = self(nodes)
+        slopes = np.abs((vals[1:] - vals[:-1]) / (nodes[1:] - nodes[:-1])[:, None])
+        norms = np.sqrt(np.add.reduce((vals.conj() * vals).real, axis=-1))
+        return float(norms.max()), float(np.add.reduce(slopes.max(axis=0, initial=0.0)))
 
     def sup_norm(self, t0: float | None = None, t1: float | None = None) -> float:
         """sup|f|, over [t0, t1] if given: the first of ``constants``."""
@@ -162,13 +170,18 @@ class TestFunction:
         """integral of <self(s), other(s)> over [t0, t1].
 
         The integrand is piecewise quadratic; Simpson on the merged breakpoint
-        grid is exact.
+        grid is exact.  Each function is read once, on the nodes and the
+        midpoints together.
         """
-        nodes = _sorted_distinct(np.concatenate([self._nodes(t0, t1)[0], other._nodes(t0, t1)[0]]))
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        pair = lambda t: np.sum(np.conj(self(t)) * other(t), axis=-1)  # noqa: E731
+        nodes = self._nodes(t0, t1)
+        if other is not self:
+            nodes = _sorted_distinct(np.concatenate([nodes, other._nodes(t0, t1)]))
+        k = len(nodes)
+        ts = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])])
+        vals = self(ts)
+        pair = np.sum(np.conj(vals) * (vals if other is self else other(ts)), axis=-1)
         return complex(
-            np.sum(np.diff(nodes) / 6.0 * (pair(nodes[:-1]) + 4 * pair(mids) + pair(nodes[1:])))
+            np.sum((nodes[1:] - nodes[:-1]) / 6.0 * (pair[:k - 1] + 4 * pair[k:] + pair[1:k]))
         )
 
 

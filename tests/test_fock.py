@@ -465,6 +465,17 @@ class TestNormDiffLemma:
         assert res.passed
         assert res.lhs / (res.rhs + res.slack) >= 0.05
 
+    def test_slack_is_within_reach(self):
+        # A witness for the quadrature slack h c_f / G: on the ramp f(s) = s - h/2
+        # over one slot (c_f = 1, sup|f| = h/2) the loss is about h^1.5 / sqrt(12)
+        # against rhs about h.  At h = 1/4, G = 32 the check reads lhs / (rhs +
+        # slack) = 0.125; with the slack h c_f, without its 1/G, it reads 0.068.
+        h = 1 / 4
+        f = TestFunction([0.0, h], [[-h / 2], [h / 2]])
+        res = check_lemma_normdiff(IntervalSpace(m=1, G=32, N=6, h=h), f, h)
+        assert res.passed
+        assert res.lhs / (res.rhs + res.slack) >= 0.09
+
 
 def _reference_fundamental(space, l, coeff, v):
     """Lambda^l kind by kind, with the adjoint of each creation matrix formed explicitly."""
@@ -874,6 +885,16 @@ class TestNvsLambdaChecks:
         assert res.passed
         assert res.lhs / (res.rhs + res.slack) >= 0.25
 
+    def test_time_bound_power_is_within_reach(self):
+        # A witness for the power h^1.5 of the kind-1 mode-a bound, which h^1
+        # loosens by h^-1/2 only: slot 25 of h = 1/256 on the seed-7 inputs reads
+        # lhs / (rhs + slack) = 0.200 (lhs / rhs 0.997); with h^1 it reads 0.050.
+        h = 1 / 256
+        space = IntervalSpace(m=2, G=8, N=6, h=h)
+        res = check_N_vs_Lambda(space, 1, SEED7_S, SEED7_U, SEED7_F, start=25 * h)
+        assert res.passed
+        assert res.lhs / (res.rhs + res.slack) >= 0.1
+
     def test_pass_rule_is_within_reach(self, monkeypatch):
         # A witness for passed = lhs <= rhs + slack: on the kind-1 witness above
         # (lhs / rhs 0.917, lhs / (rhs + slack) 0.533) the bound over 20 reads
@@ -956,6 +977,23 @@ def _algebra_images(space, cells):
 
 
 class TestOneParticleAlgebra:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 3), st.booleans(), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_slot_split_matches_mean_form(self, m, G, K, created, complex_scale, seed):
+        # The slot coordinates and the part off the chi vectors bit for bit as
+        # one.mean(0) and np.concatenate form them.
+        rng = np.random.default_rng(seed)
+        space = IntervalSpace(m=m, G=G, N=3, h=0.1)
+        a, phi = (rng.standard_normal(G * m) + 1j * rng.standard_normal(G * m) for _ in range(2))
+        s = complex(*rng.standard_normal(2)) if complex_scale else 1.0
+        x = (s, phi if created else None, K, a)
+        one = s * (phi if created else a if K >= 1 else 0 * a).reshape(G, m)
+        mean = one.mean(0)
+        hat, off = _slot_split(space, x)
+        assert hat.tobytes() == np.concatenate([[0.0 if created else s], np.sqrt(G) * mean]).tobytes()
+        assert off.tobytes() == (one - mean).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5), st.floats(0.02, 0.5),
            st.one_of(st.just(0.0), st.floats(0.01, 2.0)), st.integers(0, 2**32 - 1))

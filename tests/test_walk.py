@@ -161,6 +161,38 @@ def _grid_antiderivative(f, t):
     return cum[idx] + s * vals[idx] + 0.5 * s**2 * slope
 
 
+def _signed_zero_values(rng, knots, channels):
+    """Random complex values, about a third of their parts zero, of either sign."""
+    parts = rng.uniform(-1, 1, (knots, channels, 2))
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    return (parts * rng.choice([-1.0, 1.0], parts.shape)).view(complex)[..., 0]
+
+
+def _masked_call(f, t):
+    """f(t) as zeros with f scattered in where t lies in the support."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (f.channels,), dtype=complex)
+    bp, vals = f.breakpoints, f.values
+    inside = (t >= bp[0]) & (t <= bp[-1])
+    if np.any(inside):
+        ti = t[inside]
+        idx = np.clip(np.searchsorted(bp, ti, side="right") - 1, 0, len(bp) - 2)
+        t0, t1 = bp[idx], bp[idx + 1]
+        w = ((ti - t0) / (t1 - t0))[..., None]
+        out[inside] = (1 - w) * vals[idx] + w * vals[idx + 1]
+    return out
+
+
+def _six_point_overlap(f, g, t0, t1):
+    """integral of <f, g> over [t0, t1]: Simpson on the merged grid, f and g read per term."""
+    nodes = np.unique(np.concatenate([_refined_grid(f, t0, t1), _refined_grid(g, t0, t1)]))
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    pair = lambda t: np.sum(np.conj(_masked_call(f, t)) * _masked_call(g, t), axis=-1)  # noqa: E731
+    return complex(
+        np.sum(np.diff(nodes) / 6.0 * (pair(nodes[:-1]) + 4 * pair(mids) + pair(nodes[1:])))
+    )
+
+
 def _grid_sup_norm(f, t0=None, t1=None):
     nodes = f.breakpoints if t0 is None else _refined_grid(f, t0, t1)
     return float(np.max(np.linalg.norm(f(nodes), axis=-1), initial=0.0))
@@ -212,6 +244,51 @@ class TestSegmentTables:
             h, n = (t1 - t0) / cells, cells
             want = np.diff(_grid_antiderivative(f, h * np.arange(n + 1)), axis=0) / np.sqrt(h)
             assert functions.slot_averages(f, h, n).F.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bp=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6, unique=True),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        between=st.lists(st.floats(-2.0, 2.0), max_size=6),
+    )
+    def test_call_matches_masked_form(self, bp, channels, seed, between):
+        # f(t) bit for bit as zeros scattered with f on the support computes it:
+        # on every breakpoint (both support ends included), beyond both ends and
+        # between, at +-0.0, +-inf and NaN, for scalar and array t, with values
+        # of either zero sign.
+        bp = np.sort(np.asarray(bp))
+        assume(np.all(np.diff(bp) > 1e-9))
+        f = TF(bp, _signed_zero_values(np.random.default_rng(seed), len(bp), channels))
+        ts = np.concatenate([bp, bp[[0, -1]] + [-0.5, 0.5], [-0.0, 0.0, -np.inf, np.inf, np.nan],
+                             between])
+        for t in (ts, ts[::-1, None], *ts):
+            got, want = f(t), _masked_call(f, t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bps=st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5, unique=True),
+                     min_size=2, max_size=2),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_overlaps_match_six_point_simpson(self, bps, channels, seed, data):
+        # pair_overlap_integral and l2_norm_sq bit for bit as Simpson with each
+        # function read three times: on the left nodes, the midpoints and the
+        # right nodes.
+        bps = [np.sort(np.asarray(bp)) for bp in bps]
+        assume(all(np.all(np.diff(bp) > 1e-9) for bp in bps))
+        rng = np.random.default_rng(seed)
+        f, g = (TF(bp, _signed_zero_values(rng, len(bp), channels)) for bp in bps)
+        point = st.sampled_from(np.concatenate(bps).tolist()) | st.floats(-0.5, 1.5)
+        t0, t1 = sorted(data.draw(st.tuples(point, point)))
+        assume(t0 == t1 or t1 - t0 > 1e-9)
+        for a, b in ((f, g), (g, f), (f, f)):
+            got, want = a.pair_overlap_integral(b, t0, t1), _six_point_overlap(a, b, t0, t1)
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+        assert np.float64(f.l2_norm_sq(t0, t1)).tobytes() == np.float64(want.real).tobytes()
 
     def test_tables_are_read_only(self):
         f = TF(np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0], [1.0, 2j], [0.0, 1.0]]))
