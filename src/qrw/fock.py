@@ -10,31 +10,28 @@ n = 0..N.  Sector n is enumerated by sorted rows of n one-particle modes in
 lexicographic (``itertools.combinations_with_replacement``) order, as a tree:
 each row points to its parent (the row without its last mode) and to its
 first child.  From these pointers, each sector's table of the rows it reaches
-by inserting any one mode is a gather from the sector below's, so the ladder
-and hop operators are read off those tables a whole sector at a time in
-O(dim G) work, with no per-state Python loop and no search.  Coefficients are
+by inserting any one mode is a gather from the sector below's, in O(dim G)
+work with no per-state Python loop and no search.  Coefficients are
 stored over the *orthonormal* occupation basis, so inner products are plain
 complex dot products; the multinomial symmetry factors appear in the
 construction of product vectors and ladder operators instead.
 
 The distinguished vectors are the vacuum (index 0) and the normalized
 constant one-particle vector of each channel ("chi"), which span the
-(1+m)-dimensional slot space of the projected walk.  Vectors are plain
-(dim,) arrays, or (d, dim) for C^d (x) Fock.  Exponential vectors
+(1+m)-dimensional slot space of the projected walk.  Exponential vectors
 e(f) = sum_n f^(x)n / sqrt(n!) of per-cell averages have a truncation tail of
 at most ||f||^(2(N+1)) e^(||f||^2) / (N+1)!.  ``_slot_exp`` is the one reader
 of f on a slot; its slot coordinates and projection loss
 (``slot_exp_data``) come from the one-particle algebra below.
 
-Each fundamental process Lambda^l is written once, as a list of terms
-M_a (x) A_a (a d x d coefficient times a second-quantized one-particle
-operator); ``fundamental_apply`` sums them over (d, dim) arrays.  The lemma
-checks build no Fock vector: each vector they meet is s e_K(a) or
-a_dag(phi) e_K(a), e(a) cut at sector K, whose inner products a one-particle
-algebra (``_inner``) gives from <a, b>, <a, psi>, <phi, b> and <phi, psi>.
-No ladder or hop operator is formed as a matrix: ``fundamental_apply`` applies
-each by gathers and scatters on the insertion tables that ``IntervalSpace.ops``
-builds on first use, with numpy alone.
+Each fundamental process Lambda^l is written once, as the terms M_a (x) A_a
+of ``_lambda_terms`` (a d x d coefficient times a second-quantized
+one-particle operator).  The lemma checks build no Fock vector: each vector
+they meet is s e_K(a) or a_dag(phi) e_K(a), e(a) cut at sector K, whose inner
+products a one-particle algebra (``_inner``) gives from <a, b>, <a, psi>,
+<phi, b> and <phi, psi>.  The explicit Fock vectors and operators that
+cross-check it are the tests'; the sector bases, ``IntervalSpace.ops`` and
+``exp_vector`` stay here because the benchmark reads them.
 
 ``check_composition_table`` checks the composition table of the basic
 operators on their slot-space matrices, ``basic_operator_flat``.
@@ -58,17 +55,13 @@ __all__ = [
     "LemmaResult",
     "NormDiffResult",
     "TruncationError",
-    "basic_apply",
     "basic_operator_flat",
     "check_N_vs_Lambda",
     "check_composition_table",
     "check_lemma_normdiff",
     "exp_tail_bound",
     "exp_vector",
-    "fundamental_apply",
-    "project_Ph",
     "projection_deficiency",
-    "slot_coordinates",
     "slot_exp_data",
 ]
 
@@ -168,10 +161,9 @@ def _channel_ops(m: int, G: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     ``ins[r, c, i]`` is the flat index of row r with mode alpha = c m + i
     inserted, and ``occ[r, c, i]`` the occupation of alpha in that row, both
     (R, G, m) over the R rows r below the cutoff.  They are
-    ``_insertion_tables`` flattened across sectors: O(D G) work.  Every ladder
-    and hop operator is read off them by ``_fock_operator``: a_dag(chi^i)
-    takes r to r + alpha with weight sqrt(occ / G), and the hop j -> i takes
-    r + beta to r + alpha, beta = c m + j, with weight sqrt(occ_i occ_j).
+    ``_insertion_tables`` flattened across sectors: O(D G) work, from which
+    the tests read their ladder and hop operators.  They stay here because
+    the benchmark's lemma set-up builds them (``IntervalSpace.ops``).
     """
     basis = _sector_basis(G * m, cutoff)
     ins, occ = _insertion_tables(basis)
@@ -181,13 +173,16 @@ def _channel_ops(m: int, G: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Space and vectors
+# The interval space
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalSpace:
-    """One partition interval of length h: m channels, G cells, boson cutoff N."""
+    """One partition interval of length h: m channels, G cells, boson cutoff N.
+
+    The benchmark's lemma set-up builds ``ops``, and its tracer reads ``dim``.
+    """
 
     m: int
     G: int
@@ -195,40 +190,25 @@ class IntervalSpace:
     h: float
 
     def __post_init__(self):
-        if min(self.m, self.G, self.N) < 1 or self.h <= 0:
-            raise ValueError("need m, G, N >= 1 and h > 0")
-
-    @property
-    def n_modes(self) -> int:
-        return self.G * self.m
+        if min(self.m, self.G, self.N) < 1 or not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError("need m, G, N >= 1 and h > 0, with h finite")
 
     @property
     def basis(self):
-        return _sector_basis(self.n_modes, self.N)
+        return _sector_basis(self.G * self.m, self.N)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def sector(self, n: int) -> slice:
-        offsets = self.basis.offsets
-        return slice(offsets[n], offsets[n + 1])
 
     @property
     def ops(self) -> tuple[np.ndarray, np.ndarray]:
         """The (ins, occ) tables of ``_channel_ops``, cached per (m, G, N)."""
         return _channel_ops(self.m, self.G, self.N)
 
-    def khat_embedding(self) -> np.ndarray:
-        """(1+m, dim) rows: vacuum and the chi vectors, as full-space vectors."""
-        out = np.zeros((1 + self.m, self.dim), dtype=complex)
-        out[0, 0] = 1.0
-        out[1:, self.sector(1)] = np.tile(np.eye(self.m), self.G) / np.sqrt(self.G)
-        return out
-
 
 # ---------------------------------------------------------------------------
-# Exponential vectors
+# Exponential vectors and their projection loss
 # ---------------------------------------------------------------------------
 
 
@@ -247,7 +227,8 @@ def exp_vector(space: IntervalSpace, cells) -> np.ndarray:
     over the occupation basis, which reproduces f^(x)n / sqrt(n!).  Each
     row's coefficient is its parent's (the row without its last mode) times
     c_last / sqrt(multiplicity of last), one gather-multiply per sector from
-    the basis tables.
+    the basis tables.  No study reads it; the benchmark's tracer wraps it by
+    name, here and as ``walk.exp_vector``.
     """
     c = _one_particle_coeffs(space, cells)
     basis = space.basis
@@ -266,21 +247,6 @@ def exp_tail_bound(space: IntervalSpace, cells) -> float:
     return nsq ** (space.N + 1) * np.exp(nsq) / math.factorial(space.N + 1)
 
 
-# ---------------------------------------------------------------------------
-# Projection onto the slot space
-# ---------------------------------------------------------------------------
-
-
-def slot_coordinates(space: IntervalSpace, v: np.ndarray) -> np.ndarray:
-    """(..., 1+m) components of the (..., dim) array v along the vacuum and the chi vectors."""
-    return v @ space.khat_embedding().conj().T
-
-
-def project_Ph(space: IntervalSpace, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of the (..., dim) array v onto the slot space."""
-    return slot_coordinates(space, v) @ space.khat_embedding()
-
-
 def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
                           N: int = DEFAULT_CUTOFF) -> float:
     """||(1 - P_h) e(f restricted to [0, t])|| over the whole partition.
@@ -292,8 +258,8 @@ def projection_deficiency(f: TestFunction, t: float, h: float, m: int, G: int,
     A slot whose truncation tail exceeds ``TAIL_LIMIT`` raises
     ``TruncationError``, as in every other check.
     """
-    if h <= 0 or t < 0:
-        raise ValueError("need h > 0 and t >= 0")
+    if not (math.isfinite(h) and h > 0 and math.isfinite(t) and t >= 0):
+        raise ValueError("need h > 0 and t >= 0, both finite")
     n = int(round(t / h))
     if abs(n * h - t) > 1e-9 * max(1.0, t):
         raise ValueError("t must be an integer multiple of h")
@@ -327,7 +293,7 @@ def _lambda_terms(space: IntervalSpace, l: int, coeff: np.ndarray, d: int) -> li
     """Lambda^l = sum_a M_a (x) A_a as the list of terms (M_a, i, j).
 
     M_a is h S, sqrt(h) R_i*, sqrt(h) R_i or T_ij; A_a (identity, a(chi^i),
-    a_dag(chi^i) or the hop j -> i) is ``_fock_operator`` or ``_term_image``.
+    a_dag(chi^i) or the hop j -> i) acts on e_N(c) as ``_term_image``.
     """
     if l == 1:
         return [(space.h * coeff, 0, 0)]
@@ -336,63 +302,6 @@ def _lambda_terms(space: IntervalSpace, l: int, coeff: np.ndarray, d: int) -> li
         return [(blocks[i, j], i, j) for i in range(space.m) for j in range(space.m)]
     rh = np.sqrt(space.h)
     return [(rh * (dagger(R) if l == 2 else R), i, 0) for i, R in enumerate(blocks[:, 0])]
-
-
-def _fock_operator(space: IntervalSpace, l: int, i: int, j: int):
-    """A_a of the term (i, j) of Lambda^l, a callable on (..., dim) arrays.
-
-    Each is gathers and scatters on the tables of ``_channel_ops``: a(chi^i)
-    one gather-sum over the cells into the rows below the cutoff, a_dag(chi^i)
-    and the hop j -> i one scatter per cell.  For a fixed cell and channel,
-    inserting the mode takes distinct rows to distinct rows, so no scatter
-    writes an index twice.
-    """
-    if l == 1:
-        return lambda x: x
-    ins, occ = space.ops
-    dest, src = ins[:, :, i].T, ins[:, :, j].T  # (G, R): one row of targets per cell
-    if l == 4:
-        weight = np.sqrt(occ[:, :, i] * occ[:, :, j]).T
-    else:
-        weight = np.sqrt(occ[:, :, i]).T / np.sqrt(space.G)
-    below = len(ins)
-
-    def apply(x):
-        out = np.zeros(np.shape(x), dtype=complex)
-        if l == 2:
-            out[..., :below] = np.sum(weight * x[..., dest], axis=-2)
-        else:
-            for to, w, frm in zip(dest, weight, src):
-                out[..., to] += w * (x[..., :below] if l == 3 else x[..., frm])
-        return out
-
-    return apply
-
-
-def fundamental_apply(space: IntervalSpace, l: int, coeff, v) -> np.ndarray:
-    """Apply one fundamental process of the interval to a (d, dim) array.
-
-    Kinds: 1 time (h * S), 2 annihilation a_R, 3 creation a_dag_R,
-    4 conservation with kernel T; coefficient shapes d x d, (dm) x d,
-    (dm) x d and (dm) x (dm) respectively.
-    """
-    if np.shape(v)[-1] != space.dim:
-        raise ValueError(f"array shape {np.shape(v)}, expected (d, {space.dim})")
-    coeff = _check_coeff(l, coeff, len(v), space.m)
-    return sum(M @ _fock_operator(space, l, i, j)(v)
-               for M, i, j in _lambda_terms(space, l, coeff, len(v)))
-
-
-def basic_apply(space: IntervalSpace, l: int, coeff, v) -> np.ndarray:
-    """Apply one basic operator N^l, the projected fundamental process, to a (d, dim) array.
-
-    N^l acts on the slot-space coordinates of v by ``basic_operator_flat``
-    and annihilates the orthogonal complement of the slot space.
-    """
-    d = len(v)
-    flat = basic_operator_flat(l, coeff, d, space.m)
-    coords = flat @ slot_coordinates(space, v).reshape(-1)
-    return coords.reshape(d, 1 + space.m) @ space.khat_embedding()
 
 
 def basic_operator_flat(l: int, coeff, d: int, m: int) -> np.ndarray:

@@ -128,6 +128,12 @@ class GkslModel:
     def check_vector(self, u) -> np.ndarray:
         return as_vector(u, self.d)
 
+    def check_function(self, *fns) -> None:
+        """Raise ``ValueError`` unless every test function in fns has the model's m channels."""
+        for fn in fns:
+            if fn.channels != self.m:
+                raise ValueError(f"test function on {fn.channels} channels, expected {self.m}")
+
 
 def random_model(rng, d: int, m: int, norm: float) -> GkslModel:
     """Complex Gaussian R rescaled to operator norm ``norm`` (seeded rng)."""

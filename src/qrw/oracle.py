@@ -152,6 +152,7 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     identity, where ``_power_pays`` finds that cheaper than k steps.
     """
     x = model.check_x(x)
+    model.check_function(f, g)
     _check_pass(t, steps)
     if t == 0:
         return _pairing(model, u, v, x)
@@ -200,6 +201,7 @@ def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     """
     _check_pass(t, BASE_STEPS)
     x, u, v = model.check_x(x), model.check_vector(u), model.check_vector(v)
+    model.check_function(f, g)
     bound = (REFINEMENT_TOL * op_norm(x) * np.linalg.norm(u) * np.linalg.norm(v)
              * np.exp((f.l2_norm_sq(0.0, t) + g.l2_norm_sq(0.0, t)) / 2))
     steps, prev, residual = BASE_STEPS, None, float("inf")

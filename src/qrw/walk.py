@@ -124,6 +124,7 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     """
     u, v = model.check_vector(u), model.check_vector(v)
     x = model.check_x(x)
+    model.check_function(f, g)
     favgs, gavgs = slot_averages(f, h, n), slot_averages(g, h, n)
     ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
     d = model.d
@@ -184,6 +185,7 @@ def f_term_norm(model: GkslModel, x, u, f: TestFunction, h: float, n: int,
     _check_cap(model.d, model.m, n)
     x = model.check_x(x)
     u = model.check_vector(u)
+    model.check_function(f)
     m = model.m
     kernel = StepKernel.build(model, h)
     hats = slot_averages(f, h, n).hatted(slice(None))

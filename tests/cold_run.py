@@ -6,9 +6,10 @@ does) or against an installed package without scipy (as CI does).  It imports
 qrw alone, not the test modules, so it builds its amplitude-damping model
 inline.  The walk and the oracle run in both step forms, with vacuum runs
 taken as matrix powers and with a g that jumps inside (0, 1), then the lemma
-checks, the F term and every kind of ``fundamental_apply`` on the explicit
-Fock space.  Its last check is that no scipy or ``numpy.ma`` module has
-loaded, so the Fock space's ladder operators never load ``scipy.sparse``.
+checks, the F term, and what qrw keeps of the explicit Fock space: the
+insertion tables of ``IntervalSpace.ops`` and ``exp_vector``.  Its last check
+is that no scipy or ``numpy.ma`` module has loaded, so building those tables
+never loads ``scipy.sparse``.
 """
 
 import sys
@@ -56,10 +57,8 @@ for kind in (1, 2, 3, 4):
         fock.check_N_vs_Lambda(space, kind, np.eye(2), u, f, g=g, v=v, mode=mode)
 fock.check_N_vs_Lambda(space, 4, np.eye(2), u, f1, g=f1, v=[0.0, 1.0], mode="b")
 ins, occ = space.ops
-assert ins.shape == occ.shape == (space.sector(space.N).start, space.G, space.m)
-ef = np.outer(u, fock.exp_vector(space, f.cell_averages(0.0, 0.25, space.G)))
-for kind in (1, 2, 3, 4):
-    assert fock.fundamental_apply(space, kind, np.eye(2), ef).shape == ef.shape
+assert ins.shape == occ.shape == (space.basis.offsets[space.N], space.G, space.m)
+assert fock.exp_vector(space, f.cell_averages(0.0, 0.25, space.G)).shape == (space.dim,)
 loaded = sorted(name for name in sys.modules if name.startswith("scipy")
                 or name == "numpy.ma" or name.startswith("numpy.ma."))
 assert not loaded, loaded

@@ -107,10 +107,6 @@ MUTANTS = [
      "    occ = np.concatenate(occ) + 1  # occupation of a in r + a\n",
      "    occ = np.concatenate(occ)\n",
      "tests/test_fock.py::TestRanking::test_ops_match_reference_at_lemmas_G"),
-    ("fock.py",  # a(chi^i) and a_dag(chi^i) gathered without their 1/sqrt(G)
-     "        weight = np.sqrt(occ[:, :, i]).T / np.sqrt(space.G)\n",
-     "        weight = np.sqrt(occ[:, :, i]).T\n",
-     "tests/test_fock.py::TestFundamentalProcesses::test_gathers_match_csr_at_lemmas_size"),
     ("fock.py",  # check_lemma_normdiff's rhs 10x looser
      "    rhs = h * (c_f + sup) * float(",
      "    rhs = 10 * h * (c_f + sup) * float(",
@@ -147,6 +143,18 @@ MUTANTS = [
      "        base = h**1.5 * float(np.linalg.norm(coeff @ u))",
      "        base = h**1.0 * float(np.linalg.norm(coeff @ u))",
      "tests/test_fock.py::TestNvsLambdaChecks::test_time_bound_power_is_within_reach"),
+    ("model.py",  # test functions on any number of channels accepted
+     "        for fn in fns:\n            if fn.channels != self.m:\n",
+     "        for fn in fns:\n            if False:\n",
+     "tests/test_walk.py::test_input_checks"),
+    ("fock.py",  # an interval of infinite length accepted
+     "not (math.isfinite(self.h) and self.h > 0)",
+     "not self.h > 0",
+     "tests/test_fock.py::test_input_checks"),
+    ("fock.py",  # projection_deficiency on an infinite or NaN t or h
+     "    if not (math.isfinite(h) and h > 0 and math.isfinite(t) and t >= 0):\n",
+     "    if not (h > 0 and t >= 0):\n",
+     "tests/test_fock.py::TestProjection::test_deficiency_rejects_negative_t_or_nonpositive_h"),
 ]
 
 

@@ -13,7 +13,13 @@ model the tests share:
 * the exact semigroup T_t = exp(tL) through the superoperator of L, the
   tests' one use of ``scipy.linalg.expm``;
 * ``weak_generator``, the rate of the oracle's ODE at fixed (g, f);
-* ``amplitude_damping``, the qubit model most tests run on.
+* ``amplitude_damping``, the qubit model most tests run on;
+* the explicit slot space of the interval Fock space: ``sector``,
+  ``khat_embedding`` (the vacuum and the chi vectors as full-space vectors),
+  ``slot_coordinates``, the projection ``project_Ph`` and the basic operators
+  N^l on (d, dim) arrays, ``basic_apply``.  They cross-check the one-particle
+  algebra of ``qrw.fock``, and ``tests/test_fock.py`` pairs them with its CSR
+  ladder operators, the tests' one Lambda^l on the Fock space.
 
 None of them is on the path of a study or of the benchmark, so qrw itself
 holds only the streaming walk, the oracle and the lemma checks, and needs
@@ -26,6 +32,7 @@ from functools import partial
 
 import numpy as np
 
+from qrw.fock import IntervalSpace, basic_operator_flat
 from qrw.functions import SlotAverages, TestFunction, slot_averages
 from qrw.linalg import as_vector, dagger, flat, sandwich, vacuum_superoperator
 from qrw.model import GkslModel, StepKernel, beta_blocks, structure_factors
@@ -119,3 +126,39 @@ def weak_generator(model: GkslModel, x, gval, fval) -> np.ndarray:
     gval, fval = as_vector(gval, model.m), as_vector(fval, model.m)
     left, right = structure_factors(model, np.append(1.0, gval)[None], np.append(1.0, fval)[None])
     return sandwich(left[0], x, right[0])
+
+
+def sector(space: IntervalSpace, n: int) -> slice:
+    """The flat indices of sector n of the interval Fock space."""
+    offsets = space.basis.offsets
+    return slice(offsets[n], offsets[n + 1])
+
+
+def khat_embedding(space: IntervalSpace) -> np.ndarray:
+    """(1+m, dim) rows: vacuum and the chi vectors, as full-space vectors."""
+    out = np.zeros((1 + space.m, space.dim), dtype=complex)
+    out[0, 0] = 1.0
+    out[1:, sector(space, 1)] = np.tile(np.eye(space.m), space.G) / np.sqrt(space.G)
+    return out
+
+
+def slot_coordinates(space: IntervalSpace, v: np.ndarray) -> np.ndarray:
+    """(..., 1+m) components of the (..., dim) array v along the vacuum and the chi vectors."""
+    return v @ khat_embedding(space).conj().T
+
+
+def project_Ph(space: IntervalSpace, v: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of the (..., dim) array v onto the slot space."""
+    return slot_coordinates(space, v) @ khat_embedding(space)
+
+
+def basic_apply(space: IntervalSpace, l: int, coeff, v) -> np.ndarray:
+    """Apply one basic operator N^l, the projected fundamental process, to a (d, dim) array.
+
+    N^l acts on the slot-space coordinates of v by ``fock.basic_operator_flat``
+    and annihilates the orthogonal complement of the slot space.
+    """
+    d = len(v)
+    matrix = basic_operator_flat(l, coeff, d, space.m)
+    coords = matrix @ slot_coordinates(space, v).reshape(-1)
+    return coords.reshape(d, 1 + space.m) @ khat_embedding(space)

@@ -2,8 +2,8 @@
 allowlist, is read by qrw itself or by the benchmark, not by tests alone; the
 oracle stays off the walk, beta is written in model alone, only linalg builds
 superoperators, the walk forms no map itself, no code but
-``GkslModel.spectrum`` calls an eigensolver or an SVD, fock builds its ladder
-operators without sorting or searching and reads f on a slot in ``_slot_exp``
+``GkslModel.spectrum`` calls an eigensolver or an SVD, fock builds its
+insertion tables without sorting or searching and reads f on a slot in ``_slot_exp``
 alone, ``linalg.flat`` is the one flattening of block arrays, no module
 imports a name it never reads, no module imports scipy, and qrw loads and
 runs a convergence study and the lemma checks on numpy alone
@@ -30,9 +30,6 @@ def test_all_names_resolve(name):
 
 # The exported names that nothing but the tests reads yet, each with why it stays.
 UNREAD_EXPORTS = {
-    "fock.fundamental_apply": "the explicit Fock realization, which moves to the tests in one piece",
-    "fock.basic_apply": "the explicit Fock realization, which moves to the tests in one piece",
-    "fock.project_Ph": "the explicit Fock realization, which moves to the tests in one piece",
     "model.defect": "a paper check (the step defect bound) for the report to print",
     "model.trig_estimates": "a paper check (the U(h) smallness estimates) for the report to print",
     "fock.check_composition_table": "a paper check (the basic operators' table) for the report to print",
@@ -207,8 +204,9 @@ def test_no_module_imports_scipy():
 
 
 def test_fock_ladder_operators_are_gathers():
-    # The ladder and hop operators index their target rows through the
-    # insertion tables, so no function in fock.py sorts rows or searches keys.
+    # qrw applies no ladder operator; the insertion tables that the tests'
+    # ladder and hop operators index their target rows through are built by
+    # gathers, so no function in fock.py sorts rows or searches keys.
     path = Path(__file__).resolve().parents[1] / "src" / "qrw" / "fock.py"
     tree = ast.parse(path.read_text())
     assert not _callers(tree, "searchsorted") | _callers(tree, "sort")

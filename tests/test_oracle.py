@@ -383,6 +383,19 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="finite t >= 0"):
             fn(*self.ARGS, t, *steps)
 
+    @pytest.mark.parametrize("m, f_channels, g_channels", [(3, 7, 1), (1, 1, 2)])
+    @pytest.mark.parametrize("fn", [flow_matrix_element_fixed, flow_matrix_element])
+    def test_channel_counts_checked(self, fn, m, f_channels, g_channels):
+        # At m = 3, f on 7 channels and g on 1 give (1 + 7)(1 + 1) = (1 + m)^2
+        # hat pairs, so the rates once ran and returned a value that meant
+        # nothing; other counts died in a bare numpy reshape.
+        model = random_model(np.random.default_rng(3), 2, m, 1.0)
+        f, g = (_tf([0.0, 0.5, 1.0], np.full((3, c), 0.1)) for c in (f_channels, g_channels))
+        steps = (64,) if fn is flow_matrix_element_fixed else ()
+        bad = f_channels if f_channels != m else g_channels
+        with pytest.raises(ValueError, match=f"test function on {bad} channels, expected {m}"):
+            fn(model, P1, [1.0, 0.0], [0.0, 1.0], f, g, 1.0, *steps)
+
 
 class TestRefinement:
     def _record(self, monkeypatch, value_of_steps):

@@ -15,7 +15,6 @@ from qrw.fock import (
     TruncationError,
     exp_tail_bound,
     exp_vector,
-    project_Ph,
     projection_deficiency,
 )
 from qrw.linalg import dagger, flat, op_norm, power_runs, step_maps, superoperator
@@ -30,6 +29,8 @@ from qrw.model import (
 from qrw.walk import DenseCapError, defect_leg_outputs, f_term_norm, walk_matrix_element
 from reference import (
     amplitude_damping,
+    khat_embedding,
+    project_Ph,
     toy_exp_embed,
     walk_dense_operator,
     walk_dense_state,
@@ -815,7 +816,7 @@ def _reference_f_term(model, x, u, f, h, n, G, N):
     kernel = StepKernel.build(model, h)
     avgs = functions.slot_averages(f, h, n)
     space = IntervalSpace(m=model.m, G=G, N=N, h=h)
-    emb = space.khat_embedding()
+    emb = khat_embedding(space)
     e_vecs = [exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G)) for k in range(n)]
     q_vecs = [e - project_Ph(space, e) for e in e_vecs]
 
@@ -854,7 +855,7 @@ def _full_space_f_term(model, x, u, f, h, n, G, N):
     kernel = StepKernel.build(model, h)
     avgs = functions.slot_averages(f, h, n)
     space = IntervalSpace(m=m, G=G, N=N, h=h)
-    emb = space.khat_embedding()
+    emb = khat_embedding(space)
     es = [exp_vector(space, f.cell_averages(k * h, (k + 1) * h, G)) for k in range(n)]
     qs = [e - project_Ph(space, e) for e in es]
 
@@ -993,12 +994,24 @@ class TestVectorInputs:
 @pytest.mark.parametrize("entry, message", [
     ("walk_dense_operator", "need n >= 1"),
     ("walk_dense_state", "need n >= 1"),
+    ("walk_matrix_element_f", "test function on 7 channels, expected 3"),
+    ("walk_matrix_element_g", "test function on 2 channels, expected 1"),
+    ("f_term_norm", "test function on 2 channels, expected 1"),
 ])
 def test_input_checks(entry, message):
     model, zero = amplitude_damping(1.0), TF.zero(1)
+    # At m = 3, f on 7 channels and g on 1 give (1 + 7)(1 + 1) = (1 + m)^2 hat
+    # pairs, so the walk once returned a value that meant nothing; other
+    # counts died in a bare numpy reshape.
+    wide = random_model(np.random.default_rng(3), 2, 3, 1.0)
+    f1, f2, f7 = (TF([0.0, 0.5, 1.0], np.full((3, c), 0.1)) for c in (1, 2, 7))
+    u = [1.0, 0.0]
     calls = {
         "walk_dense_operator": lambda: walk_dense_operator(model, SIGMA_X, 0.1, 0),
         "walk_dense_state": lambda: walk_dense_state(model, SIGMA_X, [1.0, 0.0], zero, 0.1, 0),
+        "walk_matrix_element_f": lambda: walk_matrix_element(wide, SIGMA_X, u, u, f7, f1, 0.25, 4),
+        "walk_matrix_element_g": lambda: walk_matrix_element(model, SIGMA_X, u, u, f1, f2, 0.25, 4),
+        "f_term_norm": lambda: f_term_norm(model, SIGMA_X, u, f2, 0.25, 2, G=2, N=3),
     }
     with pytest.raises(ValueError, match=message):
         calls[entry]()
