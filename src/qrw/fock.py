@@ -431,7 +431,10 @@ def _term_image(space: IntervalSpace, l: int, i: int, j: int, c: np.ndarray) -> 
 
 def _slot_exp(space: IntervalSpace, f: TestFunction, start: float) -> tuple[tuple, float]:
     """e_N of f's cell averages on [start, start + h], and its truncation tail;
-    raises ``TruncationError`` if the tail exceeds ``TAIL_LIMIT``."""
+    raises ``TruncationError`` if the tail exceeds ``TAIL_LIMIT``, and
+    ``ValueError`` on a non-finite start."""
+    if not math.isfinite(start):
+        raise ValueError(f"need a finite slot start, got {start}")
     cells = f.cell_averages(start, start + space.h, space.G)
     tail = exp_tail_bound(space, cells)
     if tail > TAIL_LIMIT:
@@ -477,7 +480,7 @@ def check_lemma_normdiff(space: IntervalSpace, f: TestFunction, h: float,
     lhs and ||e(f)|| come from ``slot_exp_data``; the slack adds the
     truncation tail and the grid quadrature allowance h c_f / G.
     """
-    if abs(h - space.h) > 1e-12:
+    if not abs(h - space.h) <= 1e-12:
         raise ValueError("h must match the space's interval length")
     hat, q_sq, tail = slot_exp_data(space, f, start)
     lhs = float(np.sqrt(q_sq))

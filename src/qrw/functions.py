@@ -169,10 +169,15 @@ class TestFunction:
     def pair_overlap_integral(self, other: "TestFunction", t0: float, t1: float) -> complex:
         """integral of <self(s), other(s)> over [t0, t1].
 
-        The integrand is piecewise quadratic; Simpson on the merged breakpoint
-        grid is exact.  Each function is read once, on the nodes and the
-        midpoints together.
+        Simpson on the merged breakpoint grid of [t0, t1] cut to both supports
+        is exact: the integrand is piecewise quadratic there and 0 elsewhere,
+        so a jump at a support end is never read across it; 0 if the cut is
+        empty.  Each function is read once, on the nodes and the midpoints.
         """
+        t0 = max(t0, self.breakpoints[0], other.breakpoints[0])
+        t1 = min(t1, self.breakpoints[-1], other.breakpoints[-1])
+        if t0 > t1:
+            return 0j
         nodes = self._nodes(t0, t1)
         if other is not self:
             nodes = _sorted_distinct(np.concatenate([nodes, other._nodes(t0, t1)]))

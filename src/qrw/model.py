@@ -12,10 +12,9 @@ else is derived from R:
   built at every h from one ``np.linalg.eigh`` of R*R per model,
   ``GkslModel.spectrum``, the only eigendecomposition in qrw,
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
-  ``beta_factors``, and the oracle's rate ``rate_factors``, Theta plus <g, f>:
-  the walk and the oracle step these factors, in ``linalg``'s factor layout,
-  and build none of their own; only ``beta_factors`` reuses buffers, the
-  others are plain functions.  ``GkslModel.rate_engine`` steps the oracle's.
+  ``beta_factors``: with Theta's, the two factor families, one per object.
+  The walk steps beta's and the oracle Theta's (``GkslModel.rate_engine``),
+  in ``linalg``'s factor layout; only ``beta_factors`` reuses buffers.
 
 Operators on system (x) (C + noise) are plain (1+m, 1+m, d, d) block arrays,
 block index 0 being the vacuum direction; ``linalg.flat`` gives the matrix,
@@ -48,7 +47,6 @@ __all__ = [
     "beta_factors",
     "defect",
     "random_model",
-    "rate_factors",
     "step_leg_outputs",
     "structure_factors",
     "structure_maps",
@@ -108,10 +106,11 @@ class GkslModel:
 
     @cached_property
     def rate_engine(self):
-        """The oracle's ``linalg.step_maps`` of ``rate_factors``, with its unit table
-        and vacuum map: built once per model, shared by every RK4 pass."""
+        """The oracle's ``linalg.step_maps`` of ``structure_factors``, the bracket
+        Y -> <ghat, Theta(Y) fhat>, with its unit table and vacuum map L: built
+        once per model, shared by every RK4 pass."""
         # An RK4 step forms the rates at 2 new points and applies them 4 times.
-        return step_maps(partial(rate_factors, self), 1 + self.m, 2, 4)
+        return step_maps(partial(structure_factors, self), 1 + self.m, 2, 4)
 
     @property
     def defect_constant(self) -> float:
@@ -179,15 +178,6 @@ def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndar
     right[:, :, 0], right[:, :, 2:] = np.eye(d), chans.transpose(1, 0, 2)
     np.subtract(half, D, out=right[:, :, 1])
     return left.reshape(P, d, -1), right.reshape(P, d, -1)
-
-
-def rate_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's rate G_s: ``structure_factors`` with <g, f> = sum_{i>=1}
-    conj(ghat_i) fhat_i added to K's diagonal, K[a, a] in column a(2+m)."""
-    left, right = structure_factors(model, ghat, fhat)
-    diag = np.arange(model.d)
-    left[:, diag, (2 + model.m) * diag] += np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)[:, None]
-    return left, right
 
 
 def structure_maps(model: GkslModel, x) -> np.ndarray:

@@ -7,18 +7,20 @@ satisfies the finite-dimensional ODE
     d m_t(x) / dt = m_t( L(x) + <g(t), delta(x)> + delta_dag(x) f(t) )
                     + <g(t), f(t)> m_t(x),
 
-with m_0(x) = <v, x u>.  This module integrates it backward in the
-Heisenberg picture: Y = x at time t, dY/dtau = G_{t-tau}(Y) down to time 0,
-and m_t(x) = <v, Y u>, with G_s the bracket plus <g(s), f(s)>.  The bracket
-is <ghat, Theta(Y) fhat> at ghat = (1, g(s)), fhat = (1, f(s)), bilinear in
-the hats, so G_s is stepped by ``linalg.step_maps``, the walk's engine, on
-``model.rate_factors``: those of ``structure_factors`` with the pairing added
-to K.  That engine, ``GkslModel.rate_engine``, is built once per model and
-shared by every pass.  RK4 runs piece by piece between the breakpoints of f
-and g, reading f and g at each piece's ends as the limits from inside it, so
-a jump of either costs no order.  Where f = g = 0 on a piece the rate is the constant L, and
-its k steps are M^k, M the one RK4 step ``_rk4`` of L's d^2 x d^2 matrix
-applied to the identity, where that is cheaper.
+with m_0(x) = <v, x u>.  Its last term is a scalar and solves exactly:
+m_t(x) = <e(g_t]), e(f_t])> <v, Y u>, the factor being exp of the integral
+of <g, f> over [0, t] (``TestFunction.pair_overlap_integral``).  This module
+integrates Y backward in the Heisenberg picture: Y = x at time t,
+dY/dtau = G_{t-tau}(Y) down to time 0, with G_s the bracket
+<ghat, Theta(Y) fhat> at ghat = (1, g(s)), fhat = (1, f(s)).  Bilinear in
+the hats, G_s is stepped by ``linalg.step_maps``, the walk's engine, on
+Theta as written, ``model.structure_factors``: ``GkslModel.rate_engine``,
+built once per model and shared by every pass.  RK4 runs piece by piece
+between the breakpoints of f and g, reading f and g at each piece's ends as
+the limits from inside it, so a jump of either costs no order.  Where
+f = g = 0 on a piece the rate is the constant L, and its k steps are M^k, M
+the one RK4 step ``_rk4`` of L's d^2 x d^2 matrix applied to the identity,
+where that is cheaper.
 
 ``flow_matrix_element`` sizes its passes by RK4's step-doubling estimate
 |Y_2k - Y_k| / 15 of the error, which needs each pass to halve every step of
@@ -142,14 +144,15 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     """One backward RK4 pass with a fixed step budget (no refinement).
 
     Starts from Y = x at time t and steps the Heisenberg picture
-    dY/dtau = G_{t-tau}(Y) down to time 0; the result is <v, Y u>, which is
-    <v, x u> at t = 0.  The pieces between breakpoints of f and g run latest
-    first.  f and g are read once on the nodes and midpoints of every piece,
-    from inside the piece at its ends, and the model's ``rate_engine`` applies
-    the rates at those points CHUNK steps at a time, each chunk's factors freed
-    before the next chunk's are formed.  A piece of k steps where f = g = 0 is
-    M^k on vec(Y), M the RK4 step of the engine's vacuum map L applied to the
-    identity, where ``_power_pays`` finds that cheaper than k steps.
+    dY/dtau = G_{t-tau}(Y) down to time 0; the result is <v, Y u> times the
+    exact factor <e(g_t]), e(f_t])>, and <v, x u> at t = 0.  The pieces
+    between breakpoints of f and g run latest first.  f and g are read once
+    on the nodes and midpoints of every piece, from inside the piece at its
+    ends, and the model's ``rate_engine`` applies the bracket at those points
+    CHUNK steps at a time, each chunk's factors freed before the next chunk's
+    are formed.  A piece of k steps where f = g = 0 is M^k on vec(Y), M the
+    RK4 step of the engine's vacuum map L applied to the identity, where
+    ``_power_pays`` finds that cheaper than k steps.
     """
     x = model.check_x(x)
     model.check_function(f, g)
@@ -179,7 +182,7 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
         for start in range(0, 2 * k, 2 * CHUNK):
             chunk = slice(start, min(start + 2 * CHUNK, 2 * k) + 1)
             y = _rk4(y, maps(gp[chunk], fp[chunk]), tp[chunk])
-    return _pairing(model, u, v, y.reshape(d, d))
+    return _pairing(model, u, v, y.reshape(d, d)) * np.exp(g.pair_overlap_integral(f, 0.0, t))
 
 
 def flow_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunction,

@@ -5,11 +5,12 @@ Run it in a fresh interpreter, against the source tree
 does) or against an installed package without scipy (as CI does).  It imports
 qrw alone, not the test modules, so it builds its amplitude-damping model
 inline.  The walk and the oracle run in both step forms, with vacuum runs
-taken as matrix powers and with a g that jumps inside (0, 1), then the lemma
-checks, the F term, and what qrw keeps of the explicit Fock space: the
-insertion tables of ``IntervalSpace.ops`` and ``exp_vector``.  Its last check
-is that no scipy or ``numpy.ma`` module has loaded, so building those tables
-never loads ``scipy.sparse``.
+taken as matrix powers and with a g that jumps inside (0, 1), where at x = 1
+the flow must be its exact factor; then the lemma checks, the F term, and
+what qrw keeps of the explicit Fock space: the insertion tables of
+``IntervalSpace.ops`` and ``exp_vector``.  Its last check is that no scipy or
+``numpy.ma`` module has loaded, so building those tables never loads
+``scipy.sparse``.
 """
 
 import sys
@@ -47,6 +48,10 @@ oracle.flow_matrix_element_fixed(big, x8, u8, u8, f2, f2, 1.0, 64)
 # g jumps inside (0, 1): the oracle reads it one-sided and converges.
 jump = TF([0.2, 0.7], [[0.2j], [0.0]])
 oracle.flow_matrix_element(gksl, flip, u, [0.6, 0.8], f, jump, 1.0)
+# At x = 1 the flow is <v, u> times its exact factor exp(int_0^1 <g, f>).
+one = oracle.flow_matrix_element(gksl, np.eye(2), u, [0.6, 0.8], f, jump, 1.0)
+factor = np.vdot([0.6, 0.8], u) * np.exp(jump.pair_overlap_integral(f, 0.0, 1.0))
+assert abs(one - factor) <= 1e-12 * abs(factor), (one, factor)
 
 space = fock.IntervalSpace(m=1, G=2, N=3, h=0.25)
 fock.check_lemma_normdiff(space, f, 0.25)

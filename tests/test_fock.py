@@ -1032,6 +1032,11 @@ def test_results_hold_plain_python_types():
     ("exp_vector", r"cell samples shape \(3, 1\), expected \(2, 1\)"),
     ("projection_deficiency", "t must be an integer multiple of h"),
     ("check_lemma_normdiff", "h must match the space's interval length"),
+    # A NaN h or slot start once gave NaN fields with passed=False.
+    ("check_lemma_normdiff_h_nan", "h must match the space's interval length"),
+    ("check_lemma_normdiff_start_nan", "need a finite slot start"),
+    ("check_lemma_normdiff_start_inf", "need a finite slot start"),
+    ("check_N_vs_Lambda_start_nan", "need a finite slot start"),
     ("check_N_vs_Lambda", "mode must be 'a' or 'b'"),
     ("coefficient", r"coefficient for kind 1 has shape \(3, 3\), expected \(2, 2\)"),
 ])
@@ -1048,6 +1053,11 @@ def test_input_checks(entry, message):
         "exp_vector": lambda: exp_vector(space, np.zeros((3, 1))),
         "projection_deficiency": lambda: projection_deficiency(f, 0.3, 0.25, 1, 2, 3),
         "check_lemma_normdiff": lambda: check_lemma_normdiff(space, f, 0.3),
+        "check_lemma_normdiff_h_nan": lambda: check_lemma_normdiff(space, f, np.nan),
+        "check_lemma_normdiff_start_nan": lambda: check_lemma_normdiff(space, f, 0.25, np.nan),
+        "check_lemma_normdiff_start_inf": lambda: check_lemma_normdiff(space, f, 0.25, np.inf),
+        "check_N_vs_Lambda_start_nan": lambda: check_N_vs_Lambda(space, 1, np.eye(2), [1.0, 0.0], f,
+                                                                  start=np.nan),
         "check_N_vs_Lambda": lambda: check_N_vs_Lambda(space, 1, np.eye(2), [1.0, 0.0], f,
                                                         mode="c"),
         "coefficient": lambda: check_N_vs_Lambda(space, 1, np.eye(3), [1.0, 0.0], f),

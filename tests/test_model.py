@@ -311,6 +311,18 @@ class TestUnitaryStep:
         lhs, bound = trig_estimates(amplitude_damping(1.0), 0.25)["cos_sys_second_order"]
         assert lhs / bound >= 1 / 48
 
+    @pytest.mark.parametrize("name, floor", [
+        ("cos_sys_first_order", 0.25), ("cos_env_first_order", 0.25), ("sinc_first_order", 1 / 12),
+        ("cos_sys_contraction", 0.5), ("sinc_contraction", 0.5),
+    ])
+    def test_five_bounds_are_within_reach(self, name, floor):
+        # Witnesses for the other five bounds: at h = 0.01 lhs/bound reads
+        # 0.50 (C - 1 and C' - 1, the Taylor coefficient 1/2), 0.167 (D - 1,
+        # 1/6) and 1.0 (||C|| and ||D||, attained at R's kernel), so a 10x
+        # looser bound reads 0.050, 0.0167 or 0.10, below each floor.
+        lhs, bound = trig_estimates(amplitude_damping(1.0), 0.01)[name]
+        assert lhs / bound >= floor
+
 
 class TestBeta:
     def test_unital(self):

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from qrw import linalg, oracle
 from qrw import model as qrw_model
 from qrw.functions import TestFunction
-from qrw.linalg import dagger, flat, op_norm, sandwich, superoperator
-from qrw.model import PARTS, GkslModel, random_model, rate_factors, structure_factors, structure_maps
+from qrw.linalg import dagger, flat, op_norm, superoperator
+from qrw.model import PARTS, GkslModel, random_model, structure_factors, structure_maps
 from qrw.oracle import OracleRefinementError, flow_matrix_element, flow_matrix_element_fixed
 from qrw.walk import walk_matrix_element
-from reference import amplitude_damping, semigroup, weak_generator
+from reference import amplitude_damping, lindblad_superoperator, semigroup, weak_generator
 
 P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -77,18 +77,22 @@ class TestWeakGenerator:
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_oracle_rate_property(self, d, m, seed):
-        # The rate a pass integrates is weak_generator(Y) + <g, f> Y, and
-        # weak_generator is L + <g, delta> + delta_dag f from the structure maps.
+        # The rate a pass integrates is weak_generator(Y), with <g, f> Y left to
+        # the exact factor; its vacuum map is L, and weak_generator is
+        # L + <g, delta> + delta_dag f from the structure maps.
         rng = np.random.default_rng(seed)
         model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
         Y = _rand_x(rng, d)
         gv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         fv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        pair = np.vdot(gv, fv)
-        left, right = rate_factors(model, np.append(1.0, gv)[None], np.append(1.0, fv)[None])
+        ghat, fhat = np.append(1.0, gv), np.append(1.0, fv)
+        maps, vacuum, _, shape = model.rate_engine
+        (rate,) = maps(ghat[None], fhat[None])
         gen = weak_generator(model, Y, gv, fv)
+        size = np.linalg.norm(ghat) * np.linalg.norm(fhat) * (1 + model.norm_R**2) * op_norm(Y)
+        assert op_norm(rate(Y.reshape(shape)).reshape(d, d) - gen) <= 1e-13 * d * size
+        assert np.array_equal(vacuum(), lindblad_superoperator(model))
         scale = max(1.0, op_norm(gen))
-        assert op_norm(sandwich(left[0], Y, right[0]) - gen - pair * Y) <= 1e-12 * scale
         theta = structure_maps(model, Y)  # L, delta_dag and delta are parts 0, 1 and 2
         from_maps = (theta[0, 0]
                      + np.einsum("i,aib->ab", np.conj(gv), flat(theta[PARTS[2]]).reshape(d, m, d))
@@ -102,8 +106,7 @@ class TestWeakGenerator:
         # At d <= 4 the model's rate engine steps the rate by transfer
         # matrices: at any hats, the pairs of unit hats (c = 0 but at
         # (e_0, e_0)) among them, each is the superoperator of
-        # structure_factors plus sum_{i>=1} conj(g_i) f_i, and so is the
-        # superoperator of rate_factors itself.
+        # structure_factors.
         rng = np.random.default_rng(seed)
         model = random_model(rng, d, m, float(rng.uniform(0.1, 2.0)))
         assert linalg.pick_engine(d, 2 + m, 1 + m, 2, 4)[0]
@@ -113,17 +116,43 @@ class TestWeakGenerator:
         P = len(ghat)
         maps, _, _, shape = model.rate_engine
         assert shape == (d * d,)
-        pairing = np.sum(ghat[:, 1:].conj() * fhat[:, 1:], axis=1)
-        want = (superoperator(*structure_factors(model, ghat, fhat))
-                + pairing[:, None, None] * np.eye(d * d))
+        want = superoperator(*structure_factors(model, ghat, fhat))
         y = _rand_x(rng, d).reshape(-1)
         got = np.stack([apply(y) for apply in maps(ghat, fhat)])
         assert len(got) == P
-        direct = superoperator(*rate_factors(model, ghat, fhat)) @ y
         scale = (np.linalg.norm(ghat, axis=1) * np.linalg.norm(fhat, axis=1)
                  * (1 + model.norm_R**2) * np.linalg.norm(y))
-        for values in (got, direct):
-            assert (np.linalg.norm(values - want @ y, axis=1) <= 1e-13 * d * scale).all()
+        assert (np.linalg.norm(got - want @ y, axis=1) <= 1e-13 * d * scale).all()
+
+
+JUMPS = [
+    # g jumps from 0 to 0.2i where its support starts, at 0.2.
+    (_tf([0.0, 0.4, 1.0], [[0.0], [0.3 - 0.1j], [0.1]]), _tf([0.2, 0.7], [[0.2j], [0.0]])),
+    # f jumps from 0.3 to 0 where its support ends, at 0.5.
+    (_tf([0.0, 0.5], [[0.2], [0.3]]), _tf([0.0, 1.0], [[0.1], [0.1j]])),
+]
+
+
+def _overlap_closed_form(g, f, t):
+    """integral of <g, f> over [0, t] by the product rule of two linear functions.
+
+    On [a, b] inside both supports, with no breakpoint between, the integral is
+    (b - a)/6 (2 g_a* f_a + g_a* f_b + g_b* f_a + 2 g_b* f_b); each function is
+    read there by ``np.interp`` on its own breakpoints, from inside its support.
+    """
+    lo = max(0.0, f.breakpoints[0], g.breakpoints[0])
+    hi = min(t, f.breakpoints[-1], g.breakpoints[-1])
+    edges = np.unique(np.concatenate([[lo, hi], f.breakpoints, g.breakpoints]))
+    edges = edges[(edges >= lo) & (edges <= hi)]
+
+    def at(fn, s):
+        return np.stack([np.interp(s, fn.breakpoints, fn.values[:, i].real)
+                         + 1j * np.interp(s, fn.breakpoints, fn.values[:, i].imag)
+                         for i in range(fn.channels)], axis=-1)
+
+    ga, gb, fa, fb = at(g, edges[:-1]), at(g, edges[1:]), at(f, edges[:-1]), at(f, edges[1:])
+    terms = np.sum(2 * ga.conj() * fa + ga.conj() * fb + gb.conj() * fa + 2 * gb.conj() * fb, axis=1)
+    return complex(np.sum(np.diff(edges) / 6 * terms))
 
 
 class TestFlowMatrixElement:
@@ -300,22 +329,17 @@ class TestFlowMatrixElement:
 
         def spy(*args):
             alive.append(sum(ref() is not None for ref in refs))
-            parts = rate_factors(*args)
+            parts = structure_factors(*args)
             refs.extend(weakref.ref(part) for part in parts)
             return parts
 
         monkeypatch.setattr(oracle, "CHUNK", 4)
-        monkeypatch.setattr(qrw_model, "rate_factors", spy)
+        monkeypatch.setattr(qrw_model, "structure_factors", spy)
         flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 32)
         assert len(alive) >= 32 // 4
         assert alive == [0] * len(alive)
 
-    @pytest.mark.parametrize("f, g", [
-        # g jumps from 0 to 0.2i where its support starts, at 0.2.
-        (_tf([0.0, 0.4, 1.0], [[0.0], [0.3 - 0.1j], [0.1]]), _tf([0.2, 0.7], [[0.2j], [0.0]])),
-        # f jumps from 0.3 to 0 where its support ends, at 0.5.
-        (_tf([0.0, 0.5], [[0.2], [0.3]]), _tf([0.0, 1.0], [[0.1], [0.1j]])),
-    ])
+    @pytest.mark.parametrize("f, g", JUMPS)
     def test_jump_inside_converges_at_fourth_order(self, f, g):
         # Read from inside each piece, the passes converge at fourth order and
         # the walk approaches the flow at first order.
@@ -331,6 +355,17 @@ class TestFlowMatrixElement:
         errs = [abs(walk_matrix_element(model, x, u, v, f, g, 1 / n, n) - flow) for n in ns]
         order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert 0.9 <= order <= 1.1, (order, errs)
+
+    @pytest.mark.parametrize("f, g", JUMPS)
+    def test_identity_carries_the_exact_factor(self, f, g):
+        # Theta kills the identity, so at x = 1 the flow is <v, u> times the
+        # factor exp(int_0^1 <g, f>), complex on these inputs, and no RK4 error
+        # enters it.
+        model = random_model(np.random.default_rng(3), 2, 1, 1.0)
+        u, v = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+        got = flow_matrix_element(model, np.eye(2), u, v, f, g, 1.0)
+        want = np.vdot(v, u) * np.exp(_overlap_closed_form(g, f, 1.0))
+        assert abs(got - want) <= 1e-13 * abs(want), abs(got - want) / abs(want)
 
 
 class TestNoiseCoordinates:
@@ -549,7 +584,7 @@ class TestAccuracyContract:
     def test_constant_pieces_match_exact_flow(self, d, m):
         # f and g constant on overlapping sub-intervals make the rate constant
         # on five pieces, so the flow is a product of five exponentials: a
-        # reference free of RK4 and of rate_factors, with <g, f> != 0 on [0.4, 0.7].
+        # reference free of RK4 and of structure_factors, with <g, f> != 0 on [0.4, 0.7].
         model, x, u, v, *_ = _study_input(d, d, m, (0.0, 1.0))
         fv, gv = 0.5 * _rand_x(np.random.default_rng(d), 2)[:, :m]
         args = (model, x, u, v, TestFunction.constant(fv, 0.2, 0.7),

@@ -107,6 +107,16 @@ class TestTestFunction:
         g = TF(np.array([0.0, 1.0]), np.array([[1.0], [1.0]]))
         assert g.pair_overlap_integral(f, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
+    def test_overlap_of_indicator_stays_inside_its_support(self):
+        # The indicator of [0.2, 0.7] jumps at both support ends.  Over [0, 1]
+        # Simpson once read the jump across each end, giving 7/12 for 1/2.
+        f = TF(np.array([0.2, 0.7]), np.array([[1.0], [1.0]]))
+        g = TF(np.array([0.0, 1.0]), np.array([[1.0], [1.0]]))
+        assert f.l2_norm_sq(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert g.pair_overlap_integral(f, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert f.pair_overlap_integral(g, 0.1, 0.3) == pytest.approx(0.1, abs=1e-15)
+        assert f.l2_norm_sq(0.75, 1.0) == 0.0 and f.l2_norm_sq(0.7, 1.0) == 0.0
+
     def test_owns_read_only_copies(self):
         bp, vals = np.array([0.0, 1.0]), np.array([[1.0], [1.0]])
         f = TF(bp, vals)
@@ -185,7 +195,13 @@ def _masked_call(f, t):
 
 
 def _six_point_overlap(f, g, t0, t1):
-    """integral of <f, g> over [t0, t1]: Simpson on the merged grid, f and g read per term."""
+    """integral of <f, g> over [t0, t1]: Simpson on the merged grid, f and g read per term.
+
+    The grid spans [t0, t1] cut to both supports, off which the integrand is 0."""
+    t0 = max(t0, f.breakpoints[0], g.breakpoints[0])
+    t1 = min(t1, f.breakpoints[-1], g.breakpoints[-1])
+    if t0 > t1:
+        return 0j
     nodes = np.unique(np.concatenate([_refined_grid(f, t0, t1), _refined_grid(g, t0, t1)]))
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     pair = lambda t: np.sum(np.conj(_masked_call(f, t)) * _masked_call(g, t), axis=-1)  # noqa: E731
