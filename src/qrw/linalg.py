@@ -13,7 +13,10 @@ Conventions fixed here and used everywhere else:
   factors: right (d, J d) = [R_0 | ... | R_{J-1}] side by side, and left
   (d, d J) with column c J + j holding L_j[:, c].  So Y R is the (d J, d)
   stack of the Y R_j interleaved by row, and left contracts it in one more
-  product.  Leading axes of either are a batch, one map per row of hats.
+  product.  Leading axes of either are a batch, one map per row of hats;
+* the stepping engine (``step_maps``) forms its maps a chunk of rows at a
+  time, as many rows as fit in ``CHUNK_BYTES``, into one buffer that it
+  reuses; a complex product that forms them is one real GEMM (``real_form``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cache, partial
 import numpy as np
 
 __all__ = [
-    "CHUNK",
+    "CHUNK_BYTES",
     "apply_table",
     "as_matrix",
     "as_vector",
@@ -32,6 +35,7 @@ __all__ = [
     "op_norm",
     "pick_engine",
     "power_runs",
+    "real_form",
     "sandwich",
     "superoperator",
     "transfer_matrices",
@@ -39,9 +43,10 @@ __all__ = [
     "unit_table",
 ]
 
-# Slots (walk) or RK4 steps (oracle) whose sandwich factors are built at
-# once, so the working set is O(CHUNK (2+m) d^2) whatever n or the step count.
-CHUNK = 64
+# Bytes of the maps that one chunk of the stepping engine forms at once: the
+# rows of a chunk (walk slots or RK4 points) are as many as fit, so a chunk
+# stays in a 2 MB L2 cache whatever d, m, n or the step count.
+CHUNK_BYTES = 2**19
 
 # Multiply-adds that one numpy call costs beyond its arithmetic.  At d <= 4 the
 # per-call overhead, not the arithmetic, sets what a slot or an RK4 rate costs.
@@ -104,10 +109,10 @@ def superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     Leading axes of ``left`` (..., d, d J) and ``right`` (..., d, J d) are a batch.
     """
     d = left.shape[-2]
-    L = left.reshape(left.shape[:-1] + (d, -1))
-    R = right.reshape(right.shape[:-1] + (-1, d))
-    out = np.einsum("...acj,...ejb->...abce", L, R)
-    return out.reshape(left.shape[:-2] + (d * d, d * d))
+    L = left.reshape(left.shape[:-2] + (d * d, -1))  # [(a, c), j]
+    R = np.swapaxes(right.reshape(right.shape[:-2] + (d, -1, d)), -3, -2)  # [j, e, b]
+    out = (L @ R.reshape(R.shape[:-3] + (-1, d * d))).reshape(left.shape[:-2] + (d,) * 4)
+    return np.moveaxis(out, -1, -3).reshape(left.shape[:-2] + (d * d, d * d))
 
 
 def unit_table(factors, hats: int) -> np.ndarray:
@@ -139,14 +144,32 @@ def apply_table(table: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out.reshape(ys.shape[:-2] + table.shape[:-2] + (d, d))
 
 
-def transfer_matrices(table: np.ndarray, ghat: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """sum_{j j'} conj(ghat_j) fhat_j' table[j, j'] for each row of the (P, 1+m) hats.
+def real_form(table: np.ndarray) -> np.ndarray:
+    """The real (2K, 2W) form of a complex (K, W) table, a contiguous array.
 
-    ``table`` is the ``unit_table`` of a map bilinear in (conj ghat, fhat); the P
-    maps cost one (P, (1+m)^2) @ ((1+m)^2, d^4) product.
+    For complex rows z (P, K), z.view(float) @ real_form(table) is
+    (z @ table).view(float): block (k, w) is [[Re t, Im t], [-Im t, Re t]].
     """
-    pairs = (ghat.conj()[:, :, None] * fhat[:, None, :]).reshape(len(ghat), -1)
-    return (pairs @ table.reshape(pairs.shape[1], -1)).reshape((len(ghat),) + table.shape[2:])
+    out = np.empty(table.shape[:1] + (2,) + table.shape[1:] + (2,))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = table.real
+    out[:, 0, :, 1] = table.imag
+    out[:, 1, :, 0] = -table.imag
+    return out.reshape(2 * len(table), -1)
+
+
+def transfer_matrices(table: np.ndarray, ghat: np.ndarray, fhat: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """sum_{j j'} conj(ghat_j) fhat_j' T[j, j'] for each row of the (P, hats) hats, in ``out``.
+
+    T is the ``unit_table`` of a map bilinear in (conj ghat, fhat), and
+    ``table`` the ``real_form`` of its (hats^2, d^4) matrix.  The P maps cost
+    one real GEMM, written into the complex (>= P, d^2, d^2) buffer ``out``;
+    returns out[:P].
+    """
+    P = len(ghat)
+    pairs = np.multiply(np.conj(ghat)[:, :, None], fhat[:, None, :], dtype=complex)
+    np.matmul(pairs.reshape(P, -1).view(float), table, out=out[:P].reshape(P, -1).view(float))
+    return out[:P]
 
 
 def _cost(madds: float, calls: float) -> float:
@@ -175,41 +198,61 @@ def pick_engine(d: int, terms: int, hats: int, points: int, applies: int) -> tup
 def step_maps(factors, hats: int, points: int, applies: int):
     """The stepping engine of the walk and the oracle: maps on Y bilinear in two hats.
 
-    ``factors(ghat, fhat) -> (left, right)`` gives, per row of the (P, hats)
-    hats, the sandwich factors of one map Y -> sum_t L_t Y R_t on d x d
-    matrices, in the factor layout, L_t conj-linear in ghat and R_t linear in
-    fhat; d and the term count are read from the factors at the vacuum pair
-    (e_0, e_0).  The engine uses up each result before its next call, so a
-    family may reuse buffers (``model.beta_factors``).  Such a map has two
-    forms: its sandwich factors, two plain products on the d x d state Y, and
-    one d^2 x d^2 transfer matrix, one product on row-major vec(Y), the
-    contraction by ``transfer_matrices`` of its ``unit_table``.
+    ``factors(ghat, fhat, out=None) -> (left, right)`` gives, per row of the
+    (P, hats) hats, the sandwich factors of one map Y -> sum_t L_t Y R_t on
+    d x d matrices, in the factor layout, L_t conj-linear in ghat and R_t
+    linear in fhat; d and the term count are read from the factors at the
+    vacuum pair (e_0, e_0).  Such a map has two forms: its sandwich factors,
+    two plain products on the d x d state Y, and one d^2 x d^2 transfer
+    matrix, one product on row-major vec(Y), the contraction by
+    ``transfer_matrices`` of its ``unit_table``.
 
     A step forms its maps at ``points`` pairs of hats and applies them
     ``applies`` times; ``pick_engine`` takes the form whose step costs less.
     Returns ``maps(ghat, fhat)``, one applier y -> (map of the row at y) per
     row, with the state of the form chosen in ``shape``, (d, d) or (d^2,);
     ``vacuum()``, the ``vacuum_superoperator`` of the family, built at its
-    first call in either form; the (multiply-adds, calls) of one step; and
-    ``shape``.
+    first call in either form; the (multiply-adds, calls) of one step;
+    ``shape``; and ``rows``, the rows of hats per call of ``maps`` whose maps,
+    2 terms d^2 or d^4 complex entries a row, fit in ``CHUNK_BYTES`` (at
+    least one).
+
+    The engine owns one buffer, grown to the most rows asked for so far, and
+    forms every call's maps in it: the transfer matrices, or the factors,
+    which a family may write into its (2, P, d, terms d) ``out`` (left, then
+    right).  So each result must be used up before the next call.  A call of
+    one row forms it as two equal rows: numpy takes a one-row product by
+    gemv, which rounds otherwise than the gemm of a longer chunk, so a row's
+    maps do not depend on its chunk.
     """
     e0 = np.eye(1, hats)
     d, width = factors(e0, e0)[1].shape[1:]  # right is (1, d, terms d)
     transfer, madds, calls = pick_engine(d, width // d, hats, points, applies)
     step = (madds, calls)
     vacuum = cache(lambda: vacuum_superoperator(factors, hats))
+    parts, row = (1, (d * d, d * d)) if transfer else (2, (d, width))
+    rows = max(1, CHUNK_BYTES // (16 * parts * row[0] * row[1]))
+    buffer = np.empty((parts, 0) + row, dtype=complex)
     if transfer:
-        table = unit_table(factors, hats)
+        table = real_form(unit_table(factors, hats).reshape(hats * hats, -1))
 
-        def maps(ghat: np.ndarray, fhat: np.ndarray):
-            return [T.dot for T in transfer_matrices(table, ghat, fhat)]
+        def form(ghat: np.ndarray, fhat: np.ndarray, out: np.ndarray):
+            return [T.dot for T in transfer_matrices(table, ghat, fhat, out[0])]
+    else:
 
-        return maps, vacuum, step, (d * d,)
+        def form(ghat: np.ndarray, fhat: np.ndarray, out: np.ndarray):
+            return [partial(sandwich, L, right=R) for L, R in zip(*factors(ghat, fhat, out))]
 
     def maps(ghat: np.ndarray, fhat: np.ndarray):
-        return [partial(sandwich, L, right=R) for L, R in zip(*factors(ghat, fhat))]
+        nonlocal buffer
+        P = len(ghat)
+        if P == 1:
+            ghat, fhat = np.repeat(ghat, 2, axis=0), np.repeat(fhat, 2, axis=0)
+        if len(ghat) > buffer.shape[1]:
+            buffer = np.empty((parts, len(ghat)) + row, dtype=complex)
+        return form(ghat, fhat, buffer[:, :len(ghat)])[:P]
 
-    return maps, vacuum, step, (d, d)
+    return maps, vacuum, step, (d * d,) if transfer else (d, d), rows
 
 
 def _power_pays(d: int, r: int, step: tuple[float, float], setup: int = 0) -> bool:

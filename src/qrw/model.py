@@ -14,7 +14,7 @@ else is derived from R:
 * the step homomorphism   beta(h, x) = U(h)* (x (x) 1) U(h), written once as
   ``beta_factors``: with Theta's, the two factor families, one per object.
   The walk steps beta's and the oracle Theta's (``GkslModel.rate_engine``),
-  in ``linalg``'s factor layout; only ``beta_factors`` reuses buffers.
+  in ``linalg``'s factor layout; both write into the engine's buffer.
 
 Operators on system (x) (C + noise) are plain (1+m, 1+m, d, d) block arrays,
 block index 0 being the vacuum direction; ``linalg.flat`` gives the matrix,
@@ -34,8 +34,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .linalg import (apply_table, as_matrix, as_vector, dagger, flat, op_norm, step_maps, unflat,
-                     unit_table)
+from .linalg import (apply_table, as_matrix, as_vector, dagger, flat, op_norm, real_form, step_maps,
+                     unflat, unit_table)
 
 __all__ = [
     "PARTS",
@@ -152,7 +152,7 @@ def random_model(rng, d: int, m: int, norm: float) -> GkslModel:
 # ---------------------------------------------------------------------------
 
 
-def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndarray]:
+def structure_factors(model: GkslModel, ghat, fhat, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Sandwich factors of Y -> <ghat, Theta(Y) fhat>, one set per row of the (P, 1+m) hats.
 
     In ``linalg``'s factor layout, left (P, d, d(2+m)) holds [K, 1, c R_1*, ..., c R_m*]
@@ -161,7 +161,8 @@ def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndar
     K' = -c R*R/2 - D and D = conj(ghat_0) sum_i fhat_i R_i* - fhat_0 sum_i conj(ghat_i) R_i.
     Bilinear in (conj ghat, fhat), so the unit hats (e_j, e_j') give block (j, j')
     of Theta: L(x) at (0, 0), delta_i(x) = x R_i - R_i x at (i, 0) and
-    delta_dag_i(x) = R_i* x - x R_i* at (0, i).
+    delta_dag_i(x) = R_i* x - x R_i* at (0, i).  Written into ``out``, a
+    (2, P, d, (2+m) d) buffer of the stepping engine, where one is given.
     """
     P, d, m, chans = len(ghat), model.d, model.m, model.channels
     dags = chans.conj().transpose(0, 2, 1)
@@ -170,11 +171,13 @@ def structure_factors(model: GkslModel, ghat, fhat) -> tuple[np.ndarray, np.ndar
     D = (np.tensordot(g0 * fhat[:, 1:], dags, axes=1)
          - np.tensordot(f0 * ghat[:, 1:].conj(), chans, axes=1))
     half = (-0.5 * c) * model.RdR
-    left = np.empty((P, d, d, 2 + m), dtype=complex)  # L_j[a, c] at [a, c, j]
+    if out is None:
+        out = np.empty((2, P, d, (2 + m) * d), dtype=complex)
+    left = out[0].reshape(P, d, d, 2 + m)  # L_j[a, c] at [a, c, j]
     np.add(half, D, out=left[..., 0])
     left[..., 1] = np.eye(d)
     np.multiply(c[..., None], dags.transpose(1, 2, 0), out=left[..., 2:])
-    right = np.empty((P, d, 2 + m, d), dtype=complex)  # R_j[e, b] at [e, j, b]
+    right = out[1].reshape(P, d, 2 + m, d)  # R_j[e, b] at [e, j, b]
     right[:, :, 0], right[:, :, 2:] = np.eye(d), chans.transpose(1, 0, 2)
     np.subtract(half, D, out=right[:, :, 1])
     return left.reshape(P, d, -1), right.reshape(P, d, -1)
@@ -249,41 +252,42 @@ class StepKernel:
 
 
 def beta_factors(kernel: StepKernel):
-    """factors(ghat, fhat) -> (left, right): sandwich factors of the slot maps at (P, 1+m) hats.
+    """factors(ghat, fhat, out=None) -> (left, right): the slot maps' factors at (P, 1+m) hats.
 
     Row p is the map Y -> sum_{j j'} conj(ghat_j) fhat_j' beta^{(j,j')}(h, Y)
     = sum_l Vg_l* Y Vf_l, where V_l is the block of V = U(h)(1 (x) hat) on slot
     direction l.  In ``linalg``'s factor layout right = [Vf_0 | ... | Vf_m] and
     left holds Vg_l*[:, c] in column c(1+m) + l; cols and rows, fixed
     permutations of the blocks U^{(l,j)} of U(h) and of their adjoints per
-    input direction j, make both linear in the hats.  A nonzero
-    ``model.beta_corruption`` c adds c x to the vacuum block of beta, so it is
-    one more, last, term c conj(ghat_0) fhat_0 Y.
-
-    Each call writes into two buffers that the closure owns, grown to the most
-    rows asked for so far, and returns views of them.  It is the one factor
-    family with buffers: the walk forms slot maps for every CHUNK slots of its
-    ladder, and with fresh factors per call the study-large walk (d = 16, m = 3)
-    ran 34-56% slower.
+    input direction j, make both linear in the hats.  They are kept in
+    ``linalg.real_form``, so right and left are one real GEMM each, written
+    into ``out``, a (2, P, d, (1+m) d) buffer of the stepping engine, where
+    one is given: the walk forms them for every chunk of its ladder, and with
+    fresh factors per chunk the study-large walk (d = 16, m = 3) ran 34-56%
+    slower.  A nonzero ``model.beta_corruption`` c adds c x to the vacuum block
+    of beta, so it is one more, last, term c conj(ghat_0) fhat_0 Y, and the
+    factors are fresh arrays.
     """
     d, m, c = kernel.model.d, kernel.model.m, kernel.model.beta_corruption
     U = kernel.U  # [l, j, a, b]
-    cols = U.transpose(1, 2, 0, 3).reshape(1 + m, -1)  # [j, (a, l, b)]: U^{(l,j)}[a, b]
-    rows = U.conj().transpose(1, 3, 2, 0).reshape(1 + m, -1)  # [j, (b, a, l)]: U^{(l,j)}*[b, a]
+    # [j, (a, l, b)]: U^{(l,j)}[a, b], and [j, (b, a, l)]: U^{(l,j)}*[b, a]
+    cols = real_form(U.transpose(1, 2, 0, 3).reshape(1 + m, -1))
+    rows = real_form(U.conj().transpose(1, 3, 2, 0).reshape(1 + m, -1))
     eye = np.eye(d)
-    buffers = [np.empty((0, cols.shape[1]), dtype=complex), np.empty((0, rows.shape[1]), dtype=complex)]
 
-    def factors(ghat: np.ndarray, fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def factors(ghat: np.ndarray, fhat: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         P = len(ghat)
-        if P > len(buffers[0]):
-            buffers[:] = (np.empty((P, part.shape[1]), dtype=complex) for part in (cols, rows))
-        right = np.matmul(fhat, cols, out=buffers[0][:P]).reshape(-1, d, (1 + m) * d)
-        left = np.matmul(ghat.conj(), rows, out=buffers[1][:P]).reshape(-1, d, d, 1 + m)
+        gbar, fhat = (np.ascontiguousarray(hat, dtype=complex) for hat in (np.conj(ghat), fhat))
+        if c or out is None:
+            out = np.empty((2, P, d, (1 + m) * d), dtype=complex)
+        left, right = out
+        np.matmul(fhat.view(float), cols, out=right.reshape(P, -1).view(float))
+        np.matmul(gbar.view(float), rows, out=left.reshape(P, -1).view(float))
         if c:
-            last = c * ghat[:, :1, None, None].conj() * eye[..., None]
-            left = np.concatenate([left, last], axis=3)
+            last = c * gbar[:, :1, None, None] * eye[..., None]
+            left = np.concatenate([left.reshape(P, d, d, 1 + m), last], axis=3).reshape(P, d, -1)
             right = np.concatenate([right, fhat[:, :1, None] * eye], axis=2)
-        return left.reshape(P, d, -1), right
+        return left, right
 
     return factors
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import TestFunction, _sorted_distinct
-from .linalg import CHUNK, _power_pays, op_norm
+from .linalg import _power_pays, op_norm
 from .model import GkslModel
 
 __all__ = [
@@ -149,7 +149,8 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     between breakpoints of f and g run latest first.  f and g are read once
     on the nodes and midpoints of every piece, from inside the piece at its
     ends, and the model's ``rate_engine`` applies the bracket at those points
-    CHUNK steps at a time, each chunk's factors freed before the next chunk's
+    a chunk at a time: as many steps as its ``rows`` points allow, and at
+    least one, each chunk's maps freed or overwritten before the next chunk's
     are formed.  A piece of k steps where f = g = 0 is M^k on vec(Y), M the
     RK4 step of the engine's vacuum map L applied to the identity, where
     ``_power_pays`` finds that cheaper than k steps.
@@ -162,7 +163,8 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
     d = model.d
     pieces = _pieces(f, g, t, steps)[::-1]
     counts = np.array([k for _, _, k in pieces])
-    maps, vacuum, step, shape = model.rate_engine
+    maps, vacuum, step, shape, rows = model.rate_engine
+    span = 2 * max(1, (rows - 1) // 2)  # the points a chunk steps over, less its last
     # Each piece has its own points, so a node between two pieces is read from
     # inside each of them.
     times = np.concatenate([_points(a, b, k) for a, b, k in pieces])
@@ -179,8 +181,8 @@ def flow_matrix_element_fixed(model: GkslModel, x, u, v, f: TestFunction,
             y = (np.linalg.matrix_power(M, k) @ y.reshape(-1)).reshape(shape)
             continue
         # A chunk's maps live only as the argument of its _rk4 call.
-        for start in range(0, 2 * k, 2 * CHUNK):
-            chunk = slice(start, min(start + 2 * CHUNK, 2 * k) + 1)
+        for start in range(0, 2 * k, span):
+            chunk = slice(start, min(start + span, 2 * k) + 1)
             y = _rk4(y, maps(gp[chunk], fp[chunk]), tp[chunk])
     return _pairing(model, u, v, y.reshape(d, d)) * np.exp(g.pair_overlap_integral(f, 0.0, t))
 

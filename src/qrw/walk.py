@@ -44,7 +44,7 @@ from .fock import (
     slot_exp_data,
 )
 from .functions import TestFunction, slot_averages
-from .linalg import CHUNK, op_norm, power_runs, step_maps
+from .linalg import op_norm, power_runs, step_maps
 from .model import GkslModel, StepKernel, beta_factors, step_leg_outputs
 
 __all__ = [
@@ -96,17 +96,18 @@ def _prefix_state(kernel: StepKernel, ops: np.ndarray, hats: list, u: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _sweep(y, maps, ghats, fhats, start: int, stop: int):
+def _sweep(y, maps, rows: int, ghats, fhats, start: int, stop: int):
     """The streaming state Y_start that follows Y_stop = y, in the engine's shape.
 
     Y_{k-1} = sum_{j j'} conj(ghat_k[j]) fhat_k[j'] beta^{(j,j')}(h, Y_k):
     slot k is contracted between the hatted vectors of g (output side) and
     f (input side) immediately after its step, which is exact because later
     steps never touch slot k again.  ``maps``, of ``linalg.step_maps``, forms
-    the appliers of the slot maps CHUNK slots at a time; they run last first.
+    the appliers of the slot maps ``rows`` slots at a time, the chunk that its
+    byte budget allows; they run last first.
     """
-    for hi in range(stop, start, -CHUNK):
-        lo = max(start, hi - CHUNK)
+    for hi in range(stop, start, -rows):
+        lo = max(start, hi - rows)
         for apply in reversed(maps(ghats[lo:hi], fhats[lo:hi])):
             y = apply(y)
     return y
@@ -129,15 +130,15 @@ def walk_matrix_element(model: GkslModel, x, u, v, f: TestFunction, g: TestFunct
     ghats, fhats = gavgs.hatted(slice(None)), favgs.hatted(slice(None))
     d = model.d
     # A slot forms its map at one pair of hats and applies it once.
-    maps, vacuum_map, step, shape = step_maps(beta_factors(StepKernel.build(model, h)),
-                                              1 + model.m, 1, 1)
+    maps, vacuum_map, step, shape, rows = step_maps(beta_factors(StepKernel.build(model, h)),
+                                                    1 + model.m, 1, 1)
     vacuum = ~(favgs.F.any(axis=1) | gavgs.F.any(axis=1))
     y, stop = x.reshape(shape), n
     for a, b in reversed(power_runs(vacuum, d, step)):
-        y = _sweep(y, maps, ghats, fhats, b, stop)
+        y = _sweep(y, maps, rows, ghats, fhats, b, stop)
         y = (np.linalg.matrix_power(vacuum_map(), b - a) @ y.reshape(-1)).reshape(shape)
         stop = a
-    y = _sweep(y, maps, ghats, fhats, 0, stop)
+    y = _sweep(y, maps, rows, ghats, fhats, 0, stop)
     return complex(np.vdot(v, y.reshape(d, d) @ u))
 
 

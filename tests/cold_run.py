@@ -5,7 +5,8 @@ Run it in a fresh interpreter, against the source tree
 does) or against an installed package without scipy (as CI does).  It imports
 qrw alone, not the test modules, so it builds its amplitude-damping model
 inline.  The walk and the oracle run in both step forms, with vacuum runs
-taken as matrix powers and with a g that jumps inside (0, 1), where at x = 1
+taken as matrix powers, with chunks of the default size and of one row, and
+with a g that jumps inside (0, 1), where at x = 1
 the flow must be its exact factor; then the lemma checks, the F term, and
 what qrw keeps of the explicit Fock space: the insertion tables of
 ``IntervalSpace.ops`` and ``exp_vector``.  Its last check is that no scipy or
@@ -39,12 +40,21 @@ oracle.flow_matrix_element_fixed(damping, flip, u, u, f1, f1, 1.0, 64)
 for gk, xk, vk in ((gksl, x, v), (damping, flip, u)):
     walk.walk_matrix_element(gk, xk, u, vk, zero, zero, 1 / 1024, 1024)
     oracle.flow_matrix_element_fixed(gk, xk, u, vk, zero, zero, 1.0, 1024)
-# Nonzero f and g at d = 8: both engines step by sandwich factors.
-big = model.random_model(np.random.default_rng(8), 8, 2, 1.0)
+# Nonzero f and g at d = 8: both engines step by sandwich factors, over more
+# rows than one chunk holds, and give the same values with one row per chunk.
 f2 = TF([0.0, 0.5, 1.0], [[0.1, 0.2j], [0.3, 0.0], [0.0, 0.1]])
 x8, u8 = np.eye(8)[::-1], np.eye(8)[0]
-walk.walk_matrix_element(big, x8, u8, u8, f2, f2, 1 / 64, 64)
-oracle.flow_matrix_element_fixed(big, x8, u8, u8, f2, f2, 1.0, 64)
+R8 = model.random_model(np.random.default_rng(8), 8, 2, 1.0).R
+chunked = []
+for budget in (1, linalg.CHUNK_BYTES):
+    linalg.CHUNK_BYTES = budget
+    big = model.GkslModel(d=8, m=2, R=R8)
+    chunked.append((walk.walk_matrix_element(big, x8, u8, u8, f2, f2, 1 / 256, 256),
+                    oracle.flow_matrix_element_fixed(big, x8, u8, u8, f2, f2, 1.0, 64),
+                    big.rate_engine[-1]))
+(*single, one), (*default, rows) = chunked
+assert rows < 2 * 64 + 1 and one == 1, (rows, one)
+assert default == single, (default, single)
 # g jumps inside (0, 1): the oracle reads it one-sided and converges.
 jump = TF([0.2, 0.7], [[0.2j], [0.0]])
 oracle.flow_matrix_element(gksl, flip, u, [0.6, 0.8], f, jump, 1.0)

@@ -60,8 +60,8 @@ MUTANTS = [
      "ESTIMATE_MARGIN = 400\n",
      "tests/test_oracle.py::TestRefinement::test_tolerance_relative_to_value"),
     ("model.py",  # ghat not conjugated in beta's factors
-     "left = np.matmul(ghat.conj(), rows,",
-     "left = np.matmul(ghat, rows,",
+     "for hat in (np.conj(ghat), fhat))",
+     "for hat in (ghat, fhat))",
      "tests/test_oracle.py::TestNoiseCoordinates::test_unitary_on_noise_changes_nothing"),
     ("oracle.py",  # the ceil rule that does not halve every step of a piece
      "    return [(a, b, scale * max(1, int(np.ceil((b - a) / t * steps))))\n",
@@ -120,8 +120,8 @@ MUTANTS = [
      "    if mode == \"a\":\n        return 10 * base\n",
      "tests/test_fock.py::TestNvsLambdaChecks::test_time_bound_is_within_reach"),
     ("model.py",  # beta's left factors in the column order of the stacked layout
-     "rows = U.conj().transpose(1, 3, 2, 0)",
-     "rows = U.conj().transpose(1, 3, 0, 2)",
+     "rows = real_form(U.conj().transpose(1, 3, 2, 0)",
+     "rows = real_form(U.conj().transpose(1, 3, 0, 2)",
      "tests/test_model.py::TestBeta::test_closed_form_matches_conjugation"),
     ("fock.py",  # check_N_vs_Lambda passing on lhs <= 10 rhs + slack
      "        passed=bool(lhs <= rhs + slack),\n",

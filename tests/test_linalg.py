@@ -126,6 +126,30 @@ class TestSuperoperator:
         assert op_norm(got - want) <= 1e-13 * op_norm(want)
 
 
+class TestRealForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        m=st.integers(1, 3),
+        rows=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_product_is_complex_product(self, d, m, rows, seed):
+        # For the tables the engine multiplies by, (1+m, (1+m) d^2) factor
+        # tables and the ((1+m)^2, d^4) matrix of a unit table, one real
+        # product by real_form is the complex product.  Each table is also
+        # given as a transposed view, which .view(float) could not read.
+        rng = np.random.default_rng(seed)
+        for K, W in ((1 + m, (1 + m) * d * d), ((1 + m) ** 2, d**4)):
+            for table in (_rand_complex(rng, K, W), _rand_complex(rng, W, K).T):
+                z = _rand_complex(rng, rows, K)
+                real = linalg.real_form(table)
+                assert real.shape == (2 * K, 2 * W) and real.flags.c_contiguous
+                got = (z.view(float) @ real).view(complex)
+                want = z @ table
+                assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(z) * np.linalg.norm(table)
+
+
 class TestPowerRuns:
     def test_maximal_runs(self):
         vacuum = np.array([True] * 100 + [False] * 3 + [True] * 200 + [False] * 50 + [True] * 30)
@@ -226,7 +250,7 @@ def _bilinear_factors(rng, d, hats, terms):
     conj-linear in ghat, right linear in fhat."""
     A, B = _rand_complex(rng, hats, d, d * terms), _rand_complex(rng, hats, d, terms * d)
 
-    def factors(ghat, fhat):
+    def factors(ghat, fhat, out=None):
         return np.tensordot(ghat.conj(), A, axes=1), np.tensordot(fhat, B, axes=1)
 
     return factors, np.linalg.norm(A) * np.linalg.norm(B)
@@ -237,7 +261,7 @@ class TestStepMaps:
     def engine(factors, d, hats, terms, transfer):
         """step_maps with its form fixed to sandwich factors or transfer matrices."""
         with mock.patch.object(linalg, "pick_engine", lambda *args: (transfer, 1.0, 1)):
-            maps, vacuum, step, shape = step_maps(factors, hats, 1, 1)
+            maps, vacuum, step, shape, _ = step_maps(factors, hats, 1, 1)
         assert shape == ((d * d,) if transfer else (d, d))
         return maps, vacuum, step, shape
 
@@ -307,7 +331,7 @@ class TestFactorLayout:
         rng = np.random.default_rng(seed)
         A, B = _rand_complex(rng, hats, J, d, d), _rand_complex(rng, hats, J, d, d)
 
-        def factors(ghat, fhat):
+        def factors(ghat, fhat, out=None):
             return _layout(np.tensordot(ghat.conj(), A, axes=1), np.tensordot(fhat, B, axes=1))
 
         ghat, fhat = _rand_complex(rng, 4, hats), _rand_complex(rng, 4, hats)

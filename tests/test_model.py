@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qrw.linalg import CHUNK, dagger, flat, op_norm, unflat
+from qrw.linalg import dagger, flat, op_norm, step_maps, unflat
 from qrw.model import (
     PARTS,
     GkslModel,
@@ -610,30 +610,37 @@ class TestStepKernel:
             assert op_norm(flat(batched[i]) - flat(single)) <= 1e-13
 
     def test_factors_reuse_their_buffers(self):
-        # Each call of one beta_factors closure writes into buffers of its own
-        # and returns views of them, so the walk allocates nothing per chunk.
-        # A call with more rows than any before grows them, and calls after it
-        # still match factors from a fresh closure.
+        # The stepping engine forms every chunk's factors in one buffer of its
+        # own, so the walk allocates nothing per chunk: beta_factors writes
+        # into the out it is given, bit for bit what it forms afresh, and
+        # every call of maps passes it the same memory.  A call with more rows
+        # than any before grows the buffer.
         rng = np.random.default_rng(53)
-        model = random_model(rng, 3, 2, 1.0)
-        kernel = StepKernel.build(model, 0.1)
-        factors = beta_factors(kernel)
+        model = random_model(rng, 8, 2, 1.0)
+        factors = beta_factors(StepKernel.build(model, 0.1))
+        outs = []
+
+        def spy(ghat, fhat, out=None):
+            outs.append(out)
+            return factors(ghat, fhat, out)
 
         def hats(rows):
             return tuple(np.hstack([np.ones((rows, 1)), _rand_x(rng, max(rows, 2))[:rows, :2]])
                          for _ in range(2))
 
-        factors(*hats(1))
+        maps, _, _, shape, rows = step_maps(spy, 3, 1, 1)
+        assert shape == (8, 8) and rows > 9
+        outs.clear()
         units = np.eye(3)
         pairs = units.repeat(3, axis=0), np.tile(units, (3, 1))
-        for got, want in zip(factors(*pairs), beta_factors(kernel)(*pairs)):
-            assert np.array_equal(got, want)
-        small = hats(3)
-        for got, want in zip(factors(*small), beta_factors(kernel)(*small)):
-            assert np.array_equal(got, want)
-        first = factors(*hats(CHUNK))
-        second = factors(*hats(CHUNK))
-        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
+        for chunk in (hats(2), pairs, hats(rows), hats(rows), hats(3)):
+            maps(*chunk)
+            out = outs[-1]
+            assert out.shape == (2, len(chunk[0]), 8, 24)
+            for got, want, part in zip(factors(*chunk, out), factors(*chunk), out):
+                assert np.array_equal(got, want) and np.shares_memory(got, part)
+        assert not any(np.shares_memory(a, b) for a, b in zip(outs[:2], outs[1:3]))
+        assert all(np.shares_memory(outs[2], out) for out in outs[3:])
 
 
 @pytest.mark.parametrize("entry, message", [

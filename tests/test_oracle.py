@@ -8,11 +8,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrw import linalg, oracle
+from qrw import linalg, oracle, walk
 from qrw import model as qrw_model
 from qrw.functions import TestFunction
-from qrw.linalg import dagger, flat, op_norm, superoperator
-from qrw.model import PARTS, GkslModel, random_model, structure_factors, structure_maps
+from qrw.linalg import dagger, flat, op_norm, step_maps, superoperator
+from qrw.model import (PARTS, GkslModel, StepKernel, beta_factors, random_model, structure_factors,
+                       structure_maps)
 from qrw.oracle import OracleRefinementError, flow_matrix_element, flow_matrix_element_fixed
 from qrw.walk import walk_matrix_element
 from reference import amplitude_damping, lindblad_superoperator, semigroup, weak_generator
@@ -86,7 +87,7 @@ class TestWeakGenerator:
         gv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         fv = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         ghat, fhat = np.append(1.0, gv), np.append(1.0, fv)
-        maps, vacuum, _, shape = model.rate_engine
+        maps, vacuum, _, shape, _ = model.rate_engine
         (rate,) = maps(ghat[None], fhat[None])
         gen = weak_generator(model, Y, gv, fv)
         size = np.linalg.norm(ghat) * np.linalg.norm(fhat) * (1 + model.norm_R**2) * op_norm(Y)
@@ -114,7 +115,7 @@ class TestWeakGenerator:
         ghat = np.vstack([_rand_x(rng, 5 + m)[:5, :1 + m], units.repeat(1 + m, axis=0)])
         fhat = np.vstack([_rand_x(rng, 5 + m)[:5, :1 + m], np.tile(units, (1 + m, 1))])
         P = len(ghat)
-        maps, _, _, shape = model.rate_engine
+        maps, _, _, shape, _ = model.rate_engine
         assert shape == (d * d,)
         want = superoperator(*structure_factors(model, ghat, fhat))
         y = _rand_x(rng, d).reshape(-1)
@@ -322,7 +323,7 @@ class TestFlowMatrixElement:
         # A pass holds one chunk's rate factors at a time: none formed for an
         # earlier chunk is alive when the next chunk's are formed.  At d = 8
         # the engine steps the rates by their sandwich factors, which are
-        # formed for every chunk of CHUNK steps.
+        # formed for every chunk of the engine's rows, 2 steps + 1 points.
         model, x, u, v, f, g = _study_input(3, 8, 2, (0.0, 1.0))
         assert not linalg.pick_engine(8, 4, 3, 2, 4)[0]
         alive, refs = [], []
@@ -333,10 +334,12 @@ class TestFlowMatrixElement:
             refs.extend(weakref.ref(part) for part in parts)
             return parts
 
-        monkeypatch.setattr(oracle, "CHUNK", 4)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 2**16)
         monkeypatch.setattr(qrw_model, "structure_factors", spy)
+        steps = (model.rate_engine[-1] - 1) // 2
+        assert steps >= 1
         flow_matrix_element_fixed(model, x, u, v, f, g, 1.0, 32)
-        assert len(alive) >= 32 // 4
+        assert len(alive) >= 32 // steps
         assert alive == [0] * len(alive)
 
     @pytest.mark.parametrize("f, g", JUMPS)
@@ -366,6 +369,42 @@ class TestFlowMatrixElement:
         got = flow_matrix_element(model, np.eye(2), u, v, f, g, 1.0)
         want = np.vdot(v, u) * np.exp(_overlap_closed_form(g, f, 1.0))
         assert abs(got - want) <= 1e-13 * abs(want), abs(got - want) / abs(want)
+
+
+class TestChunkBudget:
+    @pytest.mark.parametrize("d, m", [(2, 1), (4, 2), (8, 2)])
+    def test_values_do_not_depend_on_the_budget(self, monkeypatch, d, m):
+        # A chunk only groups the rows that the engine forms at once: with one
+        # row per chunk, 16 KB, the default budget and the whole run in one
+        # chunk, the walk and the oracle give the same values, bit for bit.  At
+        # d <= 4 both step by transfer matrices and take the vacuum runs off
+        # [0.1, 0.6] as powers; at d = 8 both step by sandwich factors.
+        model, x, u, v, f, g = _study_input(11, d, m, (0.1, 0.6))
+        assert linalg.pick_engine(d, 1 + m, 1 + m, 1, 1)[0] == (d <= 4)
+        assert linalg.pick_engine(d, 2 + m, 1 + m, 2, 4)[0] == (d <= 4)
+        runs, values, rows = [], set(), []
+        power_runs = linalg.power_runs
+        monkeypatch.setattr(walk, "power_runs", lambda *a: runs.append(power_runs(*a)) or runs[-1])
+        for budget in (1, 2**14, linalg.CHUNK_BYTES, 2**40):
+            monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+            fresh = GkslModel(d=d, m=m, R=model.R)
+            values.add((walk_matrix_element(fresh, x, u, v, f, g, 1 / 300, 300),
+                        flow_matrix_element_fixed(fresh, x, u, v, f, g, 1.0, 256)))
+            rows.append(fresh.rate_engine[-1])
+        assert len(values) == 1
+        assert rows[0] == 1 and rows[1] < 2 * 256 + 1
+        assert all(runs) == (d <= 4)
+
+    @pytest.mark.parametrize("d, m", [(d, m) for d in range(1, 17) for m in (1, 2, 3)] + [(2, 64)])
+    def test_rows_fit_the_budget(self, d, m):
+        # Each engine's chunk of rows, slots or RK4 points, holds its maps in
+        # at most CHUNK_BYTES: 2 terms d^2 complex entries a row by sandwich
+        # factors, d^4 by transfer matrices.
+        model = random_model(np.random.default_rng(d * 100 + m), d, m, 1.0)
+        walk_engine = step_maps(beta_factors(StepKernel.build(model, 0.01)), 1 + m, 1, 1)
+        for (_, _, _, shape, rows), terms in ((walk_engine, 1 + m), (model.rate_engine, 2 + m)):
+            entries = d**4 if shape == (d * d,) else 2 * terms * d * d
+            assert rows >= 1 and rows * 16 * entries <= linalg.CHUNK_BYTES
 
 
 class TestNoiseCoordinates:

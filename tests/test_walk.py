@@ -610,18 +610,23 @@ class TestStreamingEngine:
     @given(
         d=st.integers(1, 4),
         m=st.integers(1, 3),
-        n=st.sampled_from([1, 63, 64, 65, 130]),
+        where=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 2)]),
         corruption=st.sampled_from([0.0, 1e-3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_transfer_matches_slot_by_slot(self, d, m, n, corruption, seed):
+    def test_transfer_matches_slot_by_slot(self, d, m, where, corruption, seed):
         # f and g are nonzero on all of [0, 1], so at d <= 4 every slot goes
         # through a transfer matrix, and the zero-cost run steps the same slots
-        # by sandwiches; n = 63, 64, 65 and 130 put chunk ends on either side of
-        # CHUNK = 64.
+        # by sandwiches.  Under a budget of 64 transfer matrices, n is 1, or
+        # rows - 1, rows, rows + 1 or 2 rows + 2 for the engine's rows per
+        # chunk, so chunk ends fall on either side of n.
         rng = np.random.default_rng(seed)
         R = random_model(rng, d, m, float(rng.uniform(0.1, 2.0))).R
         model = GkslModel(d=d, m=m, R=R, beta_corruption=corruption)
+        budget = mock.patch.object(linalg, "CHUNK_BYTES", 64 * 16 * d**4)
+        with budget:
+            rows = step_maps(beta_factors(StepKernel.build(model, 1.0)), 1 + m, 1, 1)[-1]
+        n = where[0] * rows + where[1]
         h = 1.0 / n
         f, g = (TF(np.linspace(0.0, 1.0, 4), 0.5 + _rand_x(rng, 4)[:, :m]) for _ in range(2))
         x = _rand_x(rng, d)
@@ -634,7 +639,7 @@ class TestStreamingEngine:
             return chosen[-1]
 
         pick_engine = linalg.pick_engine
-        with mock.patch.object(linalg, "pick_engine", spy):
+        with budget, mock.patch.object(linalg, "pick_engine", spy):
             got = walk_matrix_element(model, x, u, v, f, g, h, n)
         assert chosen[0][0]
         favgs, gavgs = functions.slot_averages(f, h, n), functions.slot_averages(g, h, n)
@@ -676,7 +681,7 @@ class TestStreamingEngine:
         factors = beta_factors(StepKernel.build(model, float(rng.uniform(0.01, 1.0))))
         terms = 1 + m + bool(corruption)
         assert linalg.pick_engine(d, terms, 1 + m, 1, 1)[0]
-        maps, _, _, shape = step_maps(factors, 1 + m, 1, 1)
+        maps, _, _, shape, _ = step_maps(factors, 1 + m, 1, 1)
         assert shape == (d * d,)
         ghat, fhat = _rand_x(rng, 5 + m)[:5, :1 + m], _rand_x(rng, 5 + m)[:5, :1 + m]
         ghat[:, 0] = fhat[:, 0] = 1.0
